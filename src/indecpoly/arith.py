@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -81,8 +83,14 @@ def integer_nth_root(a: int, n: int):
         return None
     if a in (0, 1):
         return a
-    r = round(a ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == a:
-            return c
-    return None
+    if n == 2:
+        r = isqrt(a)
+    else:
+        # integer Newton iteration from above; it stops at floor(a^(1/n))
+        r = 1 << -(-a.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + a // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r ** n == a else None

@@ -31,11 +31,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from . import unipoly
 from .arith import divisors, factorint
 from .fields import GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, monomials_upto
+from .resultants import content, primitive_gcd
 
 DEFAULT_GUARD = 1 << 24
 SEARCH_LIMIT = 4000
@@ -341,19 +343,6 @@ def _from_yx(field, rows):
     return MPoly(field, 2, terms)
 
 
-def _y_content(field, F: MPoly):
-    """gcd in F_q[x] of the y-coefficients (the content of F in F_q[x][y])."""
-    rows = _to_yx(F)
-    cont = []
-    for row in rows:
-        if not row:
-            continue
-        cont = row if not cont else unipoly.gcd(field, cont, row)
-        if unipoly.degree(cont) == 0:
-            break
-    return unipoly.monic(field, cont)
-
-
 def _pth_root_mpoly(F: MPoly):
     field = F.dom
     p = field.p
@@ -363,63 +352,6 @@ def _pth_root_mpoly(F: MPoly):
             return None
         terms[tuple(k // p for k in e)] = field.pth_root(c)
     return MPoly(field, F.n, terms)
-
-
-def _prem_y(field, A: MPoly, B: MPoly):
-    """Pseudo-remainder of A by B with respect to y (variable 1)."""
-    db = B.deg_in(1)
-    lb = _ycoeff(field, B, db)
-    R = A
-    while not R.is_zero() and R.deg_in(1) >= db:
-        dr = R.deg_in(1)
-        lr = _ycoeff(field, R, dr)
-        ymon = MPoly(field, 2, {(0, dr - db): field.one})
-        R = R * lb - B * ymon * lr
-    return R
-
-
-def _ycoeff(field, F: MPoly, j):
-    terms = {}
-    for (i, k), c in F.terms.items():
-        if k == j:
-            terms[(i, 0)] = c
-    return MPoly(field, 2, terms)
-
-
-def _y_primitive_part(field, F: MPoly):
-    cont = _y_content(field, F)
-    if unipoly.degree(cont) <= 0:
-        return F
-    contp = MPoly.from_dense(field, cont, 2, 0)
-    return F.exact_div(contp)
-
-
-def bivar_gcd(F: MPoly, G: MPoly) -> MPoly:
-    """Monic gcd in F_q[x, y] via a primitive remainder sequence in y."""
-    field = F.dom
-    if F.is_zero():
-        return G.monic() if not G.is_zero() else G
-    if G.is_zero():
-        return F.monic()
-    if F.deg_in(1) == 0 and G.deg_in(1) == 0:
-        a = unipoly.gcd(field, _to_yx(F)[0], _to_yx(G)[0])
-        return MPoly.from_dense(field, a, 2, 0)
-    if F.deg_in(1) < G.deg_in(1):
-        F, G = G, F
-    ca = _y_content(field, F)
-    cb = _y_content(field, G)
-    cont = unipoly.gcd(field, ca, cb) if ca and cb else [field.one]
-    A = _y_primitive_part(field, F)
-    B = _y_primitive_part(field, G)
-    while not B.is_zero() and B.deg_in(1) > 0:
-        R = _prem_y(field, A, B)
-        A, B = B, (_y_primitive_part(field, R) if not R.is_zero() else R)
-    if not B.is_zero():
-        # nonzero constant-in-y remainder: the y-parts are coprime
-        g = MPoly.from_dense(field, cont, 2, 0)
-    else:
-        g = MPoly.from_dense(field, cont, 2, 0) * _y_primitive_part(field, A)
-    return g.monic()
 
 
 # -- the lifting engine ------------------------------------------------------
@@ -663,20 +595,13 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
             col[j] = c
         unit, fs = uni_factor(field, col)
         return [(MPoly.from_dense(field, list(g), 2, 1), m) for g, m in fs]
-    cont = _y_content(field, F)
-    if unipoly.degree(cont) > 0:
-        contp = MPoly.from_dense(field, cont, 2, 0)
-        rest = F.exact_div(contp)
-        return _merge_factor_lists(
-            _factor_rec(contp, method, guard, depth), _factor_rec(rest, method, guard, depth)
-        )
-    xcont = _x_content(field, F)
-    if unipoly.degree(xcont) > 0:
-        contp = MPoly.from_dense(field, xcont, 2, 1)
-        rest = F.exact_div(contp)
-        return _merge_factor_lists(
-            _factor_rec(contp, method, guard, depth), _factor_rec(rest, method, guard, depth)
-        )
+    for var in (1, 0):
+        cont = content(F, var)
+        if not cont.is_constant():
+            rest = F.exact_div(cont)
+            return _merge_factor_lists(
+                _factor_rec(cont, method, guard, depth), _factor_rec(rest, method, guard, depth)
+            )
     root = _pth_root_mpoly(F)
     if root is not None:
         inner = _factor_rec(root, method, guard, depth)
@@ -688,7 +613,7 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
     if Fy.is_zero():
         flipped = _factor_rec(F.swap_vars(0, 1), method, guard, depth)
         return [(g.swap_vars(0, 1).monic(), m) for g, m in flipped]
-    G = bivar_gcd(F, Fy)
+    G = primitive_gcd(F, Fy, 1)
     S = F.exact_div(G).monic()
     if method == "search" or (
         method == "auto" and search_space_size(field.q, S.degree()) <= SEARCH_LIMIT
@@ -699,22 +624,6 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
     if G.is_constant():
         return parts
     return _merge_factor_lists(parts, _factor_rec(G, method, guard, depth))
-
-
-def _x_content(field, F: MPoly):
-    cols = {}
-    for (i, j), c in F.terms.items():
-        cols.setdefault(i, {})[j] = c
-    cont = []
-    for i, col in cols.items():
-        row = [field.zero] * (max(col) + 1)
-        for j, c in col.items():
-            row[j] = c
-        row = unipoly.normalize(field, row)
-        cont = row if not cont else unipoly.gcd(field, cont, row)
-        if unipoly.degree(cont) == 0:
-            break
-    return unipoly.monic(field, cont)
 
 
 def bivar_factor(F: MPoly, method="auto", guard=DEFAULT_GUARD) -> Factorization:
@@ -779,7 +688,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
                     continue
                 _, fs = uni_factor(field, fib)
                 for g, _m in fs:
-                    evidence = _gcd2(evidence, len(g) - 1)
+                    evidence = gcd(evidence, len(g) - 1)
                 good += 1
                 if evidence == 1:
                     return 1
@@ -812,12 +721,6 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
         if not did:
             break
     return r_total
-
-
-def _gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def absolutely_irreducible(F: MPoly, guard=DEFAULT_GUARD) -> bool:

@@ -3,17 +3,20 @@
 For F(x, y) with integer coefficients, monic in y and indecomposable over
 the rationals' closure, the chain is
 
-    delta_xl = disc_y(F(x, y) - l)                   in Z[l][x]
-    delta_red = c(l) * delta_xl / gcd(delta_xl, d/dx delta_xl)
+    delta_xl  = disc_y(F(x, y) - l)                  in Z[l][x]
+    delta_red = pp(P / gcd(P, d/dx delta_xl)),  P = pp(delta_xl)
     delta_l   = disc_x(delta_red)                    in Z[l]
     delta0    = leading x-coefficient of delta_xl    in Z[l]
 
-where the gcd is the monic Euclidean gcd computed with rational-function
-coefficients in l FIRST, and only then cleared of denominators and made
-primitive over Z[l] (reducing mod p before the gcd changes the answer:
-gcd(l, l + a) is 1 for a != 0 but l for a = 0).  A prime p with
-p > deg_y(F) whose reduction keeps delta0 * delta_l nonzero guarantees that
-F mod p stays indecomposable over the closure of F_p.
+where pp is the primitive part over Z[l] and the gcd is the primitive gcd in
+Z[l][x] of `resultants.primitive_gcd`, a pseudo-remainder sequence that
+strips the content in Z[l] at every step. By Gauss's lemma it equals the gcd
+in Q(l)[x] up to a unit of Q(l), so delta_red is the primitive squarefree
+part over Q(l). The gcd is taken over Z[l] FIRST, before any reduction mod p
+(reducing first changes the answer: gcd(l, l + a) is 1 for a != 0 but l for
+a = 0). A prime p with p > deg_y(F) whose reduction keeps delta0 * delta_l
+nonzero guarantees that F mod p stays indecomposable over the closure of
+F_p.
 
 The primitive-part sign convention: the leading x-coefficient of the
 primitive part has a positive leading integer coefficient in l; the content
@@ -25,135 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, lcm
 
-from . import unipoly
 from .arith import primes_upto, is_prime
 from .decompose import is_indecomposable_multi
 from .fields import QQ, ZZ, prime_field
 from .mpoly import MPoly
-from .resultants import coeff_list, discriminant
+from .resultants import coeff_list, content, discriminant, primitive_gcd
 
 # variable layout for chain polynomials: index 0 = x, index 1 = l
 CHAIN_VARS = ("x", "l")
-
-
-# --------------------------------------------------------------------------
-# rational functions in l over Q (dense Fraction lists), a field domain
-# --------------------------------------------------------------------------
-
-class RatFuncField:
-    """Fractions of polynomials in one variable over Q, reduced, den monic."""
-
-    char = 0
-    is_finite = False
-    is_field = True
-
-    def __init__(self):
-        self.zero = ((), (Fraction(1),))
-        self.one = ((Fraction(1),), (Fraction(1),))
-
-    def key(self):
-        return ("qq(l)",)
-
-    def make(self, num, den):
-        num = unipoly.normalize(QQ, list(num))
-        den = unipoly.normalize(QQ, list(den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return self.zero
-        g = unipoly.gcd(QQ, num, den)
-        if unipoly.degree(g) > 0:
-            num = unipoly.divmod_poly(QQ, num, g)[0]
-            den = unipoly.divmod_poly(QQ, den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            num = unipoly.scale(QQ, num, 1 / lc)
-            den = unipoly.scale(QQ, den, 1 / lc)
-        return (tuple(num), tuple(den))
-
-    def from_poly(self, num):
-        return self.make(num, [Fraction(1)])
-
-    def from_int(self, n):
-        return self.make([Fraction(n)], [Fraction(1)])
-
-    def add(self, a, b):
-        (na, da), (nb, db) = a, b
-        num = unipoly.add(QQ, unipoly.mul(QQ, list(na), list(db)),
-                          unipoly.mul(QQ, list(nb), list(da)))
-        return self.make(num, unipoly.mul(QQ, list(da), list(db)))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return (tuple(unipoly.neg(QQ, list(a[0]))), a[1])
-
-    def mul(self, a, b):
-        return self.make(unipoly.mul(QQ, list(a[0]), list(b[0])),
-                         unipoly.mul(QQ, list(a[1]), list(b[1])))
-
-    def inv(self, a):
-        if not a[0]:
-            raise ZeroDivisionError("inverse of zero")
-        return self.make(list(a[1]), list(a[0]))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def exact_div(self, a, b):
-        return self.div(a, b)
-
-    def pow(self, a, n):
-        out = self.one
-        base = a
-        if n < 0:
-            base, n = self.inv(a), -n
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return out
-
-    def format_element(self, a):
-        return f"({a[0]})/({a[1]})"
-
-
-RATFUNC = RatFuncField()
-
-
-# --------------------------------------------------------------------------
-# conversions Z[l][x] <-> x-dense lists of rational functions
-# --------------------------------------------------------------------------
-
-def _to_xl_rows(F: MPoly):
-    """x-dense list of l-dense integer coefficient lists."""
-    dx = F.deg_in(0)
-    rows = [[0] * (F.deg_in(1) + 1) for _ in range(dx + 1)]
-    for (i, j), c in F.terms.items():
-        rows[i][j] = c
-    return [row[: _trimlen(row)] for row in rows]
-
-
-def _trimlen(row):
-    n = len(row)
-    while n and row[n - 1] == 0:
-        n -= 1
-    return n
-
-
-def _rows_to_ratfunc(rows):
-    return [RATFUNC.from_poly([Fraction(c) for c in row]) for row in rows]
-
-
-def _ratfunc_strip(vec):
-    while vec and vec[-1] == RATFUNC.zero:
-        vec.pop()
-    return vec
 
 
 def content_primitive(F: MPoly):
@@ -166,39 +49,10 @@ def content_primitive(F: MPoly):
         raise ValueError("content of the zero polynomial")
     if F.dom.key() != ("zz",) or F.n != 2:
         raise ValueError("expected integer coefficients in (x, l)")
-    rows = _to_xl_rows(F)
-    cont = []
-    for row in rows:
-        if not row:
-            continue
-        cont = list(row) if not cont else _zz_poly_gcd(cont, row)
-    # sign: flip so the top x-coefficient of the primitive part has a
-    # positive leading integer
-    top = rows[-1]
-    prim_top_lead = Fraction(top[-1], cont[-1])
-    if prim_top_lead < 0:
-        cont = [-c for c in cont]
-    contp = MPoly.from_dense(ZZ, cont, 2, 1)
-    prim = F.exact_div(contp)
-    if prim is None:  # pragma: no cover - the content always divides
-        raise ArithmeticError("content does not divide")
-    return contp, prim
-
-
-def _zz_poly_gcd(a, b):
-    """gcd in Z[l] with positive leading coefficient."""
-    ca = igcd(*a) if len(a) > 1 else abs(a[0])
-    cb = igcd(*b) if len(b) > 1 else abs(b[0])
-    aq = [Fraction(c) for c in a]
-    bq = [Fraction(c) for c in b]
-    g = unipoly.gcd(QQ, aq, bq)  # monic over Q
-    den = lcm(*(c.denominator for c in g)) if len(g) > 1 else g[0].denominator
-    gz = [int(c * den) for c in g]
-    cg = igcd(*gz) if len(gz) > 1 else abs(gz[0])
-    gz = [c // cg for c in gz]
-    if gz[-1] < 0:
-        gz = [-c for c in gz]
-    return [c * igcd(ca, cb) for c in gz]
+    cont = content(F, 0)
+    if coeff_list(F, 0)[-1].leading()[1] < 0:
+        cont = -cont
+    return cont, F.exact_div(cont)
 
 
 # --------------------------------------------------------------------------
@@ -253,25 +107,13 @@ def build_chain(F: MPoly, check_reduction=True) -> CriterionChain:
     if delta3.is_zero():
         raise ValueError("degenerate input: the discriminant chain vanishes")
     delta_xl = MPoly(ZZ, 2, {(e[0], e[2]): c for e, c in delta3.terms.items()})
-    # gcd with the x-derivative, computed with rational-function coefficients
-    rows = _to_xl_rows(delta_xl)
-    A = _rows_to_ratfunc(rows)
-    dax = delta_xl.derivative(0)
-    B = _rows_to_ratfunc(_to_xl_rows(dax)) if not dax.is_zero() else []
-    A = _ratfunc_strip(A)
-    B = _ratfunc_strip(B)
-    if not B:
-        g = [RATFUNC.one]
-    else:
-        g = unipoly.gcd(RATFUNC, A, B)
-    quo, rem = unipoly.divmod_poly(RATFUNC, A, g)
-    if rem:  # pragma: no cover - the gcd divides
+    # gcd with the x-derivative in Z[l][x], taken before any reduction mod p
+    _, prim = content_primitive(delta_xl)
+    quo = prim.exact_div(primitive_gcd(prim, delta_xl.derivative(0), 0))
+    if quo is None:  # pragma: no cover - the gcd divides
         raise ArithmeticError("gcd does not divide")
-    delta_red = _clear_and_primitivize(quo)
-    # squarefreeness of the reduced part over Q(l)
-    rr = _rows_to_ratfunc(_to_xl_rows(delta_red))
-    rd = _rows_to_ratfunc(_to_xl_rows(delta_red.derivative(0)))
-    if unipoly.degree(unipoly.gcd(RATFUNC, rr, rd)) != 0:  # pragma: no cover
+    _, delta_red = content_primitive(quo)
+    if primitive_gcd(delta_red, delta_red.derivative(0), 0).deg_in(0) > 0:  # pragma: no cover
         raise ArithmeticError("reduced part is not squarefree")
     if delta_red.deg_in(0) >= 1:
         delta_l = discriminant(delta_red, 0)
@@ -288,30 +130,6 @@ def build_chain(F: MPoly, check_reduction=True) -> CriterionChain:
                 raise ArithmeticError(f"criterion contradicted at p={p}")
             break
     return chain
-
-
-def _clear_and_primitivize(vec) -> MPoly:
-    """x-dense rational-function coefficients -> primitive element of Z[l][x]."""
-    common = [Fraction(1)]
-    for _num, den in vec:
-        g = unipoly.gcd(QQ, common, list(den))
-        common = unipoly.divmod_poly(QQ, unipoly.mul(QQ, common, list(den)), g)[0]
-    cleared = []
-    denom_lcm = 1
-    for num, den in vec:
-        mul = unipoly.divmod_poly(QQ, common, list(den))[0]
-        poly = unipoly.mul(QQ, list(num), mul)
-        cleared.append(poly)
-        for c in poly:
-            denom_lcm = lcm(denom_lcm, c.denominator)
-    terms = {}
-    for i, poly in enumerate(cleared):
-        for j, c in enumerate(poly):
-            v = c * denom_lcm
-            if v:
-                terms[(i, j)] = int(v)
-    _, prim = content_primitive(MPoly(ZZ, 2, terms))
-    return prim
 
 
 def criterion_holds(chain: CriterionChain, p: int) -> bool:

@@ -1,8 +1,16 @@
-"""Resultants and discriminants by fraction-free Sylvester elimination.
+"""Resultants, discriminants and gcds by fraction-free elimination.
 
 Entries of the Sylvester matrix are polynomials in the remaining variables,
 so Bareiss elimination (whose interior divisions are exact over any integral
 domain) keeps everything in ZZ/QQ/F_q without fractions.
+
+The gcd of two polynomials in two variables is taken in D[x_var], with D the
+polynomials in the other variable, by a primitive pseudo-remainder sequence:
+pseudo-remainders stay in D[x_var], and the content in D is stripped at every
+step. The content gcd in D = K[z] is `unipoly.gcd` when K is a field and,
+over ZZ, this same routine one level down with `math.gcd` contents. The
+result is the gcd in the unique factorization domain K[x_var, z]; by Gauss's
+lemma its primitive part is the gcd over the fraction field of D up to a unit.
 
 The discriminant convention used package-wide:
 
@@ -13,6 +21,9 @@ with the empty-product convention disc = 1 for d = 1.
 
 from __future__ import annotations
 
+from math import gcd as igcd
+
+from . import unipoly
 from .mpoly import MPoly
 
 
@@ -109,3 +120,80 @@ def discriminant(f: MPoly, var) -> MPoly:
     if out is None:  # pragma: no cover - lc always divides the resultant
         raise ArithmeticError("leading coefficient does not divide the resultant")
     return out
+
+
+# --------------------------------------------------------------------------
+# gcd in two variables by a primitive pseudo-remainder sequence
+# --------------------------------------------------------------------------
+
+def _normal(f: MPoly) -> MPoly:
+    """The associate whose graded-lex leading coefficient is one over a
+    field, positive over ZZ."""
+    if f.dom.is_field:
+        return f.monic()
+    return -f if f.leading()[1] < 0 else f
+
+
+def _coeff_gcd(a: MPoly, b: MPoly, var) -> MPoly:
+    """Normalized gcd of two nonzero polynomials free of x_var."""
+    dom, z = a.dom, 1 - var
+    if dom.is_field:
+        return MPoly.from_dense(dom, unipoly.gcd(dom, a.to_dense(z), b.to_dense(z)), 2, z)
+    if a.is_constant() and b.is_constant():
+        return MPoly.const(dom, 2, igcd(a.constant_term(), b.constant_term()))
+    return primitive_gcd(a, b, z)
+
+
+def content(f: MPoly, var) -> MPoly:
+    """Normalized gcd of the coefficients of a nonzero f in x_var."""
+    cont = None
+    for c in coeff_list(f, var):
+        if c.is_zero():
+            continue
+        cont = c if cont is None else _coeff_gcd(cont, c, var)
+        if cont.is_constant() and (f.dom.is_field or cont.constant_term() in (1, -1)):
+            break  # a unit
+    return _normal(cont)
+
+
+def _prem(f: MPoly, g: MPoly, var) -> MPoly:
+    """A pseudo-remainder lc(g)^k * f - q * g of degree below deg g in x_var."""
+    dg = g.deg_in(var)
+    lg = coeff_list(g, var)[-1]
+    r = f
+    while not r.is_zero() and r.deg_in(var) >= dg:
+        dr = r.deg_in(var)
+        top = {}
+        for e, c in r.terms.items():
+            if e[var] == dr:
+                e2 = list(e)
+                e2[var] = dr - dg
+                top[tuple(e2)] = c
+        r = r * lg - g * MPoly(r.dom, r.n, top)
+    return r
+
+
+def primitive_gcd(f: MPoly, g: MPoly, var) -> MPoly:
+    """gcd of two polynomials in two variables over a field or ZZ, by a
+    primitive pseudo-remainder sequence in x_var.
+
+    The result is normalized: graded-lex monic over a field, with a positive
+    graded-lex leading coefficient over ZZ. gcd(f, 0) is f normalized.
+    """
+    if f.n != 2:
+        raise ValueError("primitive_gcd expects two variables")
+    if f.is_zero() or g.is_zero():
+        if f.is_zero() and g.is_zero():
+            raise ValueError("gcd(0, 0) is undefined")
+        return _normal(g if f.is_zero() else f)
+    cf, cg = content(f, var), content(g, var)
+    c = _coeff_gcd(cf, cg, var)
+    f, g = f.exact_div(cf), g.exact_div(cg)
+    if f.deg_in(var) < g.deg_in(var):
+        f, g = g, f
+    while g.deg_in(var) > 0:
+        r = _prem(f, g, var)
+        if r.is_zero():
+            return _normal(c * g)
+        f, g = g, r.exact_div(content(r, var))
+    return c

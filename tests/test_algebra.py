@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.resultants import discriminant, resultant
+from indecpoly.resultants import discriminant, primitive_gcd, resultant
 
 
 def rand_dense(rng, field, d):
@@ -123,6 +124,67 @@ def test_discriminant_golden_values():
     assert discriminant(h, 0) == MPoly.const(ZZ, 2, 1)
     with pytest.raises(ValueError):
         discriminant(MPoly.const(ZZ, 2, 5), 0)
+
+
+F5 = finite_field(5)
+# (domain, coefficient strategy): F_5[x][y] and Z[l][x]
+PRS_DOMAINS = {"F5": (F5, st.integers(0, 4)), "ZZ": (ZZ, st.integers(-3, 3))}
+
+
+@st.composite
+def prs_case(draw, max_deg=2):
+    """A domain, a main variable and polynomials of degree <= max_deg in each
+    of the two variables."""
+    dom, coeffs = PRS_DOMAINS[draw(st.sampled_from(sorted(PRS_DOMAINS)))]
+    exps = [(i, j) for i in range(max_deg + 1) for j in range(max_deg + 1)]
+
+    def poly():
+        return MPoly(dom, 2, dict(zip(exps, draw(st.lists(coeffs, min_size=len(exps),
+                                                          max_size=len(exps))))))
+
+    return draw(st.sampled_from((0, 1))), poly(), poly(), poly()
+
+
+def associates(f, g):
+    if f.dom.is_field:
+        return f.monic() == g.monic()
+    return f == g or f == -g
+
+
+@settings(max_examples=80, deadline=None)
+@given(prs_case())
+def test_primitive_gcd_divides_both(case):
+    var, a, b, _ = case
+    if a.is_zero() and b.is_zero():
+        with pytest.raises(ValueError):
+            primitive_gcd(a, b, var)
+        return
+    g = primitive_gcd(a, b, var)
+    assert a.exact_div(g) is not None
+    assert b.exact_div(g) is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(prs_case())
+def test_primitive_gcd_common_factor(case):
+    var, a, b, c = case
+    if c.is_zero() or (a.is_zero() and b.is_zero()):
+        return
+    assert associates(primitive_gcd(a * c, b * c, var), c * primitive_gcd(a, b, var))
+
+
+def test_primitive_gcd_examples():
+    x, l = MPoly.variable(ZZ, 2, 0), MPoly.variable(ZZ, 2, 1)
+    one = MPoly.const(ZZ, 2, 1)
+    # the content gcd in Z[l] is part of the gcd: gcd(2l x, 6l^2) = 2l
+    assert primitive_gcd(x * l.scale(2), (l * l).scale(6), 0) == l.scale(2)
+    # coprime over Q(l), sharing no content: gcd(x - l, x + l) = 1
+    assert primitive_gcd(x - l, x + l, 0) == one
+    # the sign is normalized: gcd(-(x^2 - l), x^3 - l x) = x^2 - l
+    assert primitive_gcd(l - x * x, x * x * x - l * x, 0) == x * x - l
+    y = MPoly.variable(F5, 2, 1)
+    xf = MPoly.variable(F5, 2, 0)
+    assert primitive_gcd((xf + y).scale(3), (xf + y) * (xf - y), 1) == xf + y
 
 
 def test_reduction_mod_p_is_ring_morphism():

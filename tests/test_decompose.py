@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from indecpoly.arith import divisors
+from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import (Decomposition, compose, decompose_multi, decompose_uni,
@@ -159,6 +159,23 @@ def test_eth_root():
     cube = t ** 3
     root = poly_eth_root(cube, 3)
     assert root is not None and root ** 3 == cube
+
+
+def test_integer_nth_root_beyond_float_range():
+    # both were wrong when the root was rounded through a float
+    r = 3 ** 60 + 1
+    assert integer_nth_root(r ** 2, 2) == r
+    assert integer_nth_root(r ** 2 + 1, 2) is None
+    assert integer_nth_root(10 ** 400, 2) == 10 ** 200
+    assert integer_nth_root(r ** 5, 5) == r
+    assert integer_nth_root(r ** 5 - 1, 5) is None
+    assert integer_nth_root(10 ** 402, 3) == 10 ** 134
+
+
+def test_eth_root_huge_rational_coefficient():
+    r = 3 ** 100 + 1
+    rx = MPoly(QQ, 1, {(1,): Fraction(r)})
+    assert poly_eth_root(rx ** 2, 2) == rx
 
 
 def test_pth_power_examples():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, prime_field
 from indecpoly.mpoly import MPoly
 from indecpoly.decompose import is_indecomposable_multi
-from indecpoly.modp import (build_chain, content_primitive, criterion_holds, good_primes)
+from indecpoly.modp import (CHAIN_VARS, build_chain, content_primitive, criterion_holds,
+                            good_primes)
+from indecpoly.parsing import parse_poly
 
 
 def zz(terms):
@@ -102,3 +105,71 @@ def test_good_primes_sound_for_small_corpus():
         for p in good_primes(ch, 13):
             Fp = F.reduce_mod(prime_field(p))
             assert is_indecomposable_multi(Fp), (terms, p)
+
+
+# delta_red where gcd(delta, d/dx delta) is not 1 over Q(l): the first three
+# have a nontrivial gcd, and in the last delta has the content l
+NONTRIVIAL_GCD = {
+    "y^4 + x*y^2 + x^3": "4*x^6 - x^5 - 8*x^3*l + x^2*l + 4*l^2",
+    "y^4 + x^2*y^2 + x": "x^5 - x^4*l - 4*x^2 + 8*x*l - 4*l^2",
+    "y^4 + y^2 + x^3": "4*x^6 - 8*x^3*l - x^3 + 4*l^2 + l",
+    "y^3 + x^2*y^2": "4*x^6 - 27*l",
+}
+
+DEG_Y3 = "x^3 + 2*x^2*y - 2*x*y^2 + y^3 - x^2 + x*y + 2*y^2 - 2*x - 2"
+
+
+@pytest.mark.parametrize("text", sorted(NONTRIVIAL_GCD))
+def test_delta_red_nontrivial_gcd_golden(text):
+    ch = build_chain(parse_poly(text, ZZ))
+    assert ch.delta_red.format(CHAIN_VARS) == NONTRIVIAL_GCD[text]
+
+
+def test_chain_golden_deg_y3():
+    ch = build_chain(parse_poly(DEG_Y3, ZZ))
+    got = ch.to_json_dict()
+    assert got["delta_red"] == (
+        "83*x^6 + 30*x^5 - 317*x^4 - 94*x^3*l - 40*x^3 - 6*x^2*l + 324*x^2 + 240*x*l"
+        " + 27*l^2 + 416*x + 76*l + 44")
+    assert got["delta_lambda"] == (
+        "-7677876998504448*l^10 - 7427422483086311424*l^9"
+        " - 2421964800071714045952*l^8 - 274760391801981073969152*l^7"
+        " - 2807302610972247162458112*l^6 - 6190817326387200159436800*l^5"
+        " + 43727321655531589214011392*l^4 + 307086177430738698544447488*l^3"
+        " + 790652213182338877191684096*l^2 + 949238296103146291744407552*l"
+        " + 438272340438555119050555392")
+    assert got["delta_0"] == "-83"
+
+
+def _matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    x, y, l = sympy.symbols("x y l")
+    F = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y, "l": l})
+    delta = sympy.discriminant(F - l, y)
+    quo = sympy.quo(delta, sympy.gcd(delta, sympy.diff(delta, x)))
+    _, want = sympy.Poly(quo, x, domain=sympy.ZZ[l]).primitive()
+    got = sympy.sympify(build_chain(parse_poly(text, ZZ)).delta_red.format(CHAIN_VARS)
+                        .replace("^", "**"), locals={"x": x, "l": l})
+    return sympy.expand(got - want.as_expr()) == 0 or sympy.expand(got + want.as_expr()) == 0
+
+
+@pytest.mark.parametrize("text", sorted(NONTRIVIAL_GCD) + [DEG_Y3])
+def test_delta_red_matches_sympy(text):
+    assert _matches_sympy(text)
+
+
+def test_delta_red_matches_sympy_seeded_deg_y3():
+    pytest.importorskip("sympy")
+    rng = random.Random(7)
+    checked = 0
+    while checked < 4:
+        # total degree 3, monic in y
+        terms = {(i, j): rng.randint(-2, 2) for i in range(4) for j in range(3) if i + j <= 3}
+        terms[(0, 3)] = 1
+        F = MPoly(ZZ, 2, terms)
+        try:
+            build_chain(F, check_reduction=False)
+        except ValueError:
+            continue  # decomposable or degenerate
+        assert _matches_sympy(F.format()), F.format()
+        checked += 1
