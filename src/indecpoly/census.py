@@ -12,8 +12,8 @@ Three routes that must agree:
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
-whose partial reports merge by addition, which is also the multiprocess
-hot path of the command line front end.
+whose partial reports merge by addition (merge_reports), which is also how
+the command line front end's process pool combines its workers' reports.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def enumerate_census(q, n, d, guard=None, part=None) -> CensusReport:
 def _scan_uni(field, d, lo, hi, guard):
     q = field.q
     splits = [r for r in divisors(d) if r >= 2 and d // r >= 2]
-    elems = [field.element(i) for i in range(q)]
+    elems = field.elements()
     dec = ind = 0
     it = itertools.product(range(q), repeat=d + 1)
     for digits in itertools.islice(it, lo, hi):
@@ -298,7 +298,7 @@ def _scan_multi(field, n, d, lo, hi, guard):
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
     splits = [e for e in divisors(d) if e >= 2]
-    elems = [field.element(i) for i in range(q)]
+    elems = field.elements()
     dec = ind = 0
     it = itertools.product(range(q), repeat=len(monos))
     for digits in itertools.islice(it, lo, hi):
@@ -342,8 +342,7 @@ def partition_ranges(q, n, d, jobs):
 
 def _census_worker(args):
     q, n, d, lo, hi, guard = args
-    rep = enumerate_census(q, n, d, guard=guard, part=(lo, hi))
-    return rep.total, rep.indecomposable, rep.decomposable
+    return enumerate_census(q, n, d, guard=guard, part=(lo, hi))
 
 
 def enumerate_census_parallel(q, n, d, jobs, guard=None) -> CensusReport:
@@ -351,26 +350,13 @@ def enumerate_census_parallel(q, n, d, jobs, guard=None) -> CensusReport:
     if guard is None:
         guard = guard_from_env()
     ranges = partition_ranges(q, n, d, jobs)
-    if jobs <= 1 or len(ranges) <= 1:
+    if len(ranges) <= 1:
         return enumerate_census(q, n, d, guard=guard)
     space = scan_space(q, n, d)
     if space > guard:
         raise GuardExceeded(f"scan space {space} exceeds guard {guard}")
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_census_worker, [(q, n, d, lo, hi, guard) for lo, hi in ranges]))
-    return CensusReport(
-        q,
-        n,
-        d,
-        sum(t for t, _, _ in parts),
-        sum(i for _, i, _ in parts),
-        sum(dd for _, _, dd in parts),
-        "enumeration",
-    )
-
-
-def good_uni_splits(q, d):
-    """Convenience for reporting: the (outer, inner) degree splits of d."""
-    return [(r, d // r) for r in divisors(d) if r >= 2 and d // r >= 2]
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        parts = pool.map(_census_worker, [(q, n, d, lo, hi, guard) for lo, hi in ranges])
+        return merge_reports(parts)

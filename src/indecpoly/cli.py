@@ -143,7 +143,8 @@ def cmd_census(args):
             payload["alpha"] = _frac(u.alpha)
         out.append(payload)
         if method in ("enumeration", "all"):
-            rep = census_mod.enumerate_census(args.q, 1, args.d, guard=args.guard)
+            rep = census_mod.enumerate_census_parallel(args.q, 1, args.d, args.jobs,
+                                                       guard=args.guard)
             out.append(_census_payload(rep))
             agree = u.exact is None or u.exact == rep.decomposable
             agree = agree and u.lower <= rep.decomposable <= u.upper
@@ -162,12 +163,9 @@ def cmd_census(args):
     if method in ("recursion", "all"):
         reps["recursion"] = census_mod.count_recursive(args.q, args.n, args.d)
     if method in ("enumeration", "all"):
-        if args.jobs > 1:
-            reps["enumeration"] = census_mod.enumerate_census_parallel(
-                args.q, args.n, args.d, args.jobs, guard=args.guard
-            )
-        else:
-            reps["enumeration"] = census_mod.enumerate_census(args.q, args.n, args.d, guard=args.guard)
+        reps["enumeration"] = census_mod.enumerate_census_parallel(
+            args.q, args.n, args.d, args.jobs, guard=args.guard
+        )
     for name in ("closed", "recursion", "enumeration"):
         if name in reps:
             out.append(_census_payload(reps[name]))
@@ -178,10 +176,7 @@ def cmd_census(args):
 
 
 def cmd_enumerate(args):
-    if args.jobs > 1:
-        rep = census_mod.enumerate_census_parallel(args.q, args.n, args.d, args.jobs, guard=args.guard)
-    else:
-        rep = census_mod.enumerate_census(args.q, args.n, args.d, guard=args.guard)
+    rep = census_mod.enumerate_census_parallel(args.q, args.n, args.d, args.jobs, guard=args.guard)
     return _census_payload(rep)
 
 

@@ -21,13 +21,14 @@ division, so a returned pair recomposes to the input by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import unipoly
 from .arith import divisors, integer_nth_root
 from .fields import GuardExceeded
-from .mpoly import MPoly, glex_key, monomials_upto
+from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
 
 DEFAULT_GUARD = 1 << 24
 
@@ -210,28 +211,6 @@ def _tame_inner(F: MPoly, Hm: MPoly, e: int, m: int, c):
     return H
 
 
-def _iter_lower_parts(dom, n, m):
-    """All coefficient assignments on the monomials of degree 1..m-1."""
-    monos = [e for e in monomials_upto(n, m - 1) if 0 < sum(e)]
-    q = dom.q
-    idx = [0] * len(monos)
-    while True:
-        terms = {}
-        for e, i in zip(monos, idx):
-            if i:
-                terms[e] = dom.element(i)
-        yield MPoly(dom, n, terms)
-        j = len(idx) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < q:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-
-
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None.
 
@@ -263,12 +242,13 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
         if m == 1:
             candidates = [Hm]
         else:
-            space = dom.q ** (len(monomials_upto(F.n, m - 1)) - 1)
+            lower = [mono for mono in monomials_upto(F.n, m - 1) if sum(mono) > 0]
+            space = dom.q ** len(lower)
             if space > guard:
                 raise GuardExceeded(
                     f"inner-part enumeration of size {space} exceeds guard {guard}"
                 )
-            candidates = (Hm + low for low in _iter_lower_parts(dom, F.n, m))
+            candidates = iter_completions(dom, F.n, Hm.terms, lower)
     for H in candidates:
         u = _extract_outer(F, H, e)
         if u is not None:
@@ -291,27 +271,13 @@ def is_indecomposable_multi(F: MPoly, guard=DEFAULT_GUARD) -> bool:
 
 def iter_normalized_inner(field, n, m):
     """All normalized polynomials of exact degree m: monic leading term under
-    graded-lex and zero constant term (exhaustive search helper)."""
+    graded-lex and zero constant term (exhaustive search helper), in
+    increasing order of their coefficient indices on the nonconstant
+    monomials taken graded-lex descending."""
     monos = [e for e in monomials_upto(n, m) if sum(e) > 0]
-    q = field.q
-    idx = [0] * len(monos)
-    while True:
-        terms = {}
-        for e, i in zip(monos, idx):
-            if i:
-                terms[e] = field.element(i)
-        H = MPoly(field, n, terms)
-        if H.degree() == m and H.leading()[1] == field.one:
-            yield H
-        j = len(idx) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < q:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    ntop = sum(1 for e in monos if sum(e) == m)
+    for i in reversed(range(ntop)):
+        yield from iter_completions(field, n, {monos[i]: field.one}, monos[i + 1 :])
 
 
 # --------------------------------------------------------------------------
@@ -372,21 +338,12 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
         raise GuardExceeded(
             f"inner enumeration of size {dom.q ** (s - 1)} exceeds guard {guard}"
         )
-    idx = [0] * (s - 1)
-    while True:
-        v = [dom.zero] + [dom.element(i) for i in idx] + [dom.one]
+    for mid in itertools.product(dom.elements(), repeat=s - 1):
+        v = [dom.zero, *mid, dom.one]
         u = _extract_outer_dense(dom, fm, v, r)
         if u is not None:
             return unipoly.scale(dom, u, a), v
-        j = len(idx) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < dom.q:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return None
+    return None
 
 
 def decompose_uni(f: MPoly, r: int, guard=DEFAULT_GUARD):

@@ -1,8 +1,9 @@
 """Polynomial factorization and irreducibility over finite fields.
 
 Univariate factorization is Cantor-Zassenhaus (squarefree split with p-th
-root peeling, distinct-degree, then deterministic-seeded equal-degree
-splitting), so identical inputs always produce identical outputs.
+root peeling, distinct-degree, then the deterministic-seeded equal-degree
+splitter `unipoly.equal_degree_split`, which also finds the roots behind
+field embeddings), so identical inputs always produce identical outputs.
 
 Bivariate factorization has two engines:
 
@@ -28,7 +29,6 @@ always multiples of r).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -36,7 +36,7 @@ from math import gcd
 from . import unipoly
 from .arith import divisors, factorint
 from .fields import GuardExceeded, embedding, finite_field, projection
-from .mpoly import MPoly, count_monomials, monomials_upto
+from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
 from .resultants import content, primitive_gcd
 
 DEFAULT_GUARD = 1 << 24
@@ -109,51 +109,6 @@ def _distinct_degree(field, f):
     return out
 
 
-def _equal_degree(field, f, d):
-    """Split monic squarefree f, all of whose factors have degree d."""
-    n = unipoly.degree(f)
-    if n == d:
-        return [f]
-    q = field.q
-    pieces = []
-    stack = [f]
-    trial = 0
-    while stack:
-        g = stack.pop()
-        if unipoly.degree(g) == d:
-            pieces.append(g)
-            continue
-        split = None
-        while split is None:
-            trial += 1
-            if trial > 10000:  # pragma: no cover
-                raise RuntimeError("equal-degree splitting stalled")
-            rng = random.Random(0x5EED + trial)
-            u = [field.element(rng.randrange(q)) for _ in range(unipoly.degree(g))]
-            u = unipoly.normalize(field, u)
-            if unipoly.degree(u) < 1:
-                continue
-            if field.p == 2:
-                acc = unipoly.mod(field, u, g)
-                t = acc
-                e2 = d * (q.bit_length() - 1)
-                for _ in range(e2 - 1):
-                    t = unipoly.pow_mod(field, t, 2, g)
-                    acc = unipoly.add(field, acc, t)
-                h = acc
-            else:
-                h = unipoly.pow_mod(field, u, (q ** d - 1) // 2, g)
-                h = unipoly.sub(field, h, [field.one])
-            if not h:
-                continue
-            w = unipoly.gcd(field, h, g)
-            dw = unipoly.degree(w)
-            if 0 < dw < unipoly.degree(g):
-                split = (w, unipoly.divmod_poly(field, g, w)[0])
-        stack.extend(split)
-    return pieces
-
-
 def uni_factor(field, f):
     """(unit, [(monic factor, multiplicity)]) with a canonical sorted order."""
     f = unipoly.normalize(field, list(f))
@@ -164,7 +119,7 @@ def uni_factor(field, f):
     factors = []
     for g, m in uni_sqfree(field, fm):
         for h, d in _distinct_degree(field, g):
-            for piece in _equal_degree(field, h, d):
+            for piece in unipoly.equal_degree_split(field, h, d):
                 factors.append((tuple(piece), m))
     factors.sort(key=lambda t: (len(t[0]), tuple(map(field.index, t[0]))))
     return unit, factors
@@ -186,10 +141,6 @@ def squarefree_part(field, f):
     for g, _m in uni_sqfree(field, unipoly.monic(field, f)):
         out = unipoly.mul(field, out, g)
     return out
-
-
-def is_irreducible_uni(field, f):
-    return unipoly.is_irreducible_finite(field, unipoly.normalize(field, list(f)))
 
 
 def minimal_polynomial(a, big, sub):
@@ -263,26 +214,10 @@ def _iter_monic_candidates(field, delta):
     """All monic bivariate polynomials of exact total degree delta, canonical
     order: leading monomial descending, then lower coefficients by index."""
     monos = monomials_upto(2, delta)
-    tops = [e for e in monos if sum(e) == delta]
-    q = field.q
-    for lead_pos, lead in enumerate(tops):
-        lower = monos[lead_pos + 1 :]
-        idx = [0] * len(lower)
-        while True:
-            terms = {lead: field.one}
-            for e, i in zip(lower, idx):
-                if i:
-                    terms[e] = field.element(i)
-            yield MPoly(field, 2, terms)
-            j = len(idx) - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < q:
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
+    for lead_pos, lead in enumerate(monos):
+        if sum(lead) < delta:
+            return
+        yield from iter_completions(field, 2, {lead: field.one}, monos[lead_pos + 1 :])
 
 
 def _find_divisor_search(F: MPoly, guard):
@@ -567,15 +502,7 @@ def _factor_by_extension(S: MPoly, guard, depth):
                 break
             out.append(MPoly(field, 2, down).monic())
         else:
-            merged = {}
-            order = []
-            for g in out:
-                k = g.key()
-                if k not in merged:
-                    order.append(k)
-                    merged[k] = [g, 0]
-                merged[k][1] += 1
-            return [(merged[k][0], merged[k][1]) for k in order]
+            return _merge_factor_lists([(g, 1) for g in out], [])
     return _factor_search(S, guard)  # pragma: no cover
 
 

@@ -41,20 +41,15 @@ class FiniteField:
         return ("gf", self.p, self.k)
 
     def elements(self):
-        return (self.element(i) for i in range(self.q))
+        """Every element, in index order."""
+        return [self.element(i) for i in range(self.q)]
 
     def exact_div(self, a, b):
         return self.div(a, b)
 
-    def nonzero_elements(self):
-        return (self.element(i) for i in range(1, self.q))
-
     def pth_root(self, a):
         """The unique r with r^p = a; Frobenius is bijective on F_q."""
         return self.pow(a, self.q // self.p)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
 
 
 class PrimeField(FiniteField):
@@ -152,12 +147,6 @@ class ExtensionField(FiniteField):
         for c in reversed(a):
             out = out * self.p + c
         return out
-
-    def generator(self):
-        self._ensure_tables()
-        if self._exp is not None:
-            return self._exp[1]
-        return self._find_generator()
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):
@@ -322,56 +311,11 @@ _EMBED_CACHE: dict[tuple, tuple] = {}
 
 
 def _subfield_root(dst, coeffs):
-    """Deterministic smallest root in dst of a polynomial with prime-subfield
-    coefficients that splits completely in dst."""
-    f = [dst.from_int(c) for c in coeffs]
-    f = unipoly.normalize(dst, f)
-    roots = []
-    stack = [unipoly.monic(dst, f)]
-    while stack:
-        g = stack.pop()
-        d = unipoly.degree(g)
-        if d == 0:
-            continue
-        if d == 1:
-            roots.append(dst.neg(g[0]))
-            continue
-        stack.extend(_split_completely_split(dst, g))
+    """Deterministic smallest root in dst of a squarefree polynomial with
+    prime-subfield coefficients that splits completely in dst."""
+    f = unipoly.monic(dst, unipoly.normalize(dst, [dst.from_int(c) for c in coeffs]))
+    roots = (dst.neg(g[0]) for g in unipoly.equal_degree_split(dst, f, 1))
     return min(roots, key=dst.index)
-
-
-def _split_completely_split(dst, g):
-    """Split a monic squarefree polynomial that splits in dst into two
-    nontrivial monic factors (Cantor-Zassenhaus with a deterministic sweep)."""
-    import random
-
-    q = dst.q
-    dg = unipoly.degree(g)
-    for trial in range(1, 200):
-        rng = random.Random(0xD1CE + trial)
-        u = [dst.element(rng.randrange(q)) for _ in range(max(dg, 2))]
-        u = unipoly.normalize(dst, u)
-        if unipoly.degree(u) < 1:
-            continue
-        if dst.p == 2:
-            # trace map over F_2
-            acc = unipoly.mod(dst, u, g)
-            t = acc
-            e2 = q.bit_length() - 1
-            for _ in range(e2 - 1):
-                t = unipoly.pow_mod(dst, t, 2, g)
-                acc = unipoly.add(dst, acc, t)
-            h = acc
-        else:
-            h = unipoly.pow_mod(dst, u, (q - 1) // 2, g)
-            h = unipoly.sub(dst, h, [dst.one])
-        if not h:
-            continue
-        d = unipoly.gcd(dst, h, g)
-        dd = unipoly.degree(d)
-        if 0 < dd < unipoly.degree(g):
-            return [d, unipoly.divmod_poly(dst, g, d)[0]]
-    raise RuntimeError("splitting failed")  # pragma: no cover
 
 
 def embedding(src: FiniteField, dst: FiniteField):

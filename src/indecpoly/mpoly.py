@@ -10,6 +10,7 @@ convention; every operation returns a fresh polynomial.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 
@@ -34,10 +35,6 @@ class MPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, dom, n):
-        return cls(dom, n)
-
     @classmethod
     def const(cls, dom, n, c):
         return cls(dom, n, {(0,) * n: c})
@@ -91,9 +88,6 @@ class MPoly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=glex_key)
         return e, self.terms[e]
-
-    def leading_coeff(self):
-        return self.leading()[1]
 
     def leading_form(self):
         """Sum of the monomials of maximal total degree."""
@@ -225,26 +219,6 @@ class MPoly:
             acc = dom.add(acc, t)
         return acc
 
-    def subst_const(self, var, value):
-        """Substitute a domain element for one variable."""
-        dom = self.dom
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                c = dom.mul(c, dom.pow(value, k))
-                if c == dom.zero:
-                    continue
-            e2 = list(e)
-            e2[var] = 0
-            e2 = tuple(e2)
-            s = dom.add(out.get(e2, dom.zero), c)
-            if s == dom.zero:
-                out.pop(e2, None)
-            else:
-                out[e2] = s
-        return MPoly(dom, self.n, out)
-
     def subst_poly(self, var, poly):
         """Substitute a polynomial (same ring) for one variable."""
         self._check(poly)
@@ -312,16 +286,6 @@ class MPoly:
                 e2[positions[i]] = k
             out[tuple(e2)] = c
         return MPoly(self.dom, n2, out)
-
-    def drop_var(self, var):
-        """Remove a variable that never occurs."""
-        if self.deg_in(var) > 0:
-            raise ValueError("variable occurs in the polynomial")
-        out = {}
-        for e, c in self.terms.items():
-            e2 = tuple(x for i, x in enumerate(e) if i != var)
-            out[e2] = c
-        return MPoly(self.dom, self.n - 1, out)
 
     # -- division ------------------------------------------------------------
     def exact_div(self, g):
@@ -430,3 +394,13 @@ def monomials_upto(n, d):
 def count_monomials(n, d):
     """Number of exponent tuples with total degree <= d."""
     return comb(n + d, n)
+
+
+def iter_completions(dom, n, fixed, monos):
+    """Every polynomial with the terms `fixed` plus any coefficients on the
+    monomials `monos` (none of them in `fixed`), in itertools.product order
+    over dom.elements(): the last monomial varies fastest."""
+    for coeffs in itertools.product(dom.elements(), repeat=len(monos)):
+        terms = dict(fixed)
+        terms.update(zip(monos, coeffs))
+        yield MPoly(dom, n, terms)  # the constructor drops the zero coefficients

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .decompose import is_indecomposable_multi
 from .factoring import (DEFAULT_GUARD, absolutely_irreducible, minimal_polynomial,
                         n_bar_factors)
-from .fields import QQ, embedding, finite_field, prime_field
+from .fields import QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
 
 
@@ -74,7 +74,11 @@ class SpectralReport:
 
 
 def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
-    """Complete spectral sweep for an indecomposable F in two variables."""
+    """Complete spectral sweep for an indecomposable F in two variables.
+
+    Raises GuardExceeded before any work when the sweep would visit more
+    than `guard` elements, counted as the sum of q^m over the extensions
+    F_{q^m} it covers."""
     if F.n != 2:
         raise ValueError("the spectral sweep expects two variables")
     if F.is_zero() or F.is_constant():
@@ -82,15 +86,19 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     field = F.dom
     if not getattr(field, "is_finite", False):
         raise ValueError("the sweep runs over finite fields")
+    d = F.degree()
+    q = field.q
+    extension_degrees = range(1, max(1, d - 1) + 1)
+    sweep = sum(q ** m for m in extension_degrees)
+    if sweep > guard:
+        raise GuardExceeded(f"spectral sweep over {sweep} elements exceeds guard {guard}")
     if not is_indecomposable_multi(F, guard):
         raise SpectrumUnbounded(
             "decomposable input: every constant shift is reducible, the "
             "spectrum is the whole algebraic closure"
         )
-    d = F.degree()
-    q = field.q
     orbits = []
-    for m in range(1, max(1, d - 1) + 1):
+    for m in extension_degrees:
         K = finite_field(field.p, field.k * m)
         emb = embedding(field, K)
         FK = F.map_coeffs(emb, K)

@@ -8,6 +8,8 @@ operations, so these functions never touch representation details.
 
 from __future__ import annotations
 
+import random
+
 
 def normalize(dom, c: list) -> list:
     out = list(c)
@@ -18,10 +20,6 @@ def normalize(dom, c: list) -> list:
 
 def degree(c: list) -> int:
     return len(c) - 1
-
-
-def is_zero(c: list) -> bool:
-    return not c
 
 
 def constant(dom, a) -> list:
@@ -42,10 +40,6 @@ def sub(dom, a: list, b: list) -> list:
     for i, v in enumerate(b):
         out[i] = dom.sub(out[i], v)
     return normalize(dom, out)
-
-
-def neg(dom, a: list) -> list:
-    return [dom.neg(v) for v in a]
 
 
 def scale(dom, a: list, c) -> list:
@@ -190,11 +184,6 @@ def compose(dom, outer: list, inner: list) -> list:
     return acc
 
 
-def shift(dom, a: list, c) -> list:
-    """a(x + c)."""
-    return compose(dom, a, [c, dom.one])
-
-
 def is_irreducible_finite(field, f: list) -> bool:
     """Irreducibility over a finite field via the Frobenius criterion:
     x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for prime l | n."""
@@ -216,3 +205,44 @@ def is_irreducible_finite(field, f: list) -> bool:
             return False
     h = pow_mod(field, x, q ** n, f)
     return sub(field, h, x) == []
+
+
+def equal_degree_split(field, f: list, d: int) -> list:
+    """The monic irreducible factors of a monic squarefree f over a finite
+    field, all of which have degree d (Cantor-Zassenhaus with a seeded
+    sweep, so the same input always gives the same list)."""
+    q = field.q
+    pieces = []
+    stack = [f]
+    trial = 0
+    while stack:
+        g = stack.pop()
+        if degree(g) == d:
+            pieces.append(g)
+            continue
+        split = None
+        while split is None:
+            trial += 1
+            if trial > 10000:  # pragma: no cover
+                raise RuntimeError("equal-degree splitting stalled")
+            rng = random.Random(0x5EED + trial)
+            u = normalize(field, [field.element(rng.randrange(q)) for _ in range(degree(g))])
+            if degree(u) < 1:
+                continue
+            if field.p == 2:
+                # trace map from F_{q^d} down to F_2
+                acc = mod(field, u, g)
+                t = acc
+                for _ in range(d * (q.bit_length() - 1) - 1):
+                    t = pow_mod(field, t, 2, g)
+                    acc = add(field, acc, t)
+                h = acc
+            else:
+                h = sub(field, pow_mod(field, u, (q ** d - 1) // 2, g), [field.one])
+            if not h:
+                continue
+            w = gcd(field, h, g)
+            if 0 < degree(w) < degree(g):
+                split = (w, divmod_poly(field, g, w)[0])
+        stack.extend(split)
+    return pieces

@@ -5,7 +5,8 @@ import pytest
 from indecpoly.fields import GuardExceeded
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni, enumerate_census,
-                              merge_reports, partition_ranges, trend_table)
+                              enumerate_census_parallel, merge_reports, partition_ranges,
+                              trend_table)
 
 
 def test_count_total_values():
@@ -99,6 +100,33 @@ def test_partition_merge_determinism():
     parts2 = [enumerate_census(2, 2, 3, part=r) for r in ranges]
     merged2 = merge_reports(parts2)
     assert merged2.decomposable == full.decomposable
+
+
+def test_parallel_census_pool_no_larger_than_its_parts(monkeypatch):
+    # a fork pool starts all its workers at once, so --jobs beyond the
+    # number of parts must not start idle processes; the fake pool runs the
+    # parts in this process and records the size it was asked for
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rep = enumerate_census_parallel(2, 2, 1, 500)
+    assert sizes == [8]  # the scan space of degree <= 1 in two variables over F_2
+    assert rep == enumerate_census(2, 2, 1)
 
 
 def test_guard_raises():

@@ -119,6 +119,24 @@ def test_cli_enumerate_and_jobs_determinism(capsys):
     assert json.loads(out1)["D"] == "24"
 
 
+@pytest.mark.parametrize("q, n, d", [(3, 1, 4), (2, 2, 2)])
+def test_cli_census_jobs_match_serial(capsys, q, n, d):
+    argv = ["census", "--q", str(q), "--n", str(n), "--d", str(d)]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    pooled = run_cli(capsys, *argv, "--jobs", "2")
+    assert serial[0] == 0
+    assert '"method": "enumeration"' in serial[1]
+    assert pooled == serial
+
+
+def test_cli_spectrum_guard(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--field", "2^4", "--guard", "1000",
+                             "x^4 + y^3 + x*y")
+    assert code == 1
+    assert out == ""
+    assert "guard" in err
+
+
 def test_cli_check_bounds_and_bd_lemma(capsys):
     code, out, _ = run_cli(capsys, "check-bounds", "--q", "2", "--d", "8")
     assert code == 0

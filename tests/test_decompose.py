@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -279,9 +280,33 @@ def test_wild_multivariate_exhaustive_over_f4():
 
 
 def test_wild_case_unique_top_but_many_inners():
-    # x^4 + x^2 over F_2 decomposes two ways at outer degree 2; the engine
-    # returns the canonically first inner polynomial and recomposes exactly
+    # x^4 + x^2 over F_2 decomposes two ways at outer degree 2, with inner
+    # x^2 or x^2 + x; the engine returns the canonically first inner
+    # polynomial and recomposes exactly
     f = MPoly(F2, 2, {(4, 0): 1, (2, 0): 1})
     dec = decompose_multi(f, 2)
     assert dec is not None
+    assert dec.inner == MPoly(F2, 2, {(2, 0): 1})
+    assert dec.outer == MPoly.from_dense(F2, [0, 1, 1], 1)
     assert dec.recompose() == f
+    # the one-variable scan keeps the same order
+    assert decompose_uni_dense(F2, [0, 0, 1, 0, 1], 2) == ([0, 1, 1], [0, 0, 1])
+
+
+@pytest.mark.parametrize("field, n, m, count", [
+    (finite_field(2, 2), 2, 1, 5),
+    (F2, 2, 2, 28),
+    (F3, 2, 1, 4),
+    (F2, 3, 1, 7),
+])
+def test_iter_normalized_inner_order_and_count(field, n, m, count):
+    monos = [e for e in monomials_upto(n, m) if sum(e) > 0]
+    inners = list(iter_normalized_inner(field, n, m))
+    for H in inners:
+        assert H.degree() == m and H.leading()[1] == field.one
+        assert H.constant_term() == field.zero
+    keys = [tuple(field.index(H.coeff(e)) for e in monos) for H in inners]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    q = field.q
+    top = sum(1 for e in monos if sum(e) == m)
+    assert len(inners) == (q ** top - 1) // (q - 1) * q ** (comb(n + m - 1, n) - 1) == count

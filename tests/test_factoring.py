@@ -5,9 +5,9 @@ import pytest
 from indecpoly import unipoly
 from indecpoly.fields import finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.factoring import (absolutely_irreducible, bivar_factor, bivar_irreducible,
-                                 conjugate_split_count, n_bar_factors, uni_factor,
-                                 uni_roots)
+from indecpoly.factoring import (DEFAULT_GUARD, _find_divisor_search, absolutely_irreducible,
+                                 bivar_factor, bivar_irreducible, conjugate_split_count,
+                                 n_bar_factors, uni_factor, uni_roots)
 
 
 def P(field, terms):
@@ -262,3 +262,11 @@ def test_factor_over_larger_field_via_lift():
     fac9 = bivar_factor(G9)
     assert fac9.total_multiplicity() == 2
     assert fac9.expand() == G9
+
+
+def test_divisor_search_returns_canonically_first_divisor():
+    # candidates run by leading monomial descending, then by coefficient
+    # index, so x + 1 comes before x + y and x before y
+    x, y, one = P(F2, {(1, 0): 1}), P(F2, {(0, 1): 1}), P(F2, {(0, 0): 1})
+    assert _find_divisor_search((x + one) * (x + y), DEFAULT_GUARD)[0] == x + one
+    assert _find_divisor_search(x * y, DEFAULT_GUARD)[0] == x

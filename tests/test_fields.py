@@ -93,6 +93,20 @@ def test_embedding_is_injective_ring_map():
         assert emb(src.one) == dst.one
 
 
+@pytest.mark.parametrize("p, k, K, images", [
+    (2, 2, 4, [0, 1, 6, 7]),
+    (3, 2, 4, [0, 1, 2, 42, 43, 44, 75, 76, 77]),
+    (2, 3, 6, [0, 1, 14, 15, 23, 22, 25, 24]),
+    (2, 4, 8, [0, 1, 92, 93, 224, 225, 188, 189, 80, 81, 12, 13]),
+])
+def test_embedding_images_pinned(p, k, K, images):
+    # the embedding sends t to the smallest root of the source modulus, so
+    # the splitter that finds the roots must not change which one that is
+    src, dst = finite_field(p, k), finite_field(p, K)
+    emb = embedding(src, dst)
+    assert [dst.index(emb(src.element(i))) for i in range(min(12, src.q))] == images
+
+
 def test_embedding_zero_one():
     F2, F4 = finite_field(2), finite_field(2, 2)
     emb = embedding(F2, F4)

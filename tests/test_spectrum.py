@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from indecpoly.fields import QQ, ZZ, finite_field
+from indecpoly.fields import QQ, ZZ, GuardExceeded, finite_field
+from indecpoly.parsing import parse_poly
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import is_indecomposable_multi
 from indecpoly.factoring import absolutely_irreducible, n_bar_factors
@@ -190,3 +192,12 @@ def test_generic_emptiness_smoke():
         if not rep.orbits:
             empty += 1
     assert empty / total >= 0.6
+
+
+def test_spectral_sweep_guard_checked_before_work():
+    # the sweep over F_16, F_256 and F_4096 visits 16 + 256 + 4096 elements
+    F = parse_poly("x^4 + y^3 + x*y", finite_field(2, 4))
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="4368"):
+        spectral_values(F, guard=1000)
+    assert time.perf_counter() - start < 5.0
