@@ -20,20 +20,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from .arith import big_omega, divisors, factorint
-from .decompose import DEFAULT_GUARD, decompose_multi, decompose_uni_dense
-from .fields import GuardExceeded, field_from_order
+from .decompose import decompose_multi, decompose_uni_dense
+from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
-
-
-def guard_from_env(default=DEFAULT_GUARD):
-    v = os.environ.get("SPEC_GUARD")
-    return int(v) if v else default
 
 
 @dataclass
@@ -249,15 +243,13 @@ def scan_space(q, n, d) -> int:
     return q ** comb(n + d, n)
 
 
-def enumerate_census(q, n, d, guard=None, part=None) -> CensusReport:
+def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     """Scan every polynomial of exact degree d and classify it.
 
     part = (lo, hi) restricts the scan to a slice of the coefficient-tuple
     index space [0, q^M); partial reports over a disjoint cover of that
     space merge by addition (merge_reports).
     """
-    if guard is None:
-        guard = guard_from_env()
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     space = scan_space(q, n, d)
@@ -345,10 +337,8 @@ def _census_worker(args):
     return enumerate_census(q, n, d, guard=guard, part=(lo, hi))
 
 
-def enumerate_census_parallel(q, n, d, jobs, guard=None) -> CensusReport:
+def enumerate_census_parallel(q, n, d, jobs, guard=DEFAULT_GUARD) -> CensusReport:
     """Partitioned scan over a process pool; output independent of `jobs`."""
-    if guard is None:
-        guard = guard_from_env()
     ranges = partition_ranges(q, n, d, jobs)
     if len(ranges) <= 1:
         return enumerate_census(q, n, d, guard=guard)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from . import modp as modp_mod
 from .arith import divisors
 from .decompose import (decompose_multi, decompose_uni, is_indecomposable_multi,
                         is_indecomposable_uni, is_pth_power)
-from .fields import GuardExceeded, ZZ, field_from_order, finite_field
+from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, field_from_order, finite_field
 from .mpoly import MPoly, default_var_names
 from .parsing import ParseError, parse_poly
 from .spectrum import SpectrumUnbounded, spectral_values
@@ -204,11 +205,12 @@ def build_parser():
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
+    guard = int(os.environ.get("SPEC_GUARD") or DEFAULT_GUARD)
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--guard", type=int, default=census_mod.guard_from_env())
+        p.add_argument("--guard", type=int, default=guard)
         return p
 
     p = add("spectrum", cmd_spectrum, "spectral values of an indecomposable polynomial")

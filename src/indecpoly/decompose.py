@@ -27,10 +27,9 @@ from fractions import Fraction
 
 from . import unipoly
 from .arith import divisors, integer_nth_root
-from .fields import GuardExceeded
+from .factoring import _pth_root_mpoly, uni_roots
+from .fields import DEFAULT_GUARD, GuardExceeded
 from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
-
-DEFAULT_GUARD = 1 << 24
 
 
 @dataclass
@@ -93,8 +92,6 @@ def _coeff_eth_root(dom, c, e):
     if c == dom.one:
         return dom.one
     if getattr(dom, "is_finite", False):
-        from .factoring import uni_roots
-
         f = [dom.neg(c)] + [dom.zero] * (e - 1) + [dom.one]
         roots = uni_roots(dom, f)
         return roots[0] if roots else None
@@ -119,8 +116,6 @@ def poly_eth_root(G: MPoly, e: int):
     dom = G.dom
     p = getattr(dom, "char", 0)
     while p and e % p == 0:
-        from .factoring import _pth_root_mpoly
-
         G = _pth_root_mpoly(G)
         if G is None:
             return None
@@ -395,8 +390,6 @@ def is_pth_power(F: MPoly):
         raise ValueError("p-th power detection needs a finite field")
     if F.is_zero():
         return F
-    from .factoring import _pth_root_mpoly
-
     return _pth_root_mpoly(F)
 
 

@@ -35,11 +35,10 @@ from math import gcd
 
 from . import unipoly
 from .arith import divisors, factorint
-from .fields import GuardExceeded, embedding, finite_field, projection
+from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
-from .resultants import content, primitive_gcd
+from .resultants import coeff_list, content, primitive_gcd
 
-DEFAULT_GUARD = 1 << 24
 SEARCH_LIMIT = 4000
 
 
@@ -143,25 +142,25 @@ def squarefree_part(field, f):
     return out
 
 
+def frobenius_orbit(x, step):
+    """[x, step(x), step(step(x)), ...] up to the first repeat of x."""
+    orbit = [x]
+    cur = step(x)
+    while cur != x:
+        orbit.append(cur)
+        cur = step(cur)
+    return orbit
+
+
 def minimal_polynomial(a, big, sub):
     """Minimal polynomial over `sub` of an element of `big`, as a dense list
     of `sub` elements (sub embedded in big along the canonical embedding)."""
-    qs = sub.q
-    orbit = [a]
-    cur = big.pow(a, qs)
-    while cur != a:
-        orbit.append(cur)
-        cur = big.pow(cur, qs)
     poly = [big.one]
-    for r in orbit:
+    for r in frobenius_orbit(a, lambda b: big.pow(b, sub.q)):
         poly = unipoly.mul(big, poly, [big.neg(r), big.one])
-    proj = projection(sub, big)
-    out = []
-    for c in poly:
-        v = proj(c)
-        if v is None:  # pragma: no cover - orbit products are sub-rational
-            raise ArithmeticError("minimal polynomial coefficient outside subfield")
-        out.append(v)
+    out = list(map(projection(sub, big), poly))
+    if None in out:  # pragma: no cover - orbit products are sub-rational
+        raise ArithmeticError("minimal polynomial coefficient outside subfield")
     return out
 
 
@@ -186,10 +185,6 @@ class Factorization:
 
     def total_multiplicity(self):
         return sum(m for _, m in self.factors)
-
-
-def _normalize_factor(g: MPoly) -> MPoly:
-    return g.monic()
 
 
 def _sorted_factors(field, factors):
@@ -239,7 +234,7 @@ def _find_divisor_search(F: MPoly, guard):
 def _factor_search(F: MPoly, guard):
     found = _find_divisor_search(F, guard)
     if found is None:
-        return [(_normalize_factor(F), 1)]
+        return [(F.monic(), 1)]
     g, h = found
     return _merge_factor_lists(_factor_search(g, guard), _factor_search(h, guard))
 
@@ -260,13 +255,7 @@ def _merge_factor_lists(a, b):
 
 def _to_yx(F: MPoly):
     """List over y-degree of dense x-coefficient lists."""
-    field = F.dom
-    dy = F.deg_in(1)
-    dx = F.deg_in(0)
-    out = [[field.zero] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in F.terms.items():
-        out[j][i] = c
-    return [unipoly.normalize(field, row) for row in out]
+    return [c.to_dense(0) for c in coeff_list(F, 1)]
 
 
 def _from_yx(field, rows):
@@ -393,6 +382,19 @@ def _multilift(field, T_rows, locals_, K):
     return [G] + _multilift(field, H, locals_[1:], K)
 
 
+def _squarefree_fibres(field, rows, count):
+    """(x0, fibre) for each x0 = field.element(i), i < min(q, count), at which
+    the fibre y -> F(x0, y) of the y-major rows is nonconstant and squarefree."""
+    for i in range(min(field.q, count)):
+        x0 = field.element(i)
+        fib = unipoly.normalize(field, [unipoly.evaluate(field, r, x0) for r in rows])
+        if unipoly.degree(fib) < 1:
+            continue
+        fibp = unipoly.derivative(field, fib)
+        if fibp and unipoly.degree(unipoly.gcd(field, fib, fibp)) == 0:
+            yield x0, fib
+
+
 def _factor_lift(S: MPoly, guard, depth=0):
     """Factor a squarefree primitive S (deg >= 1 in both variables) by lifting."""
     field = S.dom
@@ -402,33 +404,30 @@ def _factor_lift(S: MPoly, guard, depth=0):
         W = W.shear(0, 1, c)
         c0 = W.coeff((0, D))
         Wm = W.scale(field.inv(c0))
-        rows = _to_yx(Wm)
-        # specialization with a squarefree full-degree fiber
-        for i in range(field.q):
-            x0 = field.element(i)
-            fib = unipoly.normalize(field, [unipoly.evaluate(field, r, x0) for r in rows])
-            if unipoly.degree(fib) != D:
-                continue  # monic in y, cannot happen; kept for safety
-            fibp = unipoly.derivative(field, fib)
-            if not fibp or unipoly.degree(unipoly.gcd(field, fib, fibp)) > 0:
-                continue
-            parts = _factor_lift_at(field, Wm, x0, fib, D)
+        # Wm is monic of degree D in y, so every fibre has degree D
+        for x0, fib in _squarefree_fibres(field, _to_yx(Wm), field.q):
             out = []
-            for P in parts:
+            for P in _factor_lift_at(field, Wm, x0, fib, D, guard):
                 Q = P.shear(0, 1, field.neg(c))
                 if transposed:
                     Q = Q.swap_vars(0, 1)
-                out.append((_normalize_factor(Q), 1))
+                out.append((Q.monic(), 1))
             return out
     return _factor_by_extension(S, guard, depth)
 
 
-def _factor_lift_at(field, Wm, x0, fib, D):
-    """Lift/recombine at a good specialization; None signals 'try another'."""
+def _factor_lift_at(field, Wm, x0, fib, D, guard):
+    """Lift the local factors of the fibre at x0 and recombine them."""
     unit, locs = uni_factor(field, fib)
     local = [list(g) for g, _ in locs]
     if len(local) == 1:
         return [Wm]
+    space = 2 ** len(local)
+    if space > guard:
+        raise GuardExceeded(
+            f"lift recombination space {space} ({len(local)} local factors over "
+            f"GF({field.q})) exceeds guard {guard}"
+        )
     T = Wm.shift_var(0, x0) if x0 != field.zero else Wm
     K = D + 1
     T_rows = _to_yx(T)
@@ -475,30 +474,18 @@ def _factor_by_extension(S: MPoly, guard, depth):
         SE = S.map_coeffs(emb, E)
         parts = _factor_rec(SE, "auto", guard, depth + 1)
         # group factors into Frobenius orbits over the base field
-        q = field.q
+        frob = lambda g: g.map_coeffs(lambda a: E.pow(a, field.q), E).monic()  # noqa: E731
         remaining = [g for g, m in parts for _ in range(m)]
         out = []
         while remaining:
-            g = remaining.pop(0)
-            orbit = [g]
-            cur = g.map_coeffs(lambda a: E.pow(a, q), E).monic()
-            while cur != g:
-                if cur in remaining:
-                    remaining.remove(cur)
-                orbit.append(cur)
-                cur = cur.map_coeffs(lambda a: E.pow(a, q), E).monic()
+            orbit = frobenius_orbit(remaining.pop(0), frob)
             prod = orbit[0]
             for h in orbit[1:]:
+                if h in remaining:
+                    remaining.remove(h)
                 prod = prod * h
-            down = {}
-            ok = True
-            for e, cc in prod.terms.items():
-                v = proj(cc)
-                if v is None:
-                    ok = False
-                    break
-                down[e] = v
-            if not ok:
+            down = {e: proj(cc) for e, cc in prod.terms.items()}
+            if None in down.values():
                 break
             out.append(MPoly(field, 2, down).monic())
         else:
@@ -512,16 +499,11 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
     field = F.dom
     if F.is_constant():
         return []
-    # univariate contents and univariate inputs
-    if F.deg_in(1) == 0:
-        unit, fs = uni_factor(field, _to_yx(F)[0])
-        return [(MPoly.from_dense(field, list(g), 2, 0), m) for g, m in fs]
-    if F.deg_in(0) == 0:
-        col = [field.zero] * (F.deg_in(1) + 1)
-        for (i, j), c in F.terms.items():
-            col[j] = c
-        unit, fs = uni_factor(field, col)
-        return [(MPoly.from_dense(field, list(g), 2, 1), m) for g, m in fs]
+    # univariate inputs
+    for var in (0, 1):
+        if F.deg_in(1 - var) == 0:
+            unit, fs = uni_factor(field, F.to_dense(var))
+            return [(MPoly.from_dense(field, list(g), 2, var), m) for g, m in fs]
     for var in (1, 0):
         cont = content(F, var)
         if not cont.is_constant():
@@ -603,20 +585,11 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
         evidence = 0
         for transposed in (False, True):
             P = G.swap_vars(0, 1) if transposed else G
-            rows = _to_yx(P)
-            good = 0
-            for i in range(min(field.q, 64)):
-                x0 = field.element(i)
-                fib = unipoly.normalize(field, [unipoly.evaluate(field, r, x0) for r in rows])
-                if unipoly.degree(fib) < 1:
-                    continue
-                fibp = unipoly.derivative(field, fib)
-                if not fibp or unipoly.degree(unipoly.gcd(field, fib, fibp)) > 0:
-                    continue
+            fibres = _squarefree_fibres(field, _to_yx(P), 64)
+            for good, (_x0, fib) in enumerate(fibres, 1):
                 _, fs = uni_factor(field, fib)
                 for g, _m in fs:
                     evidence = gcd(evidence, len(g) - 1)
-                good += 1
                 if evidence == 1:
                     return 1
                 if good >= 4:

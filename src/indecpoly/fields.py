@@ -9,6 +9,10 @@ Extension moduli are chosen deterministically: the first monic irreducible
 of degree k when candidates t^k + a_{k-1} t^{k-1} + ... + a_0 are ordered by
 the tuple (a_{k-1}, ..., a_0). Fields of size up to ZECH_LIMIT build
 discrete-log tables on demand, which makes multiplicative work O(1).
+
+An embedding F_{p^k} -> F_{p^K} (k dividing K) sends t to the smallest root
+of the source modulus in the target; projection back is the inverse table
+of that embedding, so it answers by lookup and gives None off the image.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .arith import factorint, is_prime
 ZECH_LIMIT = 1 << 16
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
+
+DEFAULT_GUARD = 1 << 24
 
 
 class GuardExceeded(RuntimeError):
@@ -105,7 +111,7 @@ class PrimeField(FiniteField):
 
 
 class ExtensionField(FiniteField):
-    def __init__(self, p, k, modulus=None):
+    def __init__(self, p, k):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 2:
@@ -115,15 +121,7 @@ class ExtensionField(FiniteField):
         self.q = p ** k
         self.char = p
         self.base = prime_field(p)
-        if modulus is None:
-            modulus = _default_modulus(self.base, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not unipoly.is_irreducible_finite(self.base, list(modulus)):
-                raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = _default_modulus(self.base, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self._exp = None  # Zech tables, built lazily
@@ -307,7 +305,7 @@ def _default_modulus(base, k):
 # embeddings between finite fields of the same characteristic
 # --------------------------------------------------------------------------
 
-_EMBED_CACHE: dict[tuple, tuple] = {}
+_EMBED_CACHE: dict[tuple, object] = {}
 
 
 def _subfield_root(dst, coeffs):
@@ -323,91 +321,41 @@ def embedding(src: FiniteField, dst: FiniteField):
     if src.p != dst.p or dst.k % src.k != 0:
         raise ValueError("incompatible fields")
     key = ("emb", src.p, src.k, dst.k)
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached[0]
+    fn = _EMBED_CACHE.get(key)
+    if fn is not None:
+        return fn
     if src.k == 1:
         fn = dst.from_int
-        _EMBED_CACHE[key] = (fn, None)
-        return fn
-    if src.k == dst.k:
-        same = lambda a: a  # noqa: E731 - identity on the shared representation
-        _EMBED_CACHE[key] = (same, [src.element(0)])
-        return same
-    root = _subfield_root(dst, src.modulus)
-    powers = [dst.one]
-    for _ in range(src.k - 1):
-        powers.append(dst.mul(powers[-1], root))
+    elif src.k == dst.k:
+        fn = lambda a: a  # noqa: E731 - identity on the shared representation
+    else:
+        root = _subfield_root(dst, src.modulus)
+        powers = [dst.one]
+        for _ in range(src.k - 1):
+            powers.append(dst.mul(powers[-1], root))
 
-    def fn(a, _powers=powers, _dst=dst):
-        acc = _dst.zero
-        for c, w in zip(a, _powers):
-            if c:
-                acc = _dst.add(acc, _dst.mul(_dst.from_int(c), w))
-        return acc
+        def fn(a, _powers=powers, _dst=dst):
+            acc = _dst.zero
+            for c, w in zip(a, _powers):
+                if c:
+                    acc = _dst.add(acc, _dst.mul(_dst.from_int(c), w))
+            return acc
 
-    _EMBED_CACHE[key] = (fn, powers)
+    _EMBED_CACHE[key] = fn
     return fn
 
 
 def projection(src: FiniteField, dst: FiniteField):
     """Partial inverse of embedding(src, dst): dst element -> src element or
-    None when the element is outside the embedded copy of src."""
-    if src.p != dst.p or dst.k % src.k != 0:
-        raise ValueError("incompatible fields")
+    None when the element is outside the embedded copy of src.  It is the
+    lookup in the inverse table of the embedding (the identity when the two
+    fields are the same)."""
     key = ("proj", src.p, src.k, dst.k)
-    cached = _EMBED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    embedding(src, dst)  # ensure the power basis exists
-    if src.k == 1:
-        def fn(a, _dst=dst, _src=src):
-            if _dst.k == 1:
-                return a
-            if any(a[1:]):
-                return None
-            return a[0]
+    fn = _EMBED_CACHE.get(key)
+    if fn is None:
+        emb = embedding(src, dst)
+        fn = emb if src.k == dst.k else {emb(a): a for a in src.elements()}.get
         _EMBED_CACHE[key] = fn
-        return fn
-    if src.k == dst.k:
-        fn = lambda a: a  # noqa: E731
-        _EMBED_CACHE[key] = fn
-        return fn
-    powers = _EMBED_CACHE[("emb", src.p, src.k, dst.k)][1]
-    p = src.p
-    K, k = dst.k, src.k
-    cols = [list(w) for w in powers]
-
-    def fn(a, _cols=cols, _p=p, _K=K, _k=k, _src=src):
-        mat = [[_cols[j][i] for j in range(_k)] + [a[i]] for i in range(_K)]
-        piv = []
-        r = 0
-        for c in range(_k):
-            sel = None
-            for i in range(r, _K):
-                if mat[i][c] % _p:
-                    sel = i
-                    break
-            if sel is None:
-                return None  # embedding matrix has full rank; unreachable
-            mat[r], mat[sel] = mat[sel], mat[r]
-            inv = pow(mat[r][c], -1, _p)
-            mat[r] = [(v * inv) % _p for v in mat[r]]
-            for i in range(_K):
-                if i != r and mat[i][c] % _p:
-                    f = mat[i][c]
-                    mat[i] = [(x - f * y) % _p for x, y in zip(mat[i], mat[r])]
-            piv.append(c)
-            r += 1
-        for i in range(r, _K):
-            if mat[i][_k] % _p:
-                return None
-        v = [0] * _k
-        for i, c in enumerate(piv):
-            v[c] = mat[i][_k] % _p
-        return tuple(v)
-
-    _EMBED_CACHE[key] = fn
     return fn
 
 

@@ -101,7 +101,7 @@ def build_chain(F: MPoly, check_reduction=True) -> CriterionChain:
     if not is_indecomposable_multi(FQ):
         raise ValueError("polynomial is decomposable over the rationals")
     # disc_y(F - l) in Z[x, y, l]
-    F3 = F.lift_vars(3, [0, 1])
+    F3 = F.lift_vars(3)
     lam = MPoly.variable(ZZ, 3, 2)
     delta3 = discriminant(F3 - lam, 1)
     if delta3.is_zero():

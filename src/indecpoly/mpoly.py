@@ -275,17 +275,10 @@ class MPoly:
         """Coefficient-wise reduction of an integer polynomial into F_p^k."""
         return self.map_coeffs(field.from_int, field)
 
-    def lift_vars(self, n2, positions=None):
-        """Re-embed into a ring with n2 >= n variables."""
-        if positions is None:
-            positions = list(range(self.n))
-        out = {}
-        for e, c in self.terms.items():
-            e2 = [0] * n2
-            for i, k in enumerate(e):
-                e2[positions[i]] = k
-            out[tuple(e2)] = c
-        return MPoly(self.dom, n2, out)
+    def lift_vars(self, n2):
+        """Re-embed into a ring with n2 >= n variables, as its first n."""
+        pad = (0,) * (n2 - self.n)
+        return MPoly(self.dom, n2, {e + pad: c for e, c in self.terms.items()})
 
     # -- division ------------------------------------------------------------
     def exact_div(self, g):

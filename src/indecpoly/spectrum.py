@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import is_prime
 from .decompose import is_indecomposable_multi
-from .factoring import (DEFAULT_GUARD, absolutely_irreducible, minimal_polynomial,
+from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynomial,
                         n_bar_factors)
-from .fields import QQ, GuardExceeded, embedding, finite_field, prime_field
+from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
 
 
@@ -107,11 +108,7 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
             lam = K.element(i)
             if lam in seen:
                 continue
-            orbit = [lam]
-            cur = K.pow(lam, q)
-            while cur != lam:
-                orbit.append(cur)
-                cur = K.pow(cur, q)
+            orbit = frobenius_orbit(lam, lambda a: K.pow(a, q))
             seen.update(orbit)
             if len(orbit) != m:
                 continue  # lives in a smaller extension, already swept
@@ -222,8 +219,6 @@ def reduction_compatibility(F: MPoly, p: int, guard=DEFAULT_GUARD) -> bool:
     spectral value.  True when the value computed over the rationals reduces
     to the value computed over F_p and both are spectral per the oracles.
     """
-    from .arith import is_prime
-
     if F.dom.key() != ("zz",):
         raise ValueError("expected integer coefficients")
     if not is_prime(p) or p == 2:

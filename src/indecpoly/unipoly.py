@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+from .arith import factorint
+
 
 def normalize(dom, c: list) -> list:
     out = list(c)
@@ -194,8 +196,6 @@ def is_irreducible_finite(field, f: list) -> bool:
         return True
     q = field.q
     x = [field.zero, field.one]
-    from .arith import factorint
-
     for ell in factorint(n):
         h = pow_mod(field, x, q ** (n // ell), f)
         g = sub(field, h, x)

@@ -134,6 +134,12 @@ def test_guard_raises():
         enumerate_census(5, 2, 5, guard=10_000)
 
 
+def test_census_guard_ignores_environment(monkeypatch):
+    # SPEC_GUARD is read by the command line front end only
+    monkeypatch.setenv("SPEC_GUARD", "10")
+    assert enumerate_census(2, 2, 3) == enumerate_census(2, 2, 3, guard=1 << 24)
+
+
 def test_bounds_check_n2_examples():
     rep = bounds_check_n2(2, 8)
     assert rep.alpha == Fraction(2 ** 16, 2 ** 45)

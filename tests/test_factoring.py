@@ -3,11 +3,12 @@ import random
 import pytest
 
 from indecpoly import unipoly
-from indecpoly.fields import finite_field
+from indecpoly.fields import GuardExceeded, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.factoring import (DEFAULT_GUARD, _find_divisor_search, absolutely_irreducible,
                                  bivar_factor, bivar_irreducible, conjugate_split_count,
                                  n_bar_factors, uni_factor, uni_roots)
+from indecpoly.parsing import parse_poly
 
 
 def P(field, terms):
@@ -270,3 +271,14 @@ def test_divisor_search_returns_canonically_first_divisor():
     x, y, one = P(F2, {(1, 0): 1}), P(F2, {(0, 1): 1}), P(F2, {(0, 0): 1})
     assert _find_divisor_search((x + one) * (x + y), DEFAULT_GUARD)[0] == x + one
     assert _find_divisor_search(x * y, DEFAULT_GUARD)[0] == x
+
+
+def test_lift_recombination_checks_the_guard():
+    # y^4 - x has four linear local factors at x0 = 1 over F_5, so the
+    # recombination could try 2^4 subsets
+    F = parse_poly("y^4 - x", F5)
+    with pytest.raises(GuardExceeded, match="lift recombination space 16 .* guard 8"):
+        bivar_factor(F, method="lift", guard=8)
+    fac = bivar_factor(F, method="lift")
+    assert [(g.format(), m) for g, m in fac.factors] == [("y^4 + 4*x", 1)]
+

@@ -136,6 +136,28 @@ def test_projection_detects_non_image():
     assert proj(F4.element(2)) is None  # t is not in F_2
 
 
+@pytest.mark.parametrize("p, k, K", [
+    (2, 1, 2), (2, 1, 4), (2, 2, 4), (2, 2, 6), (2, 3, 6), (2, 2, 8), (2, 4, 8),
+    (3, 1, 3), (3, 2, 4), (3, 2, 6), (3, 3, 6), (5, 1, 2), (5, 2, 4), (7, 1, 3),
+    (7, 2, 4),
+])
+def test_projection_inverts_embedding_exactly(p, k, K):
+    src, dst = finite_field(p, k), finite_field(p, K)
+    emb, proj = embedding(src, dst), projection(src, dst)
+    image = set()
+    for a in src.elements():
+        assert proj(emb(a)) == a
+        image.add(emb(a))
+    assert len(image) == src.q
+    preimages = 0
+    for b in dst.elements():
+        if b in image:
+            preimages += 1
+        else:
+            assert proj(b) is None
+    assert preimages == src.q
+
+
 def test_incompatible_embedding_rejected():
     with pytest.raises(ValueError):
         embedding(finite_field(2, 2), finite_field(2, 3))
