@@ -7,13 +7,15 @@ field embeddings), so identical inputs always produce identical outputs.
 
 Bivariate factorization has two engines:
 
-* an exhaustive divisor search, trying every monic candidate of total degree
-  up to half the input in canonical graded-lex order.  This is the reference
+* an exhaustive divisor search over the monic candidates of total degree up
+  to half the input in canonical graded-lex order, skipping every candidate
+  whose leading form does not divide the input's.  This is the reference
   engine; it is used whenever the candidate space is small and it guards
   itself against blowup.
 * a lifting engine for larger fields: make the input monic in y by a shear,
   factor a squarefree specialization, lift the factors x-adically past the
-  total degree, and recombine subsets by trial division.
+  total degree, and recombine subsets by trial division.  Shears are tried
+  lazily, and the first one with a squarefree fibre is used.
 
 Both normalize factors the same way (monic under graded-lex, sorted), and the
 test suite pins them against each other, so the fast engine may stand in for
@@ -205,29 +207,32 @@ def search_space_size(q, d):
     return total
 
 
-def _iter_monic_candidates(field, delta):
-    """All monic bivariate polynomials of exact total degree delta, canonical
-    order: leading monomial descending, then lower coefficients by index."""
-    monos = monomials_upto(2, delta)
-    for lead_pos, lead in enumerate(monos):
-        if sum(lead) < delta:
-            return
-        yield from iter_completions(field, 2, {lead: field.one}, monos[lead_pos + 1 :])
-
-
 def _find_divisor_search(F: MPoly, guard):
-    """Smallest (canonical order) nonconstant proper monic divisor, or None."""
+    """Smallest (canonical order) nonconstant proper monic divisor, or None.
+
+    Candidates of degree delta run by leading monomial descending, then by
+    coefficient index with the highest monomial slowest, so the top-degree
+    form T of a candidate varies slowest.  A divisor's T divides the leading
+    form of F (total degree grades an integral domain), so every completion
+    of any other T is skipped without changing the order of the rest."""
     field = F.dom
     d = F.degree()
     if search_space_size(field.q, d) > guard:
         raise GuardExceeded(
             f"divisor search space for degree {d} over GF({field.q}) exceeds guard {guard}"
         )
+    top_F = F.leading_form()
     for delta in range(1, d // 2 + 1):
-        for cand in _iter_monic_candidates(field, delta):
-            quo = F.exact_div(cand)
-            if quo is not None:
-                return cand, quo
+        monos = monomials_upto(2, delta)
+        top, lower = monos[: delta + 1], monos[delta + 1 :]
+        for lead_pos, lead in enumerate(top):
+            for T in iter_completions(field, 2, {lead: field.one}, top[lead_pos + 1 :]):
+                if top_F.exact_div(T) is None:
+                    continue
+                for cand in iter_completions(field, 2, T.terms, lower):
+                    quo = F.exact_div(cand)
+                    if quo is not None:
+                        return cand, quo
     return None
 
 
@@ -281,19 +286,16 @@ def _pth_root_mpoly(F: MPoly):
 # -- the lifting engine ------------------------------------------------------
 
 def _shear_options(field, F: MPoly):
-    """(transposed, shear constant) pairs making the y^D coefficient nonzero."""
-    D = F.degree()
+    """Yield the (transposed, shear constant) pairs making the y^D coefficient
+    nonzero, D the total degree, lazily in the order the lift tries them."""
     top = F.leading_form()
-    opts = []
     for transposed in (False, True):
         T = top.swap_vars(0, 1) if transposed else top
         for i in range(field.q):
             c = field.element(i)
             # coefficient of y^D after x -> x + c*y is top(c, 1)
-            val = T.evaluate([c, field.one])
-            if val != field.zero:
-                opts.append((transposed, c))
-    return opts
+            if T.evaluate([c, field.one]) != field.zero:
+                yield transposed, c
 
 
 def _poly_divmod_y(field, A_rows, B_rows):

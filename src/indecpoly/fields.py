@@ -8,7 +8,9 @@ modulus. All arithmetic goes through the owning field object.
 Extension moduli are chosen deterministically: the first monic irreducible
 of degree k when candidates t^k + a_{k-1} t^{k-1} + ... + a_0 are ordered by
 the tuple (a_{k-1}, ..., a_0). Fields of size up to ZECH_LIMIT build
-discrete-log tables on demand, which makes multiplicative work O(1).
+discrete-log tables on demand, at their first multiplication, inversion or
+power, which makes multiplicative work O(1); a field that is only named or
+used for addition never builds them.
 
 An embedding F_{p^k} -> F_{p^K} (k dividing K) sends t to the smallest root
 of the source modulus in the target; projection back is the inverse table
@@ -124,8 +126,8 @@ class ExtensionField(FiniteField):
         self.modulus = _default_modulus(self.base, k)
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
-        self._exp = None  # Zech tables, built lazily
-        self._log = None
+        self._exp = None  # Zech tables, built by the first mul, inv or pow
+        self._log = None  # when q <= ZECH_LIMIT (see _zech_log)
 
     # -- representation helpers -------------------------------------------
     def from_int(self, n):
@@ -167,7 +169,7 @@ class ExtensionField(FiniteField):
         return tuple(rem)
 
     def mul(self, a, b):
-        log = self._log
+        log = self._log or self._zech_log()
         if log is None:
             return self._mul_basic(a, b)
         la = log.get(a)
@@ -181,7 +183,7 @@ class ExtensionField(FiniteField):
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        log = self._log
+        log = self._log or self._zech_log()
         if log is not None:
             return self._exp[-log[a] % (self.q - 1)]
         g, s, _ = unipoly.xgcd(
@@ -199,7 +201,7 @@ class ExtensionField(FiniteField):
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
-        log = self._log
+        log = self._log or self._zech_log()
         if log is not None:
             if a == self.zero:
                 if n == 0:
@@ -230,30 +232,22 @@ class ExtensionField(FiniteField):
         return " + ".join(terms) if terms else "0"
 
     # -- Zech tables -------------------------------------------------------
-    def _find_generator(self):
-        order_factors = list(factorint(self.q - 1))
-        for i in range(2, self.q):
-            g = self.element(i)
-            if g == self.zero:
-                continue
-            if all(
-                self.pow(g, (self.q - 1) // ell) != self.one
-                for ell in order_factors
-            ):
-                return g
-        raise RuntimeError("no generator found")  # pragma: no cover
-
-    def _ensure_tables(self):
-        if self._exp is not None or self.q > ZECH_LIMIT:
-            return
-        g = self._find_generator()
-        exp = [self.one] * (self.q - 1)
-        cur = self.one
-        for i in range(1, self.q - 1):
-            cur = self._mul_basic(cur, g)
-            exp[i] = cur
-        self._exp = exp
-        self._log = {a: i for i, a in enumerate(exp)}
+    def _zech_log(self):
+        """The log table, built with the exp table on first use; None when
+        q > ZECH_LIMIT.  The exp table is the power walk of the first element
+        of order q - 1 (by index, from 2).  It multiplies only through
+        _mul_basic, so the arithmetic that calls it is not re-entered."""
+        if self._log is None and self.q <= ZECH_LIMIT:
+            for i in range(2, self.q):
+                g = self.element(i)
+                exp = [self.one, g]
+                while exp[-1] != self.one:
+                    exp.append(self._mul_basic(exp[-1], g))
+                if len(exp) == self.q:  # g has order q - 1
+                    break
+            self._exp = exp[:-1]
+            self._log = {a: i for i, a in enumerate(self._exp)}
+        return self._log
 
 
 def prime_field(p) -> PrimeField:
@@ -278,7 +272,6 @@ def finite_field(p, k=1) -> FiniteField:
             f = PrimeField(p)
         else:
             f = ExtensionField(p, k)
-            f._ensure_tables()
         _FIELD_CACHE[(p, k)] = f
     return f
 

@@ -182,3 +182,19 @@ def test_report_polynomials_reparse(capsys):
     F3 = finite_field(3)
     assert parse_poly(payload["poly"], F3) == MPoly(F3, 2, {(1, 1): 1})
     assert parse_poly(payload["s_poly"], F3, nvars=1) == MPoly.from_dense(F3, [0, 1], 1)
+
+
+def test_cli_spectrum_f7_quartic_with_f7_6_descent(capsys):
+    # conjugate_split_count factors this quartic over F_7^6 (above ZECH_LIMIT);
+    # the report is pinned, the running time is not
+    poly = ("3*x^4 + 5*x^3*y + 4*x*y^3 + 5*y^4 + x^3 + 5*x^2*y + 6*x*y^2"
+            " + 6*y^3 + 2*x^2 + 2*x*y + 4*x")
+    code, out, _ = run_cli(capsys, "spectrum", "--field", "7", poly)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["poly"] == poly
+    assert payload["orbits"] == []
+    assert payload["rho"] == 0
+    assert payload["s_poly"] == "1"
+    assert payload["spectrum_size"] == 0
+    assert payload["stein_holds"] is True

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -271,6 +272,66 @@ def test_divisor_search_returns_canonically_first_divisor():
     x, y, one = P(F2, {(1, 0): 1}), P(F2, {(0, 1): 1}), P(F2, {(0, 0): 1})
     assert _find_divisor_search((x + one) * (x + y), DEFAULT_GUARD)[0] == x + one
     assert _find_divisor_search(x * y, DEFAULT_GUARD)[0] == x
+
+
+def _unpruned_divisor_search(F):
+    """Reference enumeration without leading-form pruning: every monic
+    candidate of degree 1 .. d//2, leading monomial descending, then the
+    remaining coefficients in itertools.product order."""
+    field = F.dom
+    for delta in range(1, F.degree() // 2 + 1):
+        monos = monomials_upto(2, delta)
+        for lead_pos, lead in enumerate(monos[: delta + 1]):
+            rest = monos[lead_pos + 1 :]
+            for coeffs in itertools.product(field.elements(), repeat=len(rest)):
+                terms = {lead: field.one}
+                terms.update(zip(rest, coeffs))
+                cand = MPoly(field, 2, terms)
+                quo = F.exact_div(cand)
+                if quo is not None:
+                    return cand, quo
+    return None
+
+
+def _random_bivariate(rng, F, d):
+    """Random polynomial of total degree exactly d."""
+    while True:
+        G = MPoly(F, 2, {e: F.element(rng.randrange(F.q)) for e in monomials_upto(2, d)})
+        if G.degree() == d:
+            return G
+
+
+@pytest.mark.parametrize("p, k, degrees", [
+    (2, 1, (2, 3, 4)), (3, 1, (2, 3, 4)), (2, 2, (2, 3, 4)), (5, 1, (2, 3)),
+])
+def test_divisor_search_matches_unpruned_reference(p, k, degrees):
+    F = finite_field(p, k)
+    rng = random.Random(f"divisor-search:{F.q}")
+    found = 0
+    for d in degrees:
+        for trial in range(9):
+            if trial % 3 == 1:
+                # a product g*h, so that hits fall at varied positions
+                e = rng.randrange(1, d)
+                G = _random_bivariate(rng, F, e) * _random_bivariate(rng, F, d - e)
+            elif trial % 3 == 2:
+                # g*(g + lower terms): two divisors with one top form, so the
+                # order among the completions of that form decides
+                e = d // 2
+                g = _random_bivariate(rng, F, e)
+                G = g * (g + _random_bivariate(rng, F, e - 1))
+                if d % 2:
+                    G = G * _random_bivariate(rng, F, 1)
+            else:
+                G = _random_bivariate(rng, F, d)
+            want = _unpruned_divisor_search(G)
+            got = _find_divisor_search(G, DEFAULT_GUARD)
+            if want is None:
+                assert got is None
+            else:
+                found += 1
+                assert (got[0].key(), got[1].key()) == (want[0].key(), want[1].key())
+    assert found >= len(degrees) * 6  # every product has a divisor
 
 
 def test_lift_recombination_checks_the_guard():

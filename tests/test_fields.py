@@ -1,6 +1,7 @@
 import pytest
 
-from indecpoly.fields import (GuardExceeded, QQ, ZZ, embedding, field_from_order,
+from indecpoly import fields
+from indecpoly.fields import (ZECH_LIMIT, GuardExceeded, QQ, ZZ, embedding, field_from_order,
                               finite_field, projection)
 
 
@@ -47,6 +48,53 @@ def test_extension_arithmetic_axioms():
                     lhs = F.mul(a, F.add(b, c))
                     rhs = F.add(F.mul(a, b), F.mul(a, c))
                     assert lhs == rhs
+
+
+def test_zech_tables_built_on_first_arithmetic(monkeypatch):
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})  # a fresh instance
+    F = finite_field(3, 9)
+    assert F.q <= ZECH_LIMIT
+    assert F._exp is None and F._log is None
+    F.add(F.one, F.one)
+    assert F._exp is None
+    t = F.element(3)
+    assert F.mul(t, t) == F.element(9)
+    assert len(F._exp) == F.q - 1 and len(F._log) == F.q - 1
+
+
+def test_zech_tables_never_built_above_the_limit(monkeypatch):
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    F = finite_field(7, 6)
+    assert F.q > ZECH_LIMIT
+    t = F.element(7)
+    assert F.mul(F.inv(t), t) == F.one
+    assert F.pow(t, F.q) == t
+    assert F.pow(t, -1) == F.inv(t)
+    assert F._exp is None and F._log is None
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_zech_arithmetic_matches_basic_multiplication(q):
+    F = field_from_order(q)
+    els = F.elements()
+    for a in els:
+        for b in els:
+            assert F.mul(a, b) == F._mul_basic(a, b)
+    assert F._exp is not None
+    for a in els[1:]:
+        assert F._mul_basic(F.inv(a), a) == F.one
+    for a in els:
+        ref = [F.one]  # ref[n] = a^n by repeated _mul_basic
+        for _ in range(q + 1):
+            ref.append(F._mul_basic(ref[-1], a))
+        for n in range(-2, q + 2):
+            if n >= 0:
+                assert F.pow(a, n) == ref[n]
+            elif a == F.zero:
+                with pytest.raises(ZeroDivisionError):
+                    F.pow(a, n)
+            else:
+                assert F._mul_basic(F.pow(a, n), ref[-n]) == F.one
 
 
 def test_fermat_identity_all_small_fields():

@@ -1,0 +1,122 @@
+"""Differential tests against sympy as an independent oracle, on seeded inputs.
+
+sympy is a test-only dependency; without it this module is skipped.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from indecpoly import unipoly  # noqa: E402
+from indecpoly.decompose import compose, decompose_uni, is_indecomposable_uni  # noqa: E402
+from indecpoly.factoring import uni_factor  # noqa: E402
+from indecpoly.fields import QQ, ZZ, finite_field  # noqa: E402
+from indecpoly.mpoly import MPoly  # noqa: E402
+from indecpoly.resultants import discriminant, resultant  # noqa: E402
+
+x, y = sympy.symbols("x y")
+
+
+def _to_sympy(f: MPoly):
+    return sympy.sympify(f.format().replace("^", "**"), locals={"x": x, "y": y})
+
+
+def _monic_mod(coeffs_high_first, p):
+    """Low-to-high tuple of the monic associate mod p."""
+    low = [int(c) % p for c in reversed(coeffs_high_first)]
+    inv = pow(low[-1], -1, p)
+    return tuple(c * inv % p for c in low)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_uni_factor_matches_sympy_factor_list(p):
+    F = finite_field(p)
+    rng = random.Random(f"uni_factor:{p}")
+    for _ in range(30):
+        # products of random pieces with multiplicities, p-th powers included
+        f = [rng.randrange(1, p)]
+        for _piece in range(rng.randrange(1, 4)):
+            g = unipoly.normalize(F, [rng.randrange(p) for _ in range(rng.randrange(2, 6))])
+            for _m in range(rng.choice([1, 1, 2, 3, p])):
+                f = unipoly.mul(F, f, g)
+        if unipoly.degree(f) < 1:
+            continue
+        unit, ours = uni_factor(F, f)
+        lc, theirs = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+        want = [(_monic_mod(g.all_coeffs(), p), m) for g, m in theirs]
+        assert sorted(ours) == sorted(want)
+        assert unit == int(lc) % p == f[-1]
+
+
+def _random_zz(rng, deg_x, deg_y):
+    terms = {(i, j): rng.randrange(-4, 5) for i in range(deg_x + 1) for j in range(deg_y + 1)}
+    terms[(rng.randrange(deg_x + 1), deg_y)] = rng.choice([-3, -1, 1, 2])
+    return MPoly(ZZ, 2, terms)
+
+
+def test_resultant_matches_sympy_over_zz():
+    # the oracle is sympy's Sylvester determinant, the defining formula;
+    # sympy.resultant itself is compared only when deg_y f >= deg_y g, since
+    # sympy 1.14 flips its sign otherwise when deg_y f * deg_y g is odd:
+    # resultant(y - 2, y**3, y) is -8, while lc(f)^3 * g(2) = 8
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    rng = random.Random("resultant")
+    for _ in range(25):
+        f = _random_zz(rng, rng.randrange(0, 3), rng.randrange(1, 4))
+        g = _random_zz(rng, rng.randrange(0, 3), rng.randrange(1, 4))
+        got = _to_sympy(resultant(f, g, 1))
+        fs, gs = _to_sympy(f), _to_sympy(g)
+        S = DomainMatrix.from_Matrix(sylvester(fs, gs, y))
+        assert sympy.expand(got - S.domain.to_sympy(S.det())) == 0
+        if f.deg_in(1) >= g.deg_in(1):
+            assert sympy.expand(got - sympy.resultant(fs, gs, y)) == 0
+
+
+def test_discriminant_matches_sympy_over_zz():
+    rng = random.Random("discriminant")
+    for _ in range(25):
+        f = _random_zz(rng, rng.randrange(0, 3), rng.randrange(1, 5))
+        got = _to_sympy(discriminant(f, 1))
+        want = sympy.discriminant(_to_sympy(f), y)
+        assert sympy.expand(got - want) == 0
+
+
+def _random_qq(rng, d):
+    coeffs = [Fraction(rng.randrange(-5, 6), rng.choice([1, 1, 2, 3])) for _ in range(d)]
+    return MPoly.from_dense(QQ, coeffs + [Fraction(rng.choice([-2, 1, 3]))], 1)
+
+
+def test_is_indecomposable_uni_matches_sympy_decompose_over_qq():
+    rng = random.Random("decompose-qq")
+    agreed = {True: 0, False: 0}
+    for _ in range(40):
+        if rng.random() < 0.4:
+            f = _random_qq(rng, rng.choice([4, 6, 8, 9]))
+        else:
+            # u(v) with both degrees >= 2, sometimes perturbed out of the image
+            u = _random_qq(rng, rng.choice([2, 3]))
+            v = _random_qq(rng, rng.choice([2, 3]))
+            f = compose(u, v)
+            if rng.random() < 0.3:
+                f = f + MPoly.from_dense(QQ, [Fraction(0), Fraction(1)], 1)
+        ours = is_indecomposable_uni(f)
+        parts = sympy.decompose(_to_sympy(f))
+        if len(parts) > 1:
+            assert not ours  # sympy's parts recompose to f
+        elif not ours:
+            # sympy 1.14 misses some decompositions over QQ: it finds none of
+            # (x^3 + x)(2*x^3 + x^2), and with domain="QQ" none of
+            # (x^3 + x)(x^3 + x^2).  Recompose ours in sympy instead.
+            d = f.degree()
+            dec = next(dec for r in range(2, d) if d % r == 0 and d // r >= 2
+                       for dec in [decompose_uni(f, r)] if dec is not None)
+            inner, outer = _to_sympy(dec.inner), _to_sympy(dec.outer)
+            assert sympy.expand(outer.subs(x, inner) - _to_sympy(f)) == 0
+            continue
+        agreed[ours] += 1
+    assert agreed[True] >= 5 and agreed[False] >= 5
