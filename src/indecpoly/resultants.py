@@ -102,6 +102,33 @@ def resultant(f: MPoly, g: MPoly, var) -> MPoly:
     return _det_bareiss(rows)
 
 
+def norm_mod(A: MPoly, b: list, var) -> MPoly:
+    """res_var(b, A) for a monic b in x_var alone, given as a dense list of
+    domain elements: the product of A(beta) over the roots beta of b, taken
+    as the determinant of multiplication by A on D[x_var]/(b), D the
+    polynomials in the other variables.  The matrix has size deg b, against
+    deg b + deg_var A for the Sylvester matrix."""
+    dom, n = A.dom, A.n
+    e = len(b) - 1
+    if e == 0:
+        return MPoly.const(dom, n, dom.one)
+    zero = MPoly(dom, n)
+    low = [MPoly.const(dom, n, c) for c in b[:-1]]
+
+    def reduce(c):  # c mod b, padded to e coefficients
+        for i in range(len(c) - 1, e - 1, -1):
+            top = c.pop()
+            if not top.is_zero():
+                for k in range(e):
+                    c[i - e + k] = c[i - e + k] - top * low[k]
+        return c + [zero] * (e - len(c))
+
+    cols = [reduce(coeff_list(A, var))]
+    for _ in range(e - 1):
+        cols.append(reduce([zero] + cols[-1]))
+    return _det_bareiss(cols)
+
+
 def discriminant(f: MPoly, var) -> MPoly:
     """disc_var(f) under the package convention; errors when deg_var(f) < 1."""
     d = f.deg_in(var)

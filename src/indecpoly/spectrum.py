@@ -2,11 +2,19 @@
 
 A constant c in the algebraic closure is spectral for F when F - c is
 reducible over the closure.  For indecomposable F the spectrum is a finite,
-Galois-stable set of size at most deg(F) - 1, so sweeping one representative
-per Frobenius orbit over the extensions F_{q^m}, m up to deg(F) - 1, is
-complete.  Each spectral value carries the multiplicity n(c) - 1 where n(c)
-counts the distinct irreducible factors of F - c over the closure; the sum
-of the multiplicities is bounded by deg(F) - 1 (Stein's inequality).
+Galois-stable set of size at most deg(F) - 1, so one representative per
+Frobenius orbit over the extensions F_{q^m}, m up to deg(F) - 1, suffices.
+Each spectral value carries the multiplicity n(c) - 1 where n(c) counts the
+distinct irreducible factors of F - c over the closure; the sum of the
+multiplicities is bounded by deg(F) - 1 (Stein's inequality).
+
+The candidates tested are the critical values when that is sound: two
+components of a reducible F - c meet in P^2 at a singular point, and c only
+enters the z^d term of the homogenization, so when the closure of F is
+smooth at infinity every spectral c is a root of an elimination polynomial
+of F - c, F_x and F_y.  Otherwise (singular at infinity, F_x and F_y with a
+common component, or an elimination that vanishes in both variable orders)
+every orbit is swept.
 
 The report keeps one minimal polynomial per orbit and their product, a
 polynomial with base-field coefficients whose roots are exactly the
@@ -15,15 +23,18 @@ spectrum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import unipoly
 from .arith import is_prime
 from .decompose import is_indecomposable_multi
-from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynomial,
-                        n_bar_factors)
+from .factoring import (_shear_options, absolutely_irreducible, frobenius_orbit,
+                        minimal_polynomial, n_bar_factors, uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
+from .resultants import norm_mod, primitive_gcd, resultant
 
 
 class SpectrumUnbounded(ValueError):
@@ -75,11 +86,18 @@ class SpectralReport:
 
 
 def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
-    """Complete spectral sweep for an indecomposable F in two variables.
+    """The spectrum of an indecomposable F in two variables.
+
+    Soundness of the critical-value path, in three lines: a reducible F - c
+    has two components meeting at a singular point of its closure; that
+    point is affine when the closure of F is smooth at infinity, which does
+    not depend on c; so F - c, F_x and F_y vanish there.  The full sweep of
+    every Frobenius orbit of F_{q^m}, m <= deg(F) - 1, runs instead when
+    the closure is singular at infinity or `_critical_polynomial` gives up.
 
     Raises GuardExceeded before any work when the sweep would visit more
     than `guard` elements, counted as the sum of q^m over the extensions
-    F_{q^m} it covers."""
+    F_{q^m} it covers, whichever path then runs."""
     if F.n != 2:
         raise ValueError("the spectral sweep expects two variables")
     if F.is_zero() or F.is_constant():
@@ -88,9 +106,8 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     if not getattr(field, "is_finite", False):
         raise ValueError("the sweep runs over finite fields")
     d = F.degree()
-    q = field.q
-    extension_degrees = range(1, max(1, d - 1) + 1)
-    sweep = sum(q ** m for m in extension_degrees)
+    top = max(1, d - 1)
+    sweep = sum(field.q ** m for m in range(1, top + 1))
     if sweep > guard:
         raise GuardExceeded(f"spectral sweep over {sweep} elements exceeds guard {guard}")
     if not is_indecomposable_multi(F, guard):
@@ -98,11 +115,17 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
             "decomposable input: every constant shift is reducible, the "
             "spectrum is the whole algebraic closure"
         )
-    orbits = []
-    for m in extension_degrees:
+    E = _critical_polynomial(F) if _smooth_at_infinity(F) else None
+    candidates = _sweep(field, top) if E is None else _critical_orbits(field, E, top)
+    return _report(F, candidates, guard)
+
+
+def _sweep(field, top):
+    """(K, lam) for every Frobenius orbit over `field` of exact size m in
+    K = F_{q^m}, m = 1..top; lam is the orbit's element of smallest index."""
+    q = field.q
+    for m in range(1, top + 1):
         K = finite_field(field.p, field.k * m)
-        emb = embedding(field, K)
-        FK = F.map_coeffs(emb, K)
         seen = set()
         for i in range(K.q):
             lam = K.element(i)
@@ -110,22 +133,102 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
                 continue
             orbit = frobenius_orbit(lam, lambda a: K.pow(a, q))
             seen.update(orbit)
-            if len(orbit) != m:
-                continue  # lives in a smaller extension, already swept
-            G = FK - MPoly.const(K, 2, lam)
-            if absolutely_irreducible(G, guard):
-                continue
-            nb = n_bar_factors(G, guard)
-            mp = minimal_polynomial(lam, K, field)
-            orbits.append(
-                SpectralOrbit(m, MPoly.from_dense(field, mp, 1), lam, K, nb - 1)
-            )
+            if len(orbit) == m:  # otherwise it lives in a smaller extension
+                yield K, lam
+
+
+def _critical_orbits(field, E, top):
+    """(K, lam) for every irreducible factor of E of degree m <= top, with
+    K = F_{q^m} and lam the factor's root of smallest index, the element the
+    sweep would pick for that orbit."""
+    for h, _ in uni_factor(field, E)[1]:
+        m = len(h) - 1
+        if m <= top:
+            K = finite_field(field.p, field.k * m)
+            emb = embedding(field, K)
+            yield K, uni_roots(K, [emb(c) for c in h])[0]
+
+
+def _report(F: MPoly, candidates, guard) -> SpectralReport:
+    """Test each candidate (K, lam) for reducibility of F - lam over the
+    closure and collect the spectral orbits, canonically sorted."""
+    field = F.dom
+    lifted = {}
+    orbits = []
+    for K, lam in candidates:
+        FK = lifted.get(K.k)
+        if FK is None:
+            FK = lifted[K.k] = F.map_coeffs(embedding(field, K), K)
+        G = FK - MPoly.const(K, 2, lam)
+        if absolutely_irreducible(G, guard):
+            continue
+        nb = n_bar_factors(G, guard)
+        mp = minimal_polynomial(lam, K, field)
+        m = K.k // field.k
+        orbits.append(SpectralOrbit(m, MPoly.from_dense(field, mp, 1), lam, K, nb - 1))
     orbits.sort(key=lambda o: (o.degree, tuple(map(field.index, o.min_poly.to_dense()))))
     rho = sum(o.degree * o.multiplicity for o in orbits)
     s_poly = MPoly.const(field, 1, field.one)
     for o in orbits:
         s_poly = s_poly * o.min_poly
-    return SpectralReport(field, F, d, orbits, rho, s_poly)
+    return SpectralReport(field, F, F.degree(), orbits, rho, s_poly)
+
+
+def _smooth_at_infinity(F: MPoly) -> bool:
+    """No singular point of the projective closure of F = 0 lies on z = 0.
+
+    With F_d, F_{d-1} the top two homogeneous parts, such a point is a common
+    zero of F_d, dF_d/dx, dF_d/dy and F_{d-1} (the z-derivative there), that
+    is, a nonconstant gcd of these binary forms.  A constant shift of F
+    leaves all four unchanged once d >= 2."""
+    d = F.degree()
+    top = F.homogeneous_part(d)
+    g = top
+    for h in (top.derivative(0), top.derivative(1), F.homogeneous_part(d - 1)):
+        g = primitive_gcd(g, h, 1)
+    return g.is_constant()
+
+
+def _critical_polynomial(F: MPoly):
+    """For an indecomposable F (so not a p-th power: F_x and F_y are not both
+    zero), a nonzero E in F_q[l], as a dense list, vanishing at every l for
+    which F - l, F_x and F_y have a common zero over the closure; None when
+    F_x and F_y share a component, or when every orientation P of F below
+    gives E = 0.
+
+    For P = F, then F with x and y swapped, then the lift engine's shears:
+        B(x)    = res_y(P_x, P_y),
+        A(x, l) = res_y(P - l, P_y),
+        E(l)    = product of res_x(b, A) over the distinct monic irreducible
+                  factors b of B, that is, of A(r, l) over the roots r of B.
+    A common zero (a, y0) at l = c makes B(a) = 0 and A(a, c) = 0 whatever
+    the degree drops, hence E(c) = 0; a linear change of variables keeps the
+    critical values.  The gcd test comes first: when F_x and F_y share a
+    component the common zeros are a curve, and when both are free of y,
+    res_y is 1 however many zeros they share.  E vanishes identically when
+    A(a, l) = 0 for all l at some root a of B, as when the y-leading
+    coefficients of P - l and P_y vanish together at x = a."""
+    dom = F.dom
+    Fx, Fy = F.derivative(0), F.derivative(1)
+    if not primitive_gcd(Fx, Fy, 1).is_constant():
+        return None
+    if Fx.is_constant() or Fy.is_constant():
+        return [dom.one]  # one of them never vanishes: no critical point
+    lam = MPoly.variable(dom, 3, 2)
+    sheared = ((F.swap_vars(0, 1) if t else F).shear(0, 1, c)
+               for t, c in _shear_options(dom, F))
+    for P in itertools.chain((F, F.swap_vars(0, 1)), sheared):
+        Px, Py = P.derivative(0), P.derivative(1)
+        B = resultant(Px, Py, 1)
+        if B.is_constant():
+            return [dom.one]  # B is nonzero for coprime P_x, P_y: no common zero
+        A = resultant(P.lift_vars(3) - lam, Py.lift_vars(3), 1)
+        E = [dom.one]
+        for b, _ in uni_factor(dom, B.to_dense(0))[1]:
+            E = unipoly.mul(dom, E, norm_mod(A, b, 0).to_dense(2))
+        if E:
+            return E
+    return None
 
 
 def stein_check(report: SpectralReport) -> bool:

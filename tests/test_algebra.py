@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.resultants import discriminant, primitive_gcd, resultant
+from indecpoly.resultants import discriminant, norm_mod, primitive_gcd, resultant
 
 
 def rand_dense(rng, field, d):
@@ -110,6 +110,22 @@ def test_resultant_vanishes_iff_common_factor():
         res = resultant(MPoly.from_dense(F, a), MPoly.from_dense(F, b), 0)
         has_common = unipoly.degree(unipoly.gcd(F, a, b)) >= 1
         assert res.is_zero() == has_common
+
+
+def test_norm_mod_equals_the_sylvester_resultant():
+    # res_x(b, A) for monic b in x alone, over F_7 and F_4, including b of
+    # degree 0 and 1, b with repeated roots, and A free of x
+    rng = random.Random(6)
+    for field in (finite_field(7), finite_field(2, 2)):
+        for _ in range(30):
+            b = unipoly.monic(field, rand_dense(rng, field, rng.randrange(0, 5)) or [field.one])
+            if rng.random() < 0.2:
+                b = unipoly.mul(field, b, b)
+            A = rand_mpoly(rng, field, 2, rng.randrange(0, 4))
+            if A.is_zero():
+                continue
+            want = resultant(MPoly.from_dense(field, b, 2, 0), A, 0)
+            assert norm_mod(A, b, 0) == want
 
 
 def test_discriminant_golden_values():

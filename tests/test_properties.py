@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) for bivariate factoring and field embeddings.
+"""Property tests (hypothesis) for bivariate factoring, field embeddings and
+functional decomposition.
 
 Examples are derandomized and bounded so the suite's running time stays
 fixed; hypothesis is a test-only dependency and the module is skipped
@@ -12,11 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from indecpoly.decompose import compose, decompose_multi, decompose_uni  # noqa: E402
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, monomials_upto  # noqa: E402
 
 FACTOR_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
+DECOMPOSE_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
 FIELD_PAIRS = [(2, 1, 2), (2, 1, 3), (2, 2, 4), (2, 2, 6), (2, 3, 6), (3, 1, 2),
                (3, 2, 4), (5, 1, 2), (7, 1, 2)]
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -39,6 +42,48 @@ def field_pairs_with_elements(draw):
     src, dst = finite_field(p, k), finite_field(p, K)
     a, b = (src.element(draw(st.integers(0, src.q - 1))) for _ in range(2))
     return src, dst, a, b
+
+
+@st.composite
+def compositions(draw, nvars, inner_degrees, outer_degrees):
+    """(u(H), deg u) for a random u with nonzero leading coefficient and a
+    random nonconstant H in nvars variables.  Outer degrees divisible by the
+    characteristic (the wild splits) are drawn as often as the others."""
+    F = draw(st.sampled_from(DECOMPOSE_FIELDS))
+    r = draw(st.sampled_from(outer_degrees))
+    m = draw(st.sampled_from(inner_degrees))
+
+    def coeff(nonzero=False):
+        return F.element(draw(st.integers(1 if nonzero else 0, F.q - 1)))
+
+    u = MPoly.from_dense(F, [coeff() for _ in range(r)] + [coeff(nonzero=True)], 1)
+    monos = monomials_upto(nvars, m)
+    H = MPoly(F, nvars, {e: coeff() for e in monos})
+    assume(H.degree() == m)
+    return compose(u, H), r
+
+
+@SETTINGS
+@given(compositions(2, (1, 2), (2, 3, 4, 5)))
+def test_decompose_multi_recomposes_to_the_input(case):
+    G, r = case
+    dec = decompose_multi(G, r)
+    assert dec is not None
+    assert dec.outer.degree() == r
+    assert dec.inner.constant_term() == G.dom.zero
+    assert dec.inner.leading()[1] == G.dom.one
+    assert dec.recompose() == G
+
+
+@SETTINGS
+@given(compositions(1, (2, 3), (2, 3, 4, 5)))
+def test_decompose_uni_recomposes_to_the_input(case):
+    g, r = case
+    dec = decompose_uni(g, r)
+    assert dec is not None
+    assert dec.outer.degree() == r
+    assert dec.inner.to_dense()[0] == g.dom.zero and dec.inner.to_dense()[-1] == g.dom.one
+    assert dec.recompose() == g
 
 
 @SETTINGS

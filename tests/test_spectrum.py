@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from indecpoly.fields import QQ, ZZ, GuardExceeded, finite_field
+from indecpoly import spectrum
+from indecpoly.fields import DEFAULT_GUARD, QQ, ZZ, GuardExceeded, finite_field
 from indecpoly.parsing import parse_poly
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import is_indecomposable_multi
 from indecpoly.factoring import absolutely_irreducible, n_bar_factors
 from indecpoly.fields import embedding
+from indecpoly.resultants import primitive_gcd, resultant
 from indecpoly.spectrum import (SpectrumUnbounded, conic_is_degenerate,
                                 quadratic_spectral_value, reduction_compatibility,
                                 spectral_values, stein_check)
@@ -201,3 +203,118 @@ def test_spectral_sweep_guard_checked_before_work():
     with pytest.raises(GuardExceeded, match="4368"):
         spectral_values(F, guard=1000)
     assert time.perf_counter() - start < 5.0
+
+
+# --------------------------------------------------------------------------
+# the critical-value path against the full sweep
+# --------------------------------------------------------------------------
+
+def _swept(F):
+    """The report of the full sweep, whatever path spectral_values takes."""
+    return spectrum._report(F, spectrum._sweep(F.dom, max(1, F.degree() - 1)), DEFAULT_GUARD)
+
+
+def _critical_path_taken(F):
+    return spectrum._smooth_at_infinity(F) and spectrum._critical_polynomial(F) is not None
+
+
+def _assert_paths_agree(polys):
+    """spectral_values equals the sweep on every input; returns how many of
+    them took the critical-value path and how many had a nonempty spectrum."""
+    critical = nonempty = 0
+    for F in polys:
+        got = spectral_values(F).to_json_dict()
+        assert got == _swept(F).to_json_dict(), F.format()
+        critical += _critical_path_taken(F)
+        nonempty += bool(got["orbits"])
+    return critical, nonempty
+
+
+def test_critical_values_match_sweep_on_the_criterion_6_corpus():
+    # the corpus of test_criterion_06_spectrum_and_stein, drawn the same way
+    rng = random.Random(0xACCE56)
+    polys = []
+    for field in (finite_field(2), F3):
+        while len(polys) < (100 if field.q == 2 else 200):
+            d = rng.choice([2, 3, 4])
+            terms = {}
+            for e in monomials_upto(2, d):
+                c = rng.randrange(field.q)
+                if c:
+                    terms[e] = field.element(c)
+            P = MPoly(field, 2, terms)
+            if not P.is_zero() and P.degree() == d and is_indecomposable_multi(P):
+                polys.append(P)
+    critical, nonempty = _assert_paths_agree(polys)
+    assert critical >= 100 and nonempty >= 50  # 145 and 99 of 200
+
+
+def test_critical_values_match_sweep_on_the_emptiness_smoke_corpus():
+    # the corpus of test_generic_emptiness_smoke, drawn the same way
+    rng = random.Random(43)
+    polys = []
+    while len(polys) < 40:
+        terms = {e: F5.element(rng.randrange(5)) for e in monomials_upto(2, 3)}
+        F = MPoly(F5, 2, {e: c for e, c in terms.items() if c})
+        if not F.is_zero() and F.degree() == 3 and is_indecomposable_multi(F):
+            polys.append(F)
+    critical, nonempty = _assert_paths_agree(polys)
+    assert critical >= 30 and nonempty >= 5  # 37 and 9 of 40
+
+
+def test_critical_values_match_sweep_on_sparse_cubics_and_quartics():
+    # half of the inputs keep each monomial with probability 0.4; quartics
+    # over F_5 are left out, their sweep alone would test 780 orbits
+    rng = random.Random("spectrum-paths")
+    fields = [finite_field(2), F3, finite_field(2, 2), F5]
+    polys = []
+    while len(polys) < 50:
+        field = rng.choice(fields)
+        d = 3 if field is F5 else rng.choice([3, 4])
+        sparse = rng.random() < 0.5
+        terms = {e: field.element(rng.randrange(field.q)) for e in monomials_upto(2, d)
+                 if not sparse or rng.random() < 0.4}
+        P = MPoly(field, 2, {e: c for e, c in terms.items() if c != field.zero})
+        if not P.is_zero() and P.degree() == d and is_indecomposable_multi(P):
+            polys.append(P)
+    critical, nonempty = _assert_paths_agree(polys)
+    assert critical >= 30 and nonempty >= 15  # 37 and 22 of 50, 19 of them quartics
+
+
+def test_critical_values_fallbacks_one_per_reason():
+    F4 = finite_field(2, 2)
+    # closure singular at infinity at (1:0:0): the components y = 0 and
+    # x*y + 1 = 0 of F - 0 meet only there, so 0 is no critical value
+    sing = parse_poly("x*y^2 + y", F3)
+    assert not spectrum._smooth_at_infinity(sing)
+    assert spectrum._critical_polynomial(sing) == [F3.one]
+    # F_x = F_y = x^2 in characteristic 2: a shared component, and free of
+    # y, so res_y(F_x, F_y) = 1 would miss the spectral value 1
+    shared = parse_poly("x^3 + x^2*y + y^2", F4)
+    assert spectrum._smooth_at_infinity(shared)
+    assert not primitive_gcd(shared.derivative(0), shared.derivative(1), 1).is_constant()
+    assert spectrum._critical_polynomial(shared) is None
+    # xy(x + y) - 0 holds a line in every direction over F_2, so E = 0 in
+    # both variable orders and under every shear
+    vanishing = parse_poly("x^2*y + x*y^2", finite_field(2))
+    assert spectrum._smooth_at_infinity(vanishing)
+    assert primitive_gcd(vanishing.derivative(0), vanishing.derivative(1), 1).is_constant()
+    assert spectrum._critical_polynomial(vanishing) is None
+    reports = [spectral_values(F).to_json_dict() for F in (sing, shared, vanishing)]
+    assert [[(o["representative"], o["multiplicity"]) for o in r["orbits"]] for r in reports] \
+        == [[("0", 1)], [("1", 1)], [("0", 2)]]
+    assert _assert_paths_agree([sing, shared, vanishing]) == (0, 3)
+
+
+def test_critical_values_survive_a_vanishing_first_elimination():
+    # the y-leading coefficients of F - l and F_y vanish together at x = 0
+    # and res_y(F_x, F_y) has the root 0, so E = 0 for this variable order;
+    # the swapped order gives a nonzero E
+    F = parse_poly("x^3 + 4*x^2*y + 3*x*y^2 + 2*x + 4", F5)
+    Fx, Fy = F.derivative(0), F.derivative(1)
+    assert resultant(Fx, Fy, 1).constant_term() == F5.zero
+    A = resultant(F.lift_vars(3) - MPoly.variable(F5, 3, 2), Fy.lift_vars(3), 1)
+    assert all(e[0] > 0 for e in A.terms)  # A(0, l) = 0 for every l
+    assert spectrum._smooth_at_infinity(F)
+    assert spectrum._critical_polynomial(F) is not None
+    assert _assert_paths_agree([F]) == (1, 1)
