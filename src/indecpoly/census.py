@@ -269,13 +269,12 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
 def _scan_uni(field, d, lo, hi, guard):
     q = field.q
     splits = [r for r in divisors(d) if r >= 2 and d // r >= 2]
-    elems = field.elements()
     dec = ind = 0
     it = itertools.product(range(q), repeat=d + 1)
     for digits in itertools.islice(it, lo, hi):
         if digits[0] == 0:  # digits are (lead, ..., const)
             continue
-        f = [elems[c] for c in reversed(digits)]
+        f = list(reversed(digits))
         for r in splits:
             if decompose_uni_dense(field, f, r, guard) is not None:
                 dec += 1
@@ -290,13 +289,12 @@ def _scan_multi(field, n, d, lo, hi, guard):
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
     splits = [e for e in divisors(d) if e >= 2]
-    elems = field.elements()
     dec = ind = 0
     it = itertools.product(range(q), repeat=len(monos))
     for digits in itertools.islice(it, lo, hi):
         if not any(digits[:ntop]):
             continue
-        P = MPoly(field, n, {e: elems[c] for e, c in zip(monos, digits) if c})
+        P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
         for e in splits:
             if decompose_multi(P, e, guard) is not None:
                 dec += 1

@@ -122,7 +122,7 @@ def uni_factor(field, f):
         for h, d in _distinct_degree(field, g):
             for piece in unipoly.equal_degree_split(field, h, d):
                 factors.append((tuple(piece), m))
-    factors.sort(key=lambda t: (len(t[0]), tuple(map(field.index, t[0]))))
+    factors.sort(key=lambda t: (len(t[0]), t[0]))
     return unit, factors
 
 
@@ -130,7 +130,7 @@ def uni_roots(field, f):
     """Roots in the coefficient field, sorted by element index, no repeats."""
     _, factors = uni_factor(field, f)
     roots = [field.neg(g[0]) for g, _ in factors if len(g) == 2]
-    return sorted(set(roots), key=field.index)
+    return sorted(set(roots))
 
 
 def squarefree_part(field, f):
@@ -189,11 +189,10 @@ class Factorization:
         return sum(m for _, m in self.factors)
 
 
-def _sorted_factors(field, factors):
+def _sorted_factors(factors):
     def keyfn(item):
         g, m = item
-        terms = tuple(sorted(((e, field.index(c)) for e, c in g.terms.items())))
-        return (g.degree(), len(g.terms), terms, m)
+        return (g.degree(), len(g.terms), sorted(g.terms.items()), m)
 
     return sorted(factors, key=keyfn)
 
@@ -291,8 +290,7 @@ def _shear_options(field, F: MPoly):
     top = F.leading_form()
     for transposed in (False, True):
         T = top.swap_vars(0, 1) if transposed else top
-        for i in range(field.q):
-            c = field.element(i)
+        for c in range(field.q):
             # coefficient of y^D after x -> x + c*y is top(c, 1)
             if T.evaluate([c, field.one]) != field.zero:
                 yield transposed, c
@@ -385,10 +383,9 @@ def _multilift(field, T_rows, locals_, K):
 
 
 def _squarefree_fibres(field, rows, count):
-    """(x0, fibre) for each x0 = field.element(i), i < min(q, count), at which
+    """(x0, fibre) for each element x0 < min(q, count) at which
     the fibre y -> F(x0, y) of the y-major rows is nonconstant and squarefree."""
-    for i in range(min(field.q, count)):
-        x0 = field.element(i)
+    for x0 in range(min(field.q, count)):
         fib = unipoly.normalize(field, [unipoly.evaluate(field, r, x0) for r in rows])
         if unipoly.degree(fib) < 1:
             continue
@@ -553,7 +550,7 @@ def bivar_factor(F: MPoly, method="auto", guard=DEFAULT_GUARD) -> Factorization:
     if method not in ("auto", "search", "lift"):
         raise ValueError(f"unknown method {method!r}")
     factors = _factor_rec(F, method, guard)
-    factors = _sorted_factors(field, factors)
+    factors = _sorted_factors(factors)
     prod = MPoly.const(field, 2, field.one)
     for g, m in factors:
         prod = prod * g ** m
@@ -614,7 +611,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
             emb = embedding(curfield, E)
             fac = _factor_rec(cur.map_coeffs(emb, E), "auto", guard)
             if sum(m for _, m in fac) > 1:
-                fac = _sorted_factors(E, fac)
+                fac = _sorted_factors(fac)
                 cur = fac[0][0]
                 curfield = E
                 r_total *= ell

@@ -1,16 +1,17 @@
 """Exact coefficient domains: finite fields F_{p^k}, rationals, integers.
 
-Field elements are plain data so they stay hashable and cheap in hot loops:
-prime-field elements are ints in range(p); extension elements are length-k
-tuples (a0, ..., a_{k-1}) meaning a0 + a1*t + ... relative to the field's
-modulus. All arithmetic goes through the owning field object.
+Field elements are plain ints in range(q), hashable and cheap in hot loops:
+the base-p digits a0, a1, ... of an element (a0 least significant) are the
+coefficients of a0 + a1*t + ... relative to the field's modulus.  So an
+element is its own index.  All arithmetic goes through the owning field.
 
 Extension moduli are chosen deterministically: the first monic irreducible
 of degree k when candidates t^k + a_{k-1} t^{k-1} + ... + a_0 are ordered by
-the tuple (a_{k-1}, ..., a_0). Fields of size up to ZECH_LIMIT build
-discrete-log tables on demand, at their first multiplication, inversion or
-power, which makes multiplicative work O(1); a field that is only named or
-used for addition never builds them.
+the tuple (a_{k-1}, ..., a_0). In characteristic 2 addition is XOR. Fields
+of size up to ZECH_LIMIT build exp, log and (odd p) Zech tables on demand,
+at their first multiplication, inversion or power, which makes those and
+odd-p addition O(1); a field that is only named or used for addition never
+builds them, and adds digit by digit.
 
 An embedding F_{p^k} -> F_{p^K} (k dividing K) sends t to the smallest root
 of the source modulus in the target; projection back is the inverse table
@@ -37,7 +38,8 @@ class GuardExceeded(RuntimeError):
 
 
 class FiniteField:
-    """Common interface of prime and extension fields (see subclasses)."""
+    """Common interface of prime and extension fields (see subclasses).
+    Elements are the ints in range(q); each is its own index."""
 
     is_finite = True
     is_field = True
@@ -48,9 +50,20 @@ class FiniteField:
     def key(self):
         return ("gf", self.p, self.k)
 
+    def from_int(self, n):
+        return n % self.p
+
+    def element(self, i):
+        if not 0 <= i < self.q:
+            raise ValueError("element index out of range")
+        return i
+
+    def index(self, a):
+        return a
+
     def elements(self):
         """Every element, in index order."""
-        return [self.element(i) for i in range(self.q)]
+        return list(range(self.q))
 
     def exact_div(self, a, b):
         return self.div(a, b)
@@ -64,24 +77,10 @@ class PrimeField(FiniteField):
     def __init__(self, p):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
+        self.p = self.q = self.char = p
         self.k = 1
-        self.q = p
-        self.char = p
-        self.zero = 0
-        self.one = 1
+        self.zero, self.one = 0, 1  # instance attributes: the fastest lookup
         self.modulus = None
-
-    def from_int(self, n):
-        return n % self.p
-
-    def element(self, i):
-        if not 0 <= i < self.p:
-            raise ValueError("element index out of range")
-        return i
-
-    def index(self, a):
-        return a
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -118,82 +117,86 @@ class ExtensionField(FiniteField):
             raise ValueError(f"{p} is not prime")
         if k < 2:
             raise ValueError("extension degree must be at least 2")
-        self.p = p
+        self.p = self.char = p
         self.k = k
         self.q = p ** k
-        self.char = p
+        self.zero, self.one = 0, 1
         self.base = prime_field(p)
         self.modulus = _default_modulus(self.base, k)
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        self._exp = None  # Zech tables, built by the first mul, inv or pow
-        self._log = None  # when q <= ZECH_LIMIT (see _zech_log)
+        # built by the first mul, inv or pow when q <= ZECH_LIMIT (_zech_log)
+        self._exp = self._log = self._zech = None
 
-    # -- representation helpers -------------------------------------------
-    def from_int(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
+    # -- digits: a0 + a1*t + ... is a0 + a1*p + ... ------------------------
+    def _digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.k)]
 
-    def element(self, i):
-        if not 0 <= i < self.q:
-            raise ValueError("element index out of range")
-        digits = []
-        for _ in range(self.k):
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
-
-    def index(self, a):
+    def _number(self, digits):
         out = 0
-        for c in reversed(a):
+        for c in reversed(digits):
             out = out * self.p + c
         return out
 
+    def _digitwise(self, a, b, s):
+        """a + s*b digit by digit (s = 1 or -1): odd-p addition without tables."""
+        p = self.p
+        return self._number([(x + s * y) % p for x, y in zip(self._digits(a), self._digits(b))])
+
     # -- arithmetic --------------------------------------------------------
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.p == 2:
+            return a ^ b
+        if self._zech is None:
+            return self._digitwise(a, b, 1)
+        return self._add_power(a, self._log[b]) if b else a
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self.p == 2:
+            return a ^ b
+        if self._zech is None:
+            return self._digitwise(a, b, -1)
+        # -b = g^(log b + (q - 1)/2)
+        return self._add_power(a, self._log[b] + (self.q >> 1)) if b else a
 
     def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        if self.p == 2 or not a:
+            return a
+        if self._zech is None:
+            return self._digitwise(0, a, -1)
+        return self._exp[(self._log[a] + (self.q >> 1)) % (self.q - 1)]
+
+    def _add_power(self, a, n):
+        """a + g^n through the Zech table: g^la + g^n = g^(la + Z(n - la))."""
+        exp, m = self._exp, self.q - 1
+        if not a:
+            return exp[n % m]
+        la = self._log[a]
+        z = self._zech[(n - la) % m]
+        return 0 if z is None else exp[(la + z) % m]
 
     def _mul_basic(self, a, b):
         base = self.base
-        prod = unipoly.mul(base, list(a), list(b))
-        rem = unipoly.mod(base, prod, list(self.modulus))
-        rem += [0] * (self.k - len(rem))
-        return tuple(rem)
+        prod = unipoly.mul(base, self._digits(a), self._digits(b))
+        return self._number(unipoly.mod(base, prod, list(self.modulus)))
 
     def mul(self, a, b):
+        if not a or not b:
+            return 0
         log = self._log or self._zech_log()
         if log is None:
             return self._mul_basic(a, b)
-        la = log.get(a)
-        if la is None:
-            return self.zero
-        lb = log.get(b)
-        if lb is None:
-            return self.zero
-        return self._exp[(la + lb) % (self.q - 1)]
+        return self._exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
         log = self._log or self._zech_log()
         if log is not None:
             return self._exp[-log[a] % (self.q - 1)]
-        g, s, _ = unipoly.xgcd(
-            self.base, unipoly.normalize(self.base, list(a)), list(self.modulus)
-        )
+        base = self.base
+        g, s, _ = unipoly.xgcd(base, unipoly.normalize(base, self._digits(a)), list(self.modulus))
         if unipoly.degree(g) != 0:
             raise ZeroDivisionError("element not invertible")
-        s = unipoly.scale(self.base, s, self.base.inv(g[0]))
-        s += [0] * (self.k - len(s))
-        return tuple(s[: self.k])
+        return self._number(unipoly.scale(base, s, base.inv(g[0])))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -203,13 +206,10 @@ class ExtensionField(FiniteField):
             a, n = self.inv(a), -n
         log = self._log or self._zech_log()
         if log is not None:
-            if a == self.zero:
-                if n == 0:
-                    return self.one
-                return self.zero
+            if not a:
+                return 0 if n else 1
             return self._exp[(log[a] * n) % (self.q - 1)]
-        out = self.one
-        base = a
+        out, base = 1, a
         while n:
             if n & 1:
                 out = self._mul_basic(out, base)
@@ -219,9 +219,10 @@ class ExtensionField(FiniteField):
         return out
 
     def format_element(self, a):
+        digits = self._digits(a)
         terms = []
         for i in range(self.k - 1, -1, -1):
-            c = a[i]
+            c = digits[i]
             if c == 0:
                 continue
             if i == 0:
@@ -233,29 +234,34 @@ class ExtensionField(FiniteField):
 
     # -- Zech tables -------------------------------------------------------
     def _zech_log(self):
-        """The log table, built with the exp table on first use; None when
-        q > ZECH_LIMIT.  The exp table is the power walk of the first element
-        of order q - 1 (by index, from 2).  It multiplies only through
-        _mul_basic, so the arithmetic that calls it is not re-entered."""
+        """The log table, built with the exp table and, for odd p, the Zech
+        table on first use; None when q > ZECH_LIMIT.  The exp table is the
+        power walk of the first element of order q - 1 (by index, from 2).
+        It multiplies only through unipoly over the prime field, so the
+        arithmetic that calls it is not re-entered."""
         if self._log is None and self.q <= ZECH_LIMIT:
-            for i in range(2, self.q):
-                g = self.element(i)
-                exp = [self.one, g]
-                while exp[-1] != self.one:
-                    exp.append(self._mul_basic(exp[-1], g))
-                if len(exp) == self.q:  # g has order q - 1
+            base, m = self.base, list(self.modulus)
+            for g in range(2, self.q):
+                gd, power, exp = self._digits(g), [1], [1]
+                while True:  # the powers of g, as digit lists
+                    power = unipoly.mod(base, unipoly.mul(base, power, gd), m)
+                    if power == [1]:
+                        break
+                    exp.append(self._number(power))
+                if len(exp) == self.q - 1:  # g has order q - 1
                     break
-            self._exp = exp[:-1]
-            self._log = {a: i for i, a in enumerate(self._exp)}
+            log = {a: n for n, a in enumerate(exp)}
+            if self.p != 2:
+                # Z(n) = log(1 + g^n); adding 1 changes only the digit a0, and
+                # Z((q - 1)/2) is None since 1 + g^((q - 1)/2) = 0
+                p = self.p
+                self._zech = [log.get(a - a % p + (a + 1) % p) for a in exp]
+            self._exp, self._log = exp, log
         return self._log
 
 
 def prime_field(p) -> PrimeField:
-    f = _FIELD_CACHE.get((p, 1))
-    if f is None:
-        f = PrimeField(p)
-        _FIELD_CACHE[(p, 1)] = f
-    return f
+    return finite_field(p, 1)
 
 
 def finite_field(p, k=1) -> FiniteField:
@@ -268,11 +274,7 @@ def finite_field(p, k=1) -> FiniteField:
         raise ValueError("extension degree must be at least 1")
     f = _FIELD_CACHE.get((p, k))
     if f is None:
-        if k == 1:
-            f = PrimeField(p)
-        else:
-            f = ExtensionField(p, k)
-        _FIELD_CACHE[(p, k)] = f
+        f = _FIELD_CACHE[(p, k)] = PrimeField(p) if k == 1 else ExtensionField(p, k)
     return f
 
 
@@ -304,9 +306,9 @@ _EMBED_CACHE: dict[tuple, object] = {}
 def _subfield_root(dst, coeffs):
     """Deterministic smallest root in dst of a squarefree polynomial with
     prime-subfield coefficients that splits completely in dst."""
-    f = unipoly.monic(dst, unipoly.normalize(dst, [dst.from_int(c) for c in coeffs]))
+    f = unipoly.monic(dst, unipoly.normalize(dst, list(coeffs)))
     roots = (dst.neg(g[0]) for g in unipoly.equal_degree_split(dst, f, 1))
-    return min(roots, key=dst.index)
+    return min(roots)
 
 
 def embedding(src: FiniteField, dst: FiniteField):
@@ -317,21 +319,18 @@ def embedding(src: FiniteField, dst: FiniteField):
     fn = _EMBED_CACHE.get(key)
     if fn is not None:
         return fn
-    if src.k == 1:
-        fn = dst.from_int
-    elif src.k == dst.k:
+    if src.k == 1 or src.k == dst.k:
+        # residues mod p are the same ints in every F_{p^K}
         fn = lambda a: a  # noqa: E731 - identity on the shared representation
     else:
         root = _subfield_root(dst, src.modulus)
-        powers = [dst.one]
-        for _ in range(src.k - 1):
-            powers.append(dst.mul(powers[-1], root))
+        powers = [dst.pow(root, i) for i in range(src.k)]
 
-        def fn(a, _powers=powers, _dst=dst):
-            acc = _dst.zero
-            for c, w in zip(a, _powers):
+        def fn(a, _powers=powers, _dst=dst, _digits=src._digits):
+            acc = 0
+            for c, w in zip(_digits(a), _powers):
                 if c:
-                    acc = _dst.add(acc, _dst.mul(_dst.from_int(c), w))
+                    acc = _dst.add(acc, _dst.mul(c, w))
             return acc
 
     _EMBED_CACHE[key] = fn

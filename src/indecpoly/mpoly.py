@@ -5,7 +5,8 @@ variable count and the owning domain. The monomial order used everywhere
 (leading terms, canonical printing, divisor enumeration) is graded
 lexicographic: higher total degree wins, ties break lexicographically on the
 exponent tuple with the first variable strongest. Values are immutable by
-convention; every operation returns a fresh polynomial.
+convention; every operation returns a fresh polynomial. An int coefficient
+over F_q is the element with that index (see fields), never reduced mod p.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ class MPoly:
         clean = {}
         if terms:
             z = dom.zero
+            q = dom.q if dom.is_finite else None
             for e, c in terms.items():
-                if type(c) is int:
-                    c = dom.from_int(c)  # convenience for literal coefficients
+                if type(c) is int:  # a literal: over F_q the element itself
+                    if q is None:
+                        c = dom.from_int(c)
+                    elif not 0 <= c < q:
+                        raise ValueError(f"{c} is not an element of {dom}")
                 if c != z:
                     clean[tuple(e)] = c
         self.terms = clean

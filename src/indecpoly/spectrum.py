@@ -127,8 +127,7 @@ def _sweep(field, top):
     for m in range(1, top + 1):
         K = finite_field(field.p, field.k * m)
         seen = set()
-        for i in range(K.q):
-            lam = K.element(i)
+        for lam in range(K.q):
             if lam in seen:
                 continue
             orbit = frobenius_orbit(lam, lambda a: K.pow(a, q))
@@ -166,7 +165,7 @@ def _report(F: MPoly, candidates, guard) -> SpectralReport:
         mp = minimal_polynomial(lam, K, field)
         m = K.k // field.k
         orbits.append(SpectralOrbit(m, MPoly.from_dense(field, mp, 1), lam, K, nb - 1))
-    orbits.sort(key=lambda o: (o.degree, tuple(map(field.index, o.min_poly.to_dense()))))
+    orbits.sort(key=lambda o: (o.degree, o.min_poly.to_dense()))
     rho = sum(o.degree * o.multiplicity for o in orbits)
     s_poly = MPoly.const(field, 1, field.one)
     for o in orbits:

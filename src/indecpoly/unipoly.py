@@ -226,7 +226,7 @@ def equal_degree_split(field, f: list, d: int) -> list:
             if trial > 10000:  # pragma: no cover
                 raise RuntimeError("equal-degree splitting stalled")
             rng = random.Random(0x5EED + trial)
-            u = normalize(field, [field.element(rng.randrange(q)) for _ in range(degree(g))])
+            u = normalize(field, [rng.randrange(q) for _ in range(degree(g))])
             if degree(u) < 1:
                 continue
             if field.p == 2:

@@ -219,3 +219,35 @@ def test_rational_and_integer_domains():
     assert QQ.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
     assert ZZ.exact_div(6, 3) == 2
     assert ZZ.exact_div(7, 3) is None
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 125])
+def test_zech_addition_matches_digit_addition(monkeypatch, q):
+    # odd p adds digit by digit until the tables exist, through the Zech
+    # table after; both paths must agree on every pair
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})  # a fresh instance
+    F = field_from_order(q)
+    els = F.elements()
+    before = {(a, b): (F.add(a, b), F.sub(a, b), F.neg(b)) for a in els for b in els}
+    assert F._zech is None and F._exp is None
+    F.mul(F.element(F.p), F.element(F.p))
+    assert F._zech is not None
+    for a in els:
+        for b in els:
+            after = (F.add(a, b), F.sub(a, b), F.neg(b))
+            assert after == before[a, b]
+            assert after == (F._digitwise(a, b, 1), F._digitwise(a, b, -1), F._digitwise(0, b, -1))
+            assert F.add(after[1], b) == a and F.add(b, after[2]) == F.zero
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 64])
+def test_characteristic_two_addition_is_digitwise(q):
+    F = field_from_order(q)
+    els = F.elements()
+    for a in els:
+        for b in els:
+            # the sum of the coefficient vectors mod 2, spelled out
+            digits = [(a >> i & 1) ^ (b >> i & 1) for i in range(F.k)]
+            s = sum(c << i for i, c in enumerate(digits))
+            assert F.add(a, b) == F.sub(a, b) == s
+        assert F.neg(a) == a

@@ -175,7 +175,18 @@ def test_integer_literals_coerce_into_extension_fields():
     F4 = finite_field(2, 2)
     P = MPoly(F4, 2, {(1, 1): 1})
     assert P.leading()[1] == F4.one
-    assert MPoly(F4, 2, {(0, 0): 2}).is_zero()  # 2 = 0 in characteristic 2
+    # an int coefficient over a finite field is the element with that index
+    assert MPoly(F4, 2, {(0, 0): 2}).constant_term() == F4.element(2)  # t
+    assert MPoly(F4, 2, {(0, 0): F4.from_int(2)}).is_zero()  # 2 = 0 in characteristic 2
+    for bad in (4, -1):  # never reduced silently
+        with pytest.raises(ValueError):
+            MPoly(F4, 2, {(0, 0): bad})
+    with pytest.raises(ValueError):
+        MPoly(F3, 1, {(0,): 3})
+    # over QQ and ZZ an int still coerces exactly
+    assert MPoly(QQ, 1, {(0,): -3}).constant_term() == Fraction(-3)
+    assert type(MPoly(QQ, 1, {(0,): 2}).constant_term()) is Fraction
+    assert MPoly(ZZ, 1, {(0,): -3}).constant_term() == -3
 
 
 def test_generic_emptiness_smoke():

@@ -13,7 +13,7 @@ sympy = pytest.importorskip("sympy")
 from indecpoly import unipoly  # noqa: E402
 from indecpoly.decompose import compose, decompose_uni, is_indecomposable_uni  # noqa: E402
 from indecpoly.factoring import uni_factor  # noqa: E402
-from indecpoly.fields import QQ, ZZ, finite_field  # noqa: E402
+from indecpoly.fields import QQ, ZECH_LIMIT, ZZ, finite_field  # noqa: E402
 from indecpoly.mpoly import MPoly  # noqa: E402
 from indecpoly.resultants import discriminant, resultant  # noqa: E402
 
@@ -120,3 +120,40 @@ def test_is_indecomposable_uni_matches_sympy_decompose_over_qq():
             continue
         agreed[ours] += 1
     assert agreed[True] >= 5 and agreed[False] >= 5
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 5), (5, 3), (7, 6)])
+def test_extension_arithmetic_matches_galoistools(p, k):
+    # elements as digit lists, highest first, are sympy's dense polynomials
+    # over F_p; arithmetic is modulo the field's modulus
+    from sympy.polys import galoistools as gt
+    from sympy.polys.domains import ZZ as SZZ
+
+    F = finite_field(p, k)
+    assert (F.q > ZECH_LIMIT) == ((p, k) == (7, 6))  # one field without tables
+    m = [int(c) for c in reversed(F.modulus)]
+    assert gt.gf_irreducible_p(m, p, SZZ)
+
+    def poly(a):
+        return gt.gf_strip([a // p ** i % p for i in reversed(range(k))])
+
+    def element(f):
+        out = 0
+        for c in f:
+            out = out * p + int(c)
+        return out
+
+    rng = random.Random(f"galoistools:{p}^{k}")
+    for _ in range(150):
+        a, b = rng.randrange(F.q), rng.randrange(1, F.q)
+        n = rng.randrange(-F.q, 2 * F.q)
+        fa, fb = poly(a), poly(b)
+        assert F.add(a, b) == element(gt.gf_add(fa, fb, p, SZZ))
+        assert F.sub(a, b) == element(gt.gf_sub(fa, fb, p, SZZ))
+        assert F.neg(a) == element(gt.gf_neg(fa, p, SZZ))
+        assert F.mul(a, b) == element(gt.gf_rem(gt.gf_mul(fa, fb, p, SZZ), m, p, SZZ))
+        inv, _, g = gt.gf_gcdex(fb, m, p, SZZ)  # inv*b + _*m = g = 1
+        assert g == [1]
+        assert F.inv(b) == element(inv)
+        assert F.pow(b, n) == element(gt.gf_pow_mod(fb if n >= 0 else inv, abs(n), m, p, SZZ))
+        assert F.pow(a, abs(n)) == element(gt.gf_pow_mod(fa, abs(n), m, p, SZZ))
