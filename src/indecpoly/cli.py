@@ -197,7 +197,7 @@ def cmd_bd_lemma(args):
     return {"d_max": args.dmax, "holds": census_mod.bd_lemma_check(args.dmax)}
 
 
-def build_parser():
+def build_parser(guard):
     top = argparse.ArgumentParser(
         prog=PROG,
         description="indecomposable polynomials over finite fields: spectra, "
@@ -205,7 +205,6 @@ def build_parser():
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
-    guard = int(os.environ.get("SPEC_GUARD") or DEFAULT_GUARD)
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -259,8 +258,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    env = os.environ.get("SPEC_GUARD") or str(DEFAULT_GUARD)
+    try:
+        guard = int(env)
+    except ValueError:
+        print(f"error: SPEC_GUARD must be an integer, not {env!r}", file=sys.stderr)
+        return 2
+    args = build_parser(guard).parse_args(argv)
     try:
         payload = args.fn(args)
     except (ParseError, SpectrumUnbounded, GuardExceeded, ValueError,

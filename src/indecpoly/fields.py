@@ -236,20 +236,18 @@ class ExtensionField(FiniteField):
     def _zech_log(self):
         """The log table, built with the exp table and, for odd p, the Zech
         table on first use; None when q > ZECH_LIMIT.  The exp table is the
-        power walk of the first element of order q - 1 (by index, from 2).
+        power walk of the first element of order q - 1 (by index, from 2),
+        found by testing g^((q - 1)/r) != 1 for each prime r dividing q - 1.
         It multiplies only through unipoly over the prime field, so the
         arithmetic that calls it is not re-entered."""
         if self._log is None and self.q <= ZECH_LIMIT:
-            base, m = self.base, list(self.modulus)
-            for g in range(2, self.q):
-                gd, power, exp = self._digits(g), [1], [1]
-                while True:  # the powers of g, as digit lists
-                    power = unipoly.mod(base, unipoly.mul(base, power, gd), m)
-                    if power == [1]:
-                        break
-                    exp.append(self._number(power))
-                if len(exp) == self.q - 1:  # g has order q - 1
-                    break
+            base, m, q1 = self.base, list(self.modulus), self.q - 1
+            gd = next(gd for gd in map(self._digits, range(2, self.q))
+                      if all(unipoly.pow_mod(base, gd, q1 // r, m) != [1] for r in factorint(q1)))
+            power, exp = gd, [1]
+            while power != [1]:  # the powers of g, as digit lists
+                exp.append(self._number(power))
+                power = unipoly.mod(base, unipoly.mul(base, power, gd), m)
             log = {a: n for n, a in enumerate(exp)}
             if self.p != 2:
                 # Z(n) = log(1 + g^n); adding 1 changes only the digit a0, and

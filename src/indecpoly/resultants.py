@@ -1,8 +1,12 @@
 """Resultants, discriminants and gcds by fraction-free elimination.
 
-Entries of the Sylvester matrix are polynomials in the remaining variables,
-so Bareiss elimination (whose interior divisions are exact over any integral
-domain) keeps everything in ZZ/QQ/F_q without fractions.
+Entries of the Sylvester matrix (and of the multiplication matrix in
+`norm_mod`) are polynomials in the remaining variables.  One kernel takes
+every determinant: it packs those variables into a single one by Kronecker
+substitution, with strides that no minor of the matrix can reach, and runs
+Bareiss elimination on the dense coefficient lists.  Its interior divisions
+are exact over any integral domain, so everything stays in ZZ/QQ/F_q without
+fractions, and the determinant unpacks term by term.
 
 The gcd of two polynomials in two variables is taken in D[x_var], with D the
 polynomials in the other variable, by a primitive pseudo-remainder sequence:
@@ -21,7 +25,7 @@ with the empty-product convention disc = 1 for d = 1.
 
 from __future__ import annotations
 
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 from . import unipoly
 from .mpoly import MPoly
@@ -40,34 +44,61 @@ def coeff_list(f: MPoly, var) -> list[MPoly]:
 
 
 def _det_bareiss(rows):
-    """Determinant of a square matrix of MPoly entries (fraction-free)."""
+    """Determinant of a square matrix of MPoly entries, by Bareiss elimination
+    on Kronecker-packed dense images.
+
+    Every variable the entries use is packed into one variable t: variable v
+    gets the stride 1 + (sum over rows of the row's largest deg_v), the first
+    used variable is the lowest digit of the mixed radix.  Packing is a ring
+    homomorphism into R[t], so the Bareiss quotients, exact in the integral
+    domain R[t], are the images of the quotients over R[x, ...].  Each of
+    them is a minor, taking one entry from each of its rows, so its deg_v
+    stays below the stride of v and it unpacks without overlap; the products
+    inside a step may overflow a stride, which does no harm.
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    dom = rows[0][0].dom
-    nvars = rows[0][0].n
-    one = MPoly.const(dom, nvars, dom.one)
-    a = [list(r) for r in rows]
+    dom, nvars = rows[0][0].dom, rows[0][0].n
+    used = [v for v in range(nvars) if any(f.deg_in(v) > 0 for r in rows for f in r)]
+    strides = [1 + sum(max(0, *(f.deg_in(v) for f in r)) for r in rows) for v in used]
+    radix = [prod(strides[:i]) for i in range(len(used))]
+    size = prod(strides)
+
+    def pack(f):
+        out = [dom.zero] * size
+        for e, c in f.terms.items():
+            out[sum(e[v] * r for v, r in zip(used, radix))] = c
+        return unipoly.normalize(dom, out)
+
+    a = [[pack(f) for f in r] for r in rows]
     sign = 1
-    prev = one
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
                 return MPoly(dom, nvars)
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        akk, ak = a[k][k], a[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q = num.exact_div(prev)
-                if q is None:  # pragma: no cover - Bareiss divisions are exact
+                num = unipoly.sub(dom, unipoly.mul(dom, akk, ai[j]), unipoly.mul(dom, aik, ak[j]))
+                q = unipoly.exact_quo(dom, num, prev) if k else num  # the first divisor is 1
+                if q is None or len(q) > size:  # pragma: no cover - minors are exact
                     raise ArithmeticError("inexact Bareiss division")
-                a[i][j] = q
-            a[i][k] = MPoly(dom, nvars)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+                ai[j] = q
+        prev = akk
+    terms = {}
+    for t, c in enumerate(a[n - 1][n - 1]):
+        if c != dom.zero:
+            e = [0] * nvars
+            for v, s in zip(used, strides):
+                t, e[v] = divmod(t, s)
+            terms[tuple(e)] = c if sign > 0 else dom.neg(c)
+    return MPoly(dom, nvars, terms)
 
 
 def resultant(f: MPoly, g: MPoly, var) -> MPoly:
@@ -107,7 +138,8 @@ def norm_mod(A: MPoly, b: list, var) -> MPoly:
     domain elements: the product of A(beta) over the roots beta of b, taken
     as the determinant of multiplication by A on D[x_var]/(b), D the
     polynomials in the other variables.  The matrix has size deg b, against
-    deg b + deg_var A for the Sylvester matrix."""
+    deg b + deg_var A for the Sylvester matrix; its determinant is Bareiss
+    elimination on the Kronecker-packed dense images of the entries."""
     dom, n = A.dom, A.n
     e = len(b) - 1
     if e == 0:

@@ -112,6 +112,30 @@ def divmod_poly(dom, a: list, b: list):
     return normalize(dom, quot), normalize(dom, rem)
 
 
+def exact_quo(dom, a: list, b: list):
+    """a / b when b divides a exactly, else None.  Leading coefficients are
+    divided with dom.exact_div, so this works over ZZ as well as fields."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = len(b) - 1
+    terms = [(j - db, c) for j, c in enumerate(b) if c != dom.zero]
+    rem = list(a)
+    quot = [dom.zero] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c == dom.zero:
+            continue
+        q = dom.exact_div(c, b[-1])
+        if q is None:
+            return None
+        quot[i - db] = q
+        for j, bj in terms:
+            rem[i + j] = dom.sub(rem[i + j], dom.mul(q, bj))
+    if any(c != dom.zero for c in rem[:db]):
+        return None
+    return normalize(dom, quot)
+
+
 def mod(dom, a: list, b: list) -> list:
     return divmod_poly(dom, a, b)[1]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.resultants import discriminant, norm_mod, primitive_gcd, resultant
+from indecpoly.resultants import _det_bareiss, discriminant, norm_mod, primitive_gcd, resultant
 
 
 def rand_dense(rng, field, d):
@@ -126,6 +126,83 @@ def test_norm_mod_equals_the_sylvester_resultant():
                 continue
             want = resultant(MPoly.from_dense(field, b, 2, 0), A, 0)
             assert norm_mod(A, b, 0) == want
+
+
+def _laplace(m, dom, n):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return MPoly.const(dom, n, dom.one)
+    total = MPoly(dom, n)
+    for j, c in enumerate(m[0]):
+        if not c.is_zero():
+            term = c * _laplace([r[:j] + r[j + 1:] for r in m[1:]], dom, n)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, finite_field(5), finite_field(2, 2)], ids=repr)
+def test_det_bareiss_matches_laplace_expansion(dom):
+    # entries in three variables of which 0, 1 or 2 occur; zero pivots force
+    # row swaps at the first and second step, and some matrices are singular
+    rng = random.Random(f"det:{dom!r}")
+
+    def coeff():
+        if dom is ZZ:
+            return rng.randrange(-3, 4)
+        if dom is QQ:
+            return Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 3]))
+        return rng.randrange(dom.q)
+
+    swaps = singular = 0
+    for _ in range(60):
+        size = rng.randrange(1, 6)
+        used = rng.sample(range(3), rng.randrange(3))
+
+        def entry():
+            if rng.random() < 0.25:
+                return MPoly(dom, 3)
+            terms = {}
+            for _t in range(rng.randrange(1, 4)):
+                e = [0, 0, 0]
+                for v in used:
+                    e[v] = rng.randrange(3)
+                terms[tuple(e)] = coeff()
+            return MPoly(dom, 3, terms)
+
+        m = [[entry() for _ in range(size)] for _ in range(size)]
+        kind = rng.randrange(4)
+        if kind == 1 and size >= 2:  # zero pivot at the first step
+            m[0][0] = MPoly(dom, 3)
+            swaps += 1
+        elif kind == 2 and size >= 3:  # zero pivot at the second step
+            c = entry()
+            m[1][:2] = [m[0][0] * c, m[0][1] * c]
+            swaps += 1
+        elif kind == 3 and size >= 2:  # a row that depends on the others
+            c = entry()
+            m[-1] = [a * c + b for a, b in zip(m[0], m[1])] if size >= 3 else [a * c for a in m[0]]
+        det = _det_bareiss(m)
+        assert det == _laplace(m, dom, 3)
+        singular += det.is_zero()
+    assert swaps >= 10 and singular >= 5
+
+
+@pytest.mark.parametrize("dom", [ZZ, finite_field(2, 2)], ids=repr)
+def test_det_bareiss_reaches_the_top_of_every_stride(dom):
+    # a diagonal matrix: deg_v of the determinant is the sum of the rows'
+    # largest deg_v, one less than the stride of v, so the top coefficient
+    # of the packed image is the last one
+    degs = [(2, 1), (0, 3), (1, 0), (3, 2)]
+    one = MPoly.const(dom, 2, dom.one)
+    diag = [MPoly(dom, 2, {(a, b): 1, (a, 0): 1, (0, 0): 1}) for a, b in degs]
+    m = [[diag[i] if i == j else MPoly(dom, 2) for j in range(4)] for i in range(4)]
+    det = _det_bareiss(m)
+    want = one
+    for d in diag:
+        want = want * d
+    assert det == want
+    assert det.deg_in(0) == 6 and det.deg_in(1) == 6
+    assert det.coeff((6, 6)) == dom.one
 
 
 def test_discriminant_golden_values():

@@ -176,6 +176,14 @@ def test_cli_guard_env(capsys, monkeypatch):
     assert "guard" in err
 
 
+def test_cli_malformed_guard_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPEC_GUARD", "abc")
+    code, out, err = run_cli(capsys, "indec", "--field", "2", "x^2+y")
+    assert code == 2
+    assert out == ""
+    assert err == "error: SPEC_GUARD must be an integer, not 'abc'\n"
+
+
 def test_report_polynomials_reparse(capsys):
     _, out, _ = run_cli(capsys, "spectrum", "--field", "3", "x*y")
     payload = json.loads(out)

@@ -97,6 +97,24 @@ def test_zech_arithmetic_matches_basic_multiplication(q):
                 assert F._mul_basic(F.pow(a, n), ref[-n]) == F.one
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64, 81, 125, 343])
+def test_zech_generator_is_the_first_primitive_element(monkeypatch, q):
+    # brute force: walk the powers of each candidate with table-free products
+    # until one has order q - 1; the tables must be that element's powers
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})  # a fresh instance
+    F = field_from_order(q)
+    for g in range(2, q):
+        powers = [1]
+        while len(powers) < q and (len(powers) == 1 or powers[-1] != 1):
+            powers.append(F._mul_basic(powers[-1], g))
+        if len(powers) == q and powers[-1] == 1:
+            break
+    F._zech_log()
+    assert F._exp[1] == g
+    assert F._exp == powers[:-1]
+    assert F._log == {a: n for n, a in enumerate(powers[:-1])}
+
+
 def test_fermat_identity_all_small_fields():
     # a^q = a exhaustively through q = 81
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81):

@@ -17,7 +17,7 @@ from indecpoly.fields import QQ, ZECH_LIMIT, ZZ, finite_field  # noqa: E402
 from indecpoly.mpoly import MPoly  # noqa: E402
 from indecpoly.resultants import discriminant, resultant  # noqa: E402
 
-x, y = sympy.symbols("x y")
+x, y, l = sympy.symbols("x y l")
 
 
 def _to_sympy(f: MPoly):
@@ -84,6 +84,51 @@ def test_discriminant_matches_sympy_over_zz():
         got = _to_sympy(discriminant(f, 1))
         want = sympy.discriminant(_to_sympy(f), y)
         assert sympy.expand(got - want) == 0
+
+
+def _expr3(f: MPoly):
+    """f in three variables (x, y, l) as a sympy expression, term by term."""
+    return sum(int(c) * x ** i * y ** j * l ** k for (i, j, k), c in f.terms.items())
+
+
+def test_discriminant_of_f_minus_l_matches_sympy_over_zz():
+    # the y-discriminant of F - l with F in Z[x, y]: the Sylvester entries
+    # use both x and l, as in the first step of the mod-p chain
+    rng = random.Random("discriminant-f-minus-l")
+    for _ in range(15):
+        F3 = _random_zz(rng, rng.randrange(1, 4), rng.randrange(2, 4)).lift_vars(3)
+        got = discriminant(F3 - MPoly.variable(ZZ, 3, 2), 1)
+        want = sympy.discriminant(_expr3(F3) - l, y)
+        assert got.deg_in(0) > 0 and got.deg_in(2) > 0
+        assert sympy.expand(_expr3(got) - want) == 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_resultant_with_two_surviving_variables_matches_sympy_mod_p(p):
+    F = finite_field(p)
+    rng = random.Random(f"resultant-mod-{p}")
+
+    def random_fp():
+        dy = rng.randrange(1, 4)
+        terms = {(i, j, k): rng.randrange(p) for i in range(3) for j in range(dy + 1)
+                 for k in range(2) if rng.random() < 0.4}
+        terms[(rng.randrange(1, 3), dy, 1)] = rng.randrange(1, p)
+        return MPoly(F, 3, terms)
+
+    for _ in range(20):
+        f, g = random_fp(), random_fp()
+        m, k = f.deg_in(1), g.deg_in(1)
+        got = resultant(f, g, 1)
+        assert got.deg_in(0) > 0 and got.deg_in(2) > 0
+        # sympy 1.14 flips the sign of its resultant when its first argument
+        # has the lower degree (see above), so the higher degree goes first
+        a, b = (f, g) if m >= k else (g, f)
+        want = sympy.Poly(_expr3(a), y, x, l, modulus=p).resultant(
+            sympy.Poly(_expr3(b), y, x, l, modulus=p))
+        if m < k and m * k % 2:
+            want = -want
+        assert sympy.Poly(_expr3(got), x, l, modulus=p) == sympy.Poly(want.as_expr(), x, l,
+                                                                      modulus=p)
 
 
 def _random_qq(rng, d):
