@@ -11,12 +11,14 @@ The decomposability conventions differ by arity and both are exposed:
 
 Search strategy per outer degree e with inner degree m = d/e: the top form
 of the inner polynomial is forced (it is the unique monic e-th root of the
-input's top form), lower parts follow by exact form division when e is
-invertible in the field, and in wild characteristic (p | e) the lower parts
-are enumerated under a state-space guard.  One variable uses the classical
-approximate-root computation in the tame case with the same guarded
-enumeration as fallback.  The outer polynomial is recovered by repeated
-division, so a returned pair recomposes to the input by construction.
+input's top form); when e is invertible in the field the lower parts come
+from the same term-by-term recovery as that e-th root, run on the whole
+input until the rest has degree d - m or less, and in wild characteristic
+(p | e) they are enumerated under a state-space guard.  One variable uses
+the classical approximate-root computation in the tame case with the same
+guarded enumeration as fallback.  The outer polynomial is recovered by
+repeated division, so a returned pair recomposes to the input by
+construction.
 """
 
 from __future__ import annotations
@@ -52,17 +54,10 @@ class Decomposition:
 
 
 def compose(u: MPoly, H: MPoly) -> MPoly:
-    """u(H) for univariate u, by Horner over the coefficient list."""
+    """u(H) for univariate u."""
     if u.n != 1:
         raise ValueError("outer polynomial must be univariate")
-    dom = H.dom
-    coeffs = u.to_dense()
-    acc = MPoly(dom, H.n)
-    for c in reversed(coeffs):
-        acc = acc * H
-        if c != dom.zero:
-            acc = acc + MPoly.const(dom, H.n, c)
-    return acc
+    return u.lift_vars(H.n).subst_poly(0, H)
 
 
 def normalize(u: MPoly, H: MPoly) -> Decomposition:
@@ -128,27 +123,32 @@ def poly_eth_root(G: MPoly, e: int):
     z = _coeff_eth_root(dom, lead_c, e)
     if z is None:
         return None
-    root_lead = tuple(k // e for k in lead_e)
-    R = MPoly(dom, G.n, {root_lead: z})
-    # Newton-style term recovery: each correction term is strictly smaller
-    ez = dom.mul(dom.from_int(e), dom.pow(z, e - 1))
-    ez_inv = dom.inv(ez)
-    last_key = glex_key(root_lead)
-    budget = len(G.terms) * e + G.degree() + 8
-    for _ in range(budget):
+    return _extend_root(G, e, MPoly(dom, G.n, {tuple(k // e for k in lead_e): z}), -1)
+
+
+def _extend_root(G: MPoly, e: int, R: MPoly, floor: int):
+    """Extend R term by term while G - R^e has total degree above `floor`
+    (-1: until it is zero), for e invertible in the field; None when a step
+    fails.
+
+    Each new term is the leading term of G - R^e divided by e lead(R)^(e-1),
+    the leading term of what it adds to R^e, and must be a monomial strictly
+    below every term of R.  Glex is a well-order, so the loop stops."""
+    dom = G.dom
+    root_lead, z = R.leading()
+    ez_inv = dom.inv(dom.mul(dom.from_int(e), dom.pow(z, e - 1)))
+    last_key = min(map(glex_key, R.terms))
+    while True:
         rem = G - R ** e
-        if rem.is_zero():
+        if rem.degree() <= floor:
             return R
         re, rc = rem.leading()
         te = tuple(a - (e - 1) * b for a, b in zip(re, root_lead))
-        if any(k < 0 for k in te):
+        key = glex_key(te)
+        if any(k < 0 for k in te) or key >= last_key:
             return None
-        k = glex_key(te)
-        if k >= last_key:
-            return None
-        last_key = k
+        last_key = key
         R = R + MPoly(dom, G.n, {te: dom.mul(rc, ez_inv)})
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -186,30 +186,10 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
     return [c if c is not None else dom.zero for c in u]
 
 
-def _tame_inner(F: MPoly, Hm: MPoly, e: int, m: int, c):
-    """Forced lower homogeneous parts of the inner polynomial (e invertible)."""
-    dom = F.dom
-    W = Hm ** (e - 1)
-    W = W.scale(dom.from_int(e))
-    H = Hm
-    c_inv = dom.inv(c)
-    for j in range(1, m):
-        target = F.homogeneous_part(F.degree() - j).scale(c_inv) - (H ** e).homogeneous_part(
-            F.degree() - j
-        )
-        if target.is_zero():
-            continue
-        part = target.exact_div(W)
-        if part is None or (not part.is_zero() and part.degree() != m - j):
-            return None
-        H = H + part
-    return H
-
-
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None.
 
-    In tame characteristic the inner polynomial is forced degree by degree,
+    In tame characteristic the inner polynomial is forced term by term,
     so the result is the unique one; in wild characteristic (p | e) the
     forced top form is completed by a guarded enumeration of lower parts and
     the canonically first inner polynomial wins.
@@ -229,7 +209,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     p = getattr(dom, "char", 0)
     candidates = []
     if p == 0 or e % p:
-        H = _tame_inner(F, Hm, e, m, c)
+        H = _extend_root(F.scale(dom.inv(c)), e, Hm, d - m)
         if H is None:
             return None
         candidates = [H]

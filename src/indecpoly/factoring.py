@@ -56,7 +56,7 @@ def uni_sqfree(field, f):
     fp = unipoly.derivative(field, f)
     if not fp:
         # f = h(x^p); over a perfect field h's coefficient roots give f = r^p
-        root = _pth_root_dense(field, f)
+        root = _pth_root_mpoly(MPoly.from_dense(field, f, 1)).to_dense()
         for g, m in uni_sqfree(field, root):
             out.append((g, m * field.p))
         return out
@@ -75,18 +75,6 @@ def uni_sqfree(field, f):
         for h, m in uni_sqfree(field, g):
             out.append((h, m))
     return out
-
-
-def _pth_root_dense(field, f):
-    p = field.p
-    out = [field.zero] * (unipoly.degree(f) // p + 1)
-    for i, c in enumerate(f):
-        if c == field.zero:
-            continue
-        if i % p:
-            raise ValueError("not a p-th power")
-        out[i // p] = field.pth_root(c)
-    return unipoly.normalize(field, out)
 
 
 def _distinct_degree(field, f):
@@ -296,26 +284,6 @@ def _shear_options(field, F: MPoly):
                 yield transposed, c
 
 
-def _poly_divmod_y(field, A_rows, B_rows):
-    """Division in (F_q[x])[y] by a divisor monic in y. Rows are x-dense lists."""
-    A = [list(r) for r in A_rows]
-    while A and not A[-1]:
-        A.pop()
-    db = len(B_rows) - 1
-    if db < 0:
-        raise ZeroDivisionError
-    quot = [[] for _ in range(max(len(A) - db, 0))]
-    while len(A) - 1 >= db:
-        da = len(A) - 1
-        c = A[-1]
-        quot[da - db] = c
-        for j in range(db + 1):
-            A[da - db + j] = unipoly.sub(field, A[da - db + j], unipoly.mul(field, c, B_rows[j]))
-        while A and not A[-1]:
-            A.pop()
-    return quot, A
-
-
 def _lift_pair(field, T_rows, g0, h0, K):
     """Hensel-lift T = G*H from (g0, h0) at x=0 to precision x^K.
 
@@ -434,7 +402,7 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
     # subset recombination by trial division
     result = []
     pool = list(range(len(lifted)))
-    cur_rows = T_rows
+    cur = T
     size = 1
     while pool and size <= len(pool):
         hit = False
@@ -442,18 +410,19 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
             cand = [[field.one]]
             for j in subset:
                 cand = _yx_mul(field, cand, lifted[j], K)
-            quot, rem = _poly_divmod_y(field, cur_rows, cand)
-            if any(r for r in rem):
+            P = _from_yx(field, cand)
+            quot = cur.exact_div(P)
+            if quot is None:
                 continue
-            result.append(_from_yx(field, cand))
+            result.append(P)
             pool = [j for j in pool if j not in subset]
-            cur_rows = quot
+            cur = quot
             hit = True
             break
         if not hit:
             size += 1
-    if len(cur_rows) - 1 >= 1:
-        result.append(_from_yx(field, cur_rows))
+    if cur.deg_in(1) >= 1:
+        result.append(cur)
     # undo the x-shift here so callers see factors of Wm
     if x0 != field.zero:
         result = [P.shift_var(0, field.neg(x0)) for P in result]

@@ -85,13 +85,12 @@ def _is_monic_in_y(F: MPoly) -> bool:
     return lead == [((0, dy), 1)]
 
 
-def build_chain(F: MPoly, check_reduction=True) -> CriterionChain:
+def build_chain(F: MPoly) -> CriterionChain:
     """Build the discriminant chain for F in Z[x, y], monic in y.
 
     The rational-closure indecomposability hypothesis is screened by the
-    exact decomposition test over Q; when check_reduction is set, the first
-    good prime up to 50 is also verified directly with the decomposition
-    engine over F_p.
+    exact decomposition test over Q; the first good prime up to 50 is also
+    verified directly with the decomposition engine over F_p.
     """
     if F.dom.key() != ("zz",) or F.n != 2:
         raise ValueError("expected a polynomial with integer coefficients in (x, y)")
@@ -123,12 +122,10 @@ def build_chain(F: MPoly, check_reduction=True) -> CriterionChain:
         raise ValueError("degenerate input: disc_x of the reduced part vanishes")
     delta0 = coeff_list(delta_xl, 0)[-1]
     chain = CriterionChain(F, delta_xl, delta_red, delta_l, delta0)
-    if check_reduction:
-        for p in good_primes(chain, 50):
-            Fp = F.reduce_mod(prime_field(p))
-            if not is_indecomposable_multi(Fp):  # pragma: no cover
-                raise ArithmeticError(f"criterion contradicted at p={p}")
-            break
+    for p in good_primes(chain, 50):
+        if not is_indecomposable_multi(F.reduce_mod(prime_field(p))):  # pragma: no cover
+            raise ArithmeticError(f"criterion contradicted at p={p}")
+        break
     return chain
 
 

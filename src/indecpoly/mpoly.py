@@ -98,8 +98,7 @@ class MPoly:
         """Sum of the monomials of maximal total degree."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading form")
-        d = self.degree()
-        return MPoly(self.dom, self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return self.homogeneous_part(self.degree())
 
     def homogeneous_part(self, d):
         return MPoly(self.dom, self.n, {e: c for e, c in self.terms.items() if sum(e) == d})

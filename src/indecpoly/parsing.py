@@ -52,7 +52,7 @@ def _tokenize(text):
     return out
 
 
-def _var_indices(names, nvars):
+def _var_indices(nvars):
     """Map variable names to slot indices for a fixed arity."""
     if nvars == 1:
         return {"x": 0, "x1": 0}
@@ -166,7 +166,7 @@ def parse_poly(text, dom, nvars=None) -> MPoly:
         names.discard("t")
     if nvars is None:
         nvars = _infer_nvars(names)
-    varmap = _var_indices(names, nvars)
+    varmap = _var_indices(nvars)
     unknown = names - set(varmap)
     if unknown:
         bad = sorted(unknown)[0]

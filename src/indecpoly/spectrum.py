@@ -30,8 +30,9 @@ from fractions import Fraction
 from . import unipoly
 from .arith import is_prime
 from .decompose import is_indecomposable_multi
-from .factoring import (_shear_options, absolutely_irreducible, frobenius_orbit,
-                        minimal_polynomial, n_bar_factors, uni_factor, uni_roots)
+from .factoring import (_shear_options, absolutely_irreducible, bivar_factor,
+                        conjugate_split_count, frobenius_orbit, minimal_polynomial,
+                        uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
 from .resultants import norm_mod, primitive_gcd, resultant
@@ -159,9 +160,11 @@ def _report(F: MPoly, candidates, guard) -> SpectralReport:
         if FK is None:
             FK = lifted[K.k] = F.map_coeffs(embedding(field, K), K)
         G = FK - MPoly.const(K, 2, lam)
-        if absolutely_irreducible(G, guard):
-            continue
-        nb = n_bar_factors(G, guard)
+        fac = bivar_factor(G, guard=guard)
+        counts = [conjugate_split_count(g, guard) for g, _ in fac.factors]
+        if fac.total_multiplicity() == 1 and counts == [1]:
+            continue  # absolutely irreducible
+        nb = sum(counts)
         mp = minimal_polynomial(lam, K, field)
         m = K.k // field.k
         orbits.append(SpectralOrbit(m, MPoly.from_dense(field, mp, 1), lam, K, nb - 1))

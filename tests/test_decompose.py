@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,10 +9,10 @@ import pytest
 from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.decompose import (Decomposition, compose, decompose_multi, decompose_uni,
-                                 decompose_uni_dense, dickson, is_indecomposable_multi,
-                                 is_indecomposable_uni, is_pth_power, iter_normalized_inner,
-                                 normalize, poly_eth_root)
+from indecpoly.decompose import (Decomposition, _extract_outer, compose, decompose_multi,
+                                 decompose_uni, decompose_uni_dense, dickson,
+                                 is_indecomposable_multi, is_indecomposable_uni, is_pth_power,
+                                 iter_normalized_inner, normalize, poly_eth_root)
 
 F2, F3, F5, F7 = finite_field(2), finite_field(3), finite_field(5), finite_field(7)
 
@@ -177,6 +178,89 @@ def test_eth_root_huge_rational_coefficient():
     r = 3 ** 100 + 1
     rx = MPoly(QQ, 1, {(1,): Fraction(r)})
     assert poly_eth_root(rx ** 2, 2) == rx
+
+
+def _tame_inner_reference(F, Hm, e, m, c):
+    """The lower homogeneous parts of the inner polynomial one degree at a
+    time, each by exact division of the top-down residue by e * Hm^(e-1)."""
+    dom = F.dom
+    W = (Hm ** (e - 1)).scale(dom.from_int(e))
+    H = Hm
+    for j in range(1, m):
+        k = F.degree() - j
+        target = F.homogeneous_part(k).scale(dom.inv(c)) - (H ** e).homogeneous_part(k)
+        if target.is_zero():
+            continue
+        part = target.exact_div(W)
+        if part is None or (not part.is_zero() and part.degree() != m - j):
+            return None
+        H = H + part
+    return H
+
+
+def _random_poly(rng, dom, n, deg, draw):
+    return MPoly(dom, n, {mono: draw() for mono in monomials_upto(n, deg) if rng.random() < 0.6})
+
+
+def test_tame_decompose_multi_matches_form_division_reference():
+    rng = random.Random(91)
+    F9 = finite_field(3, 2)
+    cases = {"composite": 0, "none": 0}
+    for dom in (F5, F7, F9, QQ):
+        if dom is QQ:
+            def draw():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        else:
+            def draw(dom=dom):
+                return dom.element(rng.randrange(dom.q))
+        for n in (2, 3):
+            for e, m in itertools.product((2, 3), (2, 3)):
+                if getattr(dom, "char", 0) and e % dom.char == 0:
+                    continue  # wild: the lower parts are enumerated instead
+                for trial in range(4):
+                    H = _random_poly(rng, dom, n, m, draw)
+                    u = MPoly.from_dense(dom, [draw() for _ in range(e)] + [draw()], 1)
+                    if H.degree() != m or u.degree() != e:
+                        continue
+                    F = compose(u, H)
+                    if trial % 2:  # perturb below the top form: mostly not composite
+                        F = F + _random_poly(rng, dom, n, e * m - 1, draw)
+                    c = F.leading()[1]
+                    Hm = poly_eth_root(F.leading_form().scale(dom.inv(c)), e)
+                    inner = None if Hm is None else _tame_inner_reference(F, Hm, e, m, c)
+                    want = None if inner is None else _extract_outer(F, inner, e)
+                    got = decompose_multi(F, e)
+                    if want is None:
+                        assert got is None, F.format()
+                        cases["none"] += 1
+                    else:
+                        assert got is not None and got.inner == inner, F.format()
+                        assert got.outer == MPoly.from_dense(dom, want, 1)
+                        assert got.recompose() == F
+                        cases["composite"] += 1
+    assert cases["composite"] >= 40 and cases["none"] >= 20, cases
+
+
+def test_eth_root_of_dense_powers_and_fast_rejection():
+    rng = random.Random(92)
+    start = time.perf_counter()
+    for dom in (F5, F7, QQ):
+        for n, deg, e in [(2, 4, 2), (2, 3, 3), (3, 3, 2), (2, 2, 4)]:
+            if dom is QQ:
+                terms = {mono: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                         for mono in monomials_upto(n, deg)}
+            else:
+                terms = {mono: dom.element(rng.randrange(1, dom.q))
+                         for mono in monomials_upto(n, deg)}
+            R = MPoly(dom, n, terms).monic()
+            G = R ** e
+            assert poly_eth_root(G, e) == R
+            # one more monomial of each degree below the top: not a power
+            for k in range(1, e * deg):
+                mono = next(mm for mm in monomials_upto(n, k) if sum(mm) == k)
+                assert poly_eth_root(G + MPoly(dom, n, {mono: dom.one}), e) is None
+            assert poly_eth_root(G + MPoly.const(dom, n, dom.one), e) is None
+    assert time.perf_counter() - start < 20
 
 
 def test_pth_power_examples():

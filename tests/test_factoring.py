@@ -343,3 +343,45 @@ def test_lift_recombination_checks_the_guard():
     fac = bivar_factor(F, method="lift")
     assert [(g.format(), m) for g, m in fac.factors] == [("y^4 + 4*x", 1)]
 
+
+
+def test_lift_recombines_pairs_of_local_factors(monkeypatch):
+    # (y - r1)(y - r2) + x*L and (y - r3)(y - r4) + x*L', each irreducible,
+    # times the line y + x + s: the fibre at x = 0 splits into five local
+    # factors for three true ones, so the recombination has to accept pairs
+    from indecpoly import factoring
+
+    sizes = []
+
+    def recording(pool, size):
+        sizes.append(size)
+        return itertools.combinations(pool, size)
+
+    monkeypatch.setattr(factoring, "combinations", recording)
+    rng = random.Random(27)
+    for F in (finite_field(5), finite_field(7)):
+        x, y = MPoly.variable(F, 2, 0), MPoly.variable(F, 2, 1)
+
+        def const(c):
+            return MPoly.const(F, 2, F.element(c))
+
+        def split_quadratic(r1, r2):
+            while True:
+                L = const(rng.randrange(F.q)) * x + const(rng.randrange(F.q)) * y \
+                    + const(rng.randrange(F.q))
+                Q = (y - const(r1)) * (y - const(r2)) + x * L
+                if Q.degree() == 2 and bivar_irreducible(Q, method="search"):
+                    return Q
+
+        paired = 0
+        for _ in range(4):
+            r = rng.sample(range(F.q), 5)
+            G = split_quadratic(r[0], r[1]) * split_quadratic(r[2], r[3]) * (y + x - const(r[4]))
+            del sizes[:]
+            fl = bivar_factor(G, method="lift")
+            fs = bivar_factor(G, method="search")
+            assert [(g.key(), m) for g, m in fl.factors] == [(g.key(), m) for g, m in fs.factors]
+            assert fl.expand() == G and len(fl.factors) == 3
+            # pairs are tried again only after one was accepted
+            paired += sizes.count(2) >= 2
+        assert paired == 4, (F, paired)

@@ -101,7 +101,7 @@ def test_good_primes_sound_for_small_corpus():
     ]
     for terms in corpus:
         F = zz(terms)
-        ch = build_chain(F, check_reduction=False)
+        ch = build_chain(F)
         for p in good_primes(ch, 13):
             Fp = F.reduce_mod(prime_field(p))
             assert is_indecomposable_multi(Fp), (terms, p)
@@ -168,7 +168,7 @@ def test_delta_red_matches_sympy_seeded_deg_y3():
         terms[(0, 3)] = 1
         F = MPoly(ZZ, 2, terms)
         try:
-            build_chain(F, check_reduction=False)
+            build_chain(F)
         except ValueError:
             continue  # decomposable or degenerate
         assert _matches_sympy(F.format()), F.format()
