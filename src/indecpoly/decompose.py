@@ -86,7 +86,7 @@ def _coeff_eth_root(dom, c, e):
     z^e - c; over the rationals via integer root extraction."""
     if c == dom.one:
         return dom.one
-    if getattr(dom, "is_finite", False):
+    if dom.is_finite:
         f = [dom.neg(c)] + [dom.zero] * (e - 1) + [dom.one]
         roots = uni_roots(dom, f)
         return roots[0] if roots else None
@@ -109,7 +109,7 @@ def poly_eth_root(G: MPoly, e: int):
     if G.is_zero():
         return G
     dom = G.dom
-    p = getattr(dom, "char", 0)
+    p = dom.char
     while p and e % p == 0:
         G = _pth_root_mpoly(G)
         if G is None:
@@ -206,7 +206,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     Hm = poly_eth_root(top, e)
     if Hm is None:
         return None
-    p = getattr(dom, "char", 0)
+    p = dom.char
     candidates = []
     if p == 0 or e % p:
         H = _extend_root(F.scale(dom.inv(c)), e, Hm, d - m)
@@ -300,7 +300,7 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     s = d // r
     a = f[-1]
     fm = unipoly.monic(dom, f)
-    p = getattr(dom, "char", 0)
+    p = dom.char
     if p == 0 or r % p:
         w = _approx_root_dense(dom, fm, r, s)
         v = list(w)
@@ -366,7 +366,7 @@ def is_pth_power(F: MPoly):
     """The p-th root of F over F_q when every exponent is a multiple of the
     characteristic (the coefficients follow since the field is perfect);
     None otherwise."""
-    if not getattr(F.dom, "is_finite", False):
+    if not F.dom.is_finite:
         raise ValueError("p-th power detection needs a finite field")
     if F.is_zero():
         return F

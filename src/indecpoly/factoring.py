@@ -5,21 +5,19 @@ root peeling, distinct-degree, then the deterministic-seeded equal-degree
 splitter `unipoly.equal_degree_split`, which also finds the roots behind
 field embeddings), so identical inputs always produce identical outputs.
 
-Bivariate factorization has two engines:
+Bivariate factorization is by lifting: make the input monic in y by a
+shear, factor a squarefree specialization, lift the factors x-adically past
+the total degree, and recombine subsets by trial division.  Shears are tried
+lazily, and the first one with a squarefree fibre is used.  When no shear
+has one (a field too small for the degree), the input is factored over
+F_{q^2} or F_{q^3} and the factors descend as Frobenius orbit products.
 
-* an exhaustive divisor search over the monic candidates of total degree up
-  to half the input in canonical graded-lex order, skipping every candidate
-  whose leading form does not divide the input's.  This is the reference
-  engine; it is used whenever the candidate space is small and it guards
-  itself against blowup.
-* a lifting engine for larger fields: make the input monic in y by a shear,
-  factor a squarefree specialization, lift the factors x-adically past the
-  total degree, and recombine subsets by trial division.  Shears are tried
-  lazily, and the first one with a squarefree fibre is used.
-
-Both normalize factors the same way (monic under graded-lex, sorted), and the
-test suite pins them against each other, so the fast engine may stand in for
-the reference wherever the latter would exceed its guard.
+An exhaustive divisor search over the monic candidates of total degree up to
+half the input, in canonical graded-lex order and skipping every candidate
+whose leading form does not divide the input's, is the reference engine
+(`method="search"`) and the last resort of a descent two extensions deep.
+It guards itself against blowup.  Both normalize factors the same way (monic
+under graded-lex, sorted), and the test suite pins them against each other.
 
 Absolute irreducibility and the count of irreducible factors over the
 algebraic closure reduce to conjugate-orbit sizes: an irreducible polynomial
@@ -40,8 +38,6 @@ from .arith import divisors, factorint
 from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
 from .resultants import coeff_list, content, primitive_gcd
-
-SEARCH_LIMIT = 4000
 
 
 # --------------------------------------------------------------------------
@@ -433,14 +429,14 @@ def _factor_by_extension(S: MPoly, guard, depth):
     """Factor over a small extension and descend by Frobenius orbit products."""
     field = S.dom
     if depth >= 2:
-        # last resort: the reference engine, whatever the cost bound says
+        # last resort: the reference engine, within its own guard
         return _factor_search(S, guard)
     for j in (2, 3):
         E = finite_field(field.p, field.k * j)
         emb = embedding(field, E)
         proj = projection(field, E)
         SE = S.map_coeffs(emb, E)
-        parts = _factor_rec(SE, "auto", guard, depth + 1)
+        parts = _factor_rec(SE, "lift", guard, depth + 1)
         # group factors into Frobenius orbits over the base field
         frob = lambda g: g.map_coeffs(lambda a: E.pow(a, field.q), E).monic()  # noqa: E731
         remaining = [g for g, m in parts for _ in range(m)]
@@ -492,22 +488,20 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
         return [(g.swap_vars(0, 1).monic(), m) for g, m in flipped]
     G = primitive_gcd(F, Fy, 1)
     S = F.exact_div(G).monic()
-    if method == "search" or (
-        method == "auto" and search_space_size(field.q, S.degree()) <= SEARCH_LIMIT
-    ):
-        parts = _factor_search(S, guard) if S.degree() >= 1 else []
-    else:
-        parts = _factor_lift(S, guard, depth) if S.degree() >= 1 else []
+    # deg_y G <= deg_y F_y < deg_y F, so S is nonconstant
+    parts = _factor_search(S, guard) if method == "search" else _factor_lift(S, guard, depth)
     if G.is_constant():
         return parts
     return _merge_factor_lists(parts, _factor_rec(G, method, guard, depth))
 
 
-def bivar_factor(F: MPoly, method="auto", guard=DEFAULT_GUARD) -> Factorization:
+def bivar_factor(F: MPoly, method="lift", guard=DEFAULT_GUARD) -> Factorization:
     """Complete factorization over the coefficient field.
 
-    method: "auto" picks the engine by search-space size, "search" forces the
-    exhaustive reference engine, "lift" forces the lifting engine.
+    method: "lift" (the engine, with extension descent when no shear has a
+    squarefree fibre) or "search" (the exhaustive reference engine).  Every
+    factor is graded-lex monic and that order respects products, so the unit
+    is the leading coefficient of F.
     """
     if F.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -516,18 +510,12 @@ def bivar_factor(F: MPoly, method="auto", guard=DEFAULT_GUARD) -> Factorization:
         raise ValueError("bivariate factorization expects two variables")
     if F.is_constant():
         return Factorization(field, F.constant_term(), [])
-    if method not in ("auto", "search", "lift"):
+    if method not in ("search", "lift"):
         raise ValueError(f"unknown method {method!r}")
-    factors = _factor_rec(F, method, guard)
-    factors = _sorted_factors(factors)
-    prod = MPoly.const(field, 2, field.one)
-    for g, m in factors:
-        prod = prod * g ** m
-    unit = field.div(F.leading()[1], prod.leading()[1])
-    return Factorization(field, unit, factors)
+    return Factorization(field, F.leading()[1], _sorted_factors(_factor_rec(F, method, guard)))
 
 
-def bivar_irreducible(F: MPoly, method="auto", guard=DEFAULT_GUARD) -> bool:
+def bivar_irreducible(F: MPoly, method="lift", guard=DEFAULT_GUARD) -> bool:
     """No factorization G*H with both parts nonconstant over the base field."""
     if F.is_constant():
         raise ValueError("irreducibility is undefined for constants")
@@ -578,7 +566,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
         for ell in sorted(factorint(dc)):
             E = finite_field(curfield.p, curfield.k * ell)
             emb = embedding(curfield, E)
-            fac = _factor_rec(cur.map_coeffs(emb, E), "auto", guard)
+            fac = _factor_rec(cur.map_coeffs(emb, E), "lift", guard)
             if sum(m for _, m in fac) > 1:
                 fac = _sorted_factors(fac)
                 cur = fac[0][0]

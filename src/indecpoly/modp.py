@@ -122,10 +122,9 @@ def build_chain(F: MPoly) -> CriterionChain:
         raise ValueError("degenerate input: disc_x of the reduced part vanishes")
     delta0 = coeff_list(delta_xl, 0)[-1]
     chain = CriterionChain(F, delta_xl, delta_red, delta_l, delta0)
-    for p in good_primes(chain, 50):
-        if not is_indecomposable_multi(F.reduce_mod(prime_field(p))):  # pragma: no cover
-            raise ArithmeticError(f"criterion contradicted at p={p}")
-        break
+    p = next((p for p in primes_upto(50) if criterion_holds(chain, p)), None)
+    if p is not None and not is_indecomposable_multi(F.reduce_mod(prime_field(p))):  # pragma: no cover
+        raise ArithmeticError(f"criterion contradicted at p={p}")
     return chain
 
 

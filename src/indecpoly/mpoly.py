@@ -331,7 +331,7 @@ def default_var_names(n):
 
 
 def _format_coeff(dom, c):
-    s = dom.format_element(c) if hasattr(dom, "format_element") else str(c)
+    s = dom.format_element(c)
     if " " in s or "+" in s[1:]:
         s = f"({s})"  # multi-term field elements need grouping
     return s
@@ -353,7 +353,7 @@ def format_poly(f: MPoly, var_names=None) -> str:
             elif k > 1:
                 factors.append(f"{name}^{k}")
         neg = False
-        if not getattr(dom, "is_finite", False):
+        if not dom.is_finite:
             if (isinstance(c, int) or hasattr(c, "denominator")) and c < 0:
                 neg = True
                 c = -c

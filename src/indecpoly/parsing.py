@@ -161,7 +161,7 @@ def parse_poly(text, dom, nvars=None) -> MPoly:
     tokens = _tokenize(text)
     names = {v for kind, v, _ in tokens if kind == "name"}
     gen = None
-    if getattr(dom, "is_finite", False) and dom.k > 1:
+    if dom.is_finite and dom.k > 1:
         gen = dom.element(dom.p)  # the class of t itself
         names.discard("t")
     if nvars is None:

@@ -104,7 +104,7 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     if F.is_zero() or F.is_constant():
         raise ValueError("constant input has no spectrum")
     field = F.dom
-    if not getattr(field, "is_finite", False):
+    if not field.is_finite:
         raise ValueError("the sweep runs over finite fields")
     d = F.degree()
     top = max(1, d - 1)
@@ -198,7 +198,7 @@ def _critical_polynomial(F: MPoly):
     F_x and F_y share a component, or when every orientation P of F below
     gives E = 0.
 
-    For P = F, then F with x and y swapped, then the lift engine's shears:
+    For P = F, then F with x and y swapped, then the lift engine's shears c != 0:
         B(x)    = res_y(P_x, P_y),
         A(x, l) = res_y(P - l, P_y),
         E(l)    = product of res_x(b, A) over the distinct monic irreducible
@@ -218,7 +218,7 @@ def _critical_polynomial(F: MPoly):
         return [dom.one]  # one of them never vanishes: no critical point
     lam = MPoly.variable(dom, 3, 2)
     sheared = ((F.swap_vars(0, 1) if t else F).shear(0, 1, c)
-               for t, c in _shear_options(dom, F))
+               for t, c in _shear_options(dom, F) if c)
     for P in itertools.chain((F, F.swap_vars(0, 1)), sheared):
         Px, Py = P.derivative(0), P.derivative(1)
         B = resultant(Px, Py, 1)
@@ -262,9 +262,9 @@ def quadratic_spectral_value(F: MPoly):
     if F.n != 2 or F.degree() != 2:
         raise ValueError("expected a polynomial of total degree 2 in x, y")
     dom = F.dom
-    if getattr(dom, "char", 0) == 2:
+    if dom.char == 2:
         raise ValueError("characteristic 2 is not covered by the closed form")
-    if not (getattr(dom, "is_finite", False) or dom.key() == ("qq",)):
+    if not (dom.is_finite or dom.key() == ("qq",)):
         raise ValueError("unsupported coefficient domain")
     a = _quad_coeffs(F)
     z = dom.zero

@@ -385,3 +385,24 @@ def test_lift_recombines_pairs_of_local_factors(monkeypatch):
             # pairs are tried again only after one was accepted
             paired += sizes.count(2) >= 2
         assert paired == 4, (F, paired)
+
+
+def test_default_factoring_never_runs_the_divisor_search(monkeypatch):
+    # F_5 is small enough that the lift finds a squarefree fibre, so the
+    # search (the depth-2 last resort of the extension descent) is never hit
+    from indecpoly import factoring
+
+    polys = [parse_poly("y^3 + x^2 + x*y + 1", F5), parse_poly("(y^2 + x)*(y + x + 1)", F5)]
+    want = [bivar_factor(F, method="search") for F in polys]
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        bivar_factor(polys[0], method="auto")
+
+    def refuse(S, guard):
+        raise AssertionError(f"divisor search called on {S.format()}")
+
+    monkeypatch.setattr(factoring, "_factor_search", refuse)
+    for F, fs in zip(polys, want):
+        fac = bivar_factor(F)
+        assert [(g.key(), m) for g, m in fac.factors] == [(g.key(), m) for g, m in fs.factors]
+        assert fac.unit == fs.unit and fac.expand() == F
+    assert [len(fs.factors) for fs in want] == [1, 2]

@@ -329,3 +329,22 @@ def test_critical_values_survive_a_vanishing_first_elimination():
     assert spectrum._smooth_at_infinity(F)
     assert spectrum._critical_polynomial(F) is not None
     assert _assert_paths_agree([F]) == (1, 1)
+
+
+def test_critical_polynomial_tries_each_orientation_once(monkeypatch):
+    # E vanishes in every orientation, so all of them are tried before the
+    # sweep; shear 0 is F or its swap and must not be eliminated again
+    F4 = finite_field(2, 2)
+    F = parse_poly("x^3*y + x^2*y^2 + (t + 1)*y^4 + (t + 1)*x*y^2 + t*y^2 + y", F4)
+    pairs = []
+
+    def recording(A, B, var):
+        if A.n == 2:
+            pairs.append((A.key(), B.key()))
+        return resultant(A, B, var)
+
+    monkeypatch.setattr(spectrum, "resultant", recording)
+    assert spectrum._smooth_at_infinity(F)
+    assert spectrum._critical_polynomial(F) is None
+    assert len(pairs) == len(set(pairs)) == 6
+    assert spectral_values(F).to_json_dict() == _swept(F).to_json_dict()
