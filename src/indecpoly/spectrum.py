@@ -11,9 +11,11 @@ multiplicities is bounded by deg(F) - 1 (Stein's inequality).
 The candidates tested are the critical values when that is sound: two
 components of a reducible F - c meet in P^2 at a singular point, and c only
 enters the z^d term of the homogenization, so when the closure of F is
-smooth at infinity every spectral c is a root of an elimination polynomial
-of F - c, F_x and F_y.  Otherwise (singular at infinity, F_x and F_y with a
-common component, or an elimination that vanishes in both variable orders)
+smooth at infinity every spectral c is F(P) at an affine critical point P.
+The critical points are found fibre by fibre, as the common roots of F_x
+and F_y over each root of res_y(F_x, F_y), and most critical values are
+then settled by a node count instead of a factorization.  Otherwise (the
+closure singular at infinity, or F_x and F_y with a common component)
 every orbit is swept.
 
 The report keeps one minimal polynomial per orbit and their product, a
@@ -23,19 +25,17 @@ spectrum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import unipoly
 from .arith import is_prime
 from .decompose import is_indecomposable_multi
-from .factoring import (_shear_options, absolutely_irreducible, bivar_factor,
-                        conjugate_split_count, frobenius_orbit, minimal_polynomial,
-                        uni_factor, uni_roots)
+from .factoring import (absolutely_irreducible, bivar_factor, conjugate_split_count,
+                        frobenius_orbit, minimal_polynomial, uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
-from .resultants import norm_mod, primitive_gcd, resultant
+from .resultants import coeff_list, norm_mod, primitive_gcd, resultant
 
 
 class SpectrumUnbounded(ValueError):
@@ -94,7 +94,18 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     point is affine when the closure of F is smooth at infinity, which does
     not depend on c; so F - c, F_x and F_y vanish there.  The full sweep of
     every Frobenius orbit of F_{q^m}, m <= deg(F) - 1, runs instead when
-    the closure is singular at infinity or `_critical_polynomial` gives up.
+    the closure is singular at infinity or F_x and F_y share a component.
+
+    The certificate: take such an F and a critical value c at fewer than
+    d - 1 points over the closure, d = deg(F), each of them a node, that is,
+    with Hess = F_xx F_yy - F_xy^2 nonzero.  Then F - c is absolutely
+    irreducible.  A split F - c = G H meets in deg G deg H >= d - 1 points of
+    P^2 counted with multiplicity (Bezout), all of them affine singular
+    points of F - c, and i_P(G, H) = 1 at a node, since G and H are then
+    smooth at P with distinct tangents.  In characteristic 2, F_xx = 0, so
+    Hess = F_xy^2, and a double point with F_xy = 0 has the tangent cone
+    (u x + v y)^2, no node: the same test holds.  Every other critical
+    value of degree at most d - 1 over F_q is factored.
 
     Raises GuardExceeded before any work when the sweep would visit more
     than `guard` elements, counted as the sum of q^m over the extensions
@@ -116,8 +127,9 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
             "decomposable input: every constant shift is reducible, the "
             "spectrum is the whole algebraic closure"
         )
-    E = _critical_polynomial(F) if _smooth_at_infinity(F) else None
-    candidates = _sweep(field, top) if E is None else _critical_orbits(field, E, top)
+    critical = _critical_candidates(F) if _smooth_at_infinity(F) else None
+    candidates = _sweep(field, top) if critical is None else _critical_orbits(
+        field, [mu for mu, certified in critical if not certified])
     return _report(F, candidates, guard)
 
 
@@ -137,16 +149,14 @@ def _sweep(field, top):
                 yield K, lam
 
 
-def _critical_orbits(field, E, top):
-    """(K, lam) for every irreducible factor of E of degree m <= top, with
-    K = F_{q^m} and lam the factor's root of smallest index, the element the
-    sweep would pick for that orbit."""
-    for h, _ in uni_factor(field, E)[1]:
-        m = len(h) - 1
-        if m <= top:
-            K = finite_field(field.p, field.k * m)
-            emb = embedding(field, K)
-            yield K, uni_roots(K, [emb(c) for c in h])[0]
+def _critical_orbits(field, polys):
+    """(K, lam) for every monic irreducible h in `polys`, with K = F_{q^m},
+    m = deg h, and lam the root of h of smallest index, the element the sweep
+    would pick for that orbit."""
+    for h in polys:
+        K = finite_field(field.p, field.k * (len(h) - 1))
+        emb = embedding(field, K)
+        yield K, uni_roots(K, [emb(c) for c in h])[0]
 
 
 def _report(F: MPoly, candidates, guard) -> SpectralReport:
@@ -191,46 +201,82 @@ def _smooth_at_infinity(F: MPoly) -> bool:
     return g.is_constant()
 
 
-def _critical_polynomial(F: MPoly):
-    """For an indecomposable F (so not a p-th power: F_x and F_y are not both
-    zero), a nonzero E in F_q[l], as a dense list, vanishing at every l for
-    which F - l, F_x and F_y have a common zero over the closure; None when
-    F_x and F_y share a component, or when every orientation P of F below
-    gives E = 0.
+class _Residues:
+    """The field F_q[x]/(b) for a monic irreducible b, with elements as
+    tuples of base-field coefficients, ascending and without trailing zeros,
+    with the operations that `unipoly.gcd` and `unipoly.mod` use."""
 
-    For P = F, then F with x and y swapped, then the lift engine's shears c != 0:
-        B(x)    = res_y(P_x, P_y),
-        A(x, l) = res_y(P - l, P_y),
-        E(l)    = product of res_x(b, A) over the distinct monic irreducible
-                  factors b of B, that is, of A(r, l) over the roots r of B.
-    A common zero (a, y0) at l = c makes B(a) = 0 and A(a, c) = 0 whatever
-    the degree drops, hence E(c) = 0; a linear change of variables keeps the
-    critical values.  The gcd test comes first: when F_x and F_y share a
-    component the common zeros are a curve, and when both are free of y,
-    res_y is 1 however many zeros they share.  E vanishes identically when
-    A(a, l) = 0 for all l at some root a of B, as when the y-leading
-    coefficients of P - l and P_y vanish together at x = a."""
-    dom = F.dom
+    def __init__(self, base, b):
+        self.base, self.b = base, b
+        self.zero, self.one = (), (base.one,)
+
+    def sub(self, u, v):
+        return tuple(unipoly.sub(self.base, u, v))
+
+    def mul(self, u, v):
+        return tuple(unipoly.mod(self.base, unipoly.mul(self.base, u, v), self.b))
+
+    def inv(self, u):
+        return tuple(unipoly.xgcd(self.base, u, self.b)[1])
+
+    def fibre(self, P: MPoly):
+        """P(a, y) in L[y], a the class of x."""
+        return unipoly.normalize(self, [tuple(unipoly.mod(self.base, c.to_dense(0), self.b))
+                                        for c in coeff_list(P, 1)])
+
+    def values(self, F: MPoly, g):
+        """res_x(b, res_y(g, T - F)) in F_q[T] for a monic g in L[y]: the
+        product of T - F(P) over the points P = (a, beta), a a root of b and
+        beta one of g, with the multiplicities of g.  F is reduced mod g
+        first, which keeps the Sylvester matrix of size at most 2 deg g - 1."""
+        dom = self.base
+
+        def lift(h):  # h in L[y] as a polynomial in x, y, T
+            return MPoly(dom, 3, {(i, j, 0): c for j, hj in enumerate(h) for i, c in enumerate(hj)})
+
+        T = MPoly.variable(dom, 3, 2)
+        R = resultant(lift(g), T - lift(unipoly.mod(self, self.fibre(F), g)), 1)
+        return norm_mod(R, self.b, 0).to_dense(2)
+
+
+def _critical_candidates(F: MPoly):
+    """[(mu, certified)] over the monic irreducible mu in F_q[T] of degree at
+    most deg(F) - 1 whose roots are critical values of F, that is, F - c,
+    F_x and F_y have a common zero over the closure; None when F_x and F_y
+    share a component.  `certified` marks the mu whose F - c is proven
+    absolutely irreducible (see `spectral_values`) for a smooth closure at
+    infinity.
+
+    For each monic irreducible factor b of B = res_y(F_x, F_y), a nonzero
+    polynomial that vanishes at the x of every common zero, and in the
+    field L = F_q[x]/(b) with a the class of x, the common y-roots of
+    F_x(a, y) and F_y(a, y) are those of their monic gcd g.  A drop of the
+    y-degrees at a, which can make B(a) = 0 with no common root, only gives
+    g = 1.  Then V_b = res_x(b, res_y(g, T - F)) vanishes exactly at the
+    critical values over the conjugates of a, and the exponent e of mu in
+    V = prod V_b counts the critical points (a, beta) with F(a, beta) = c,
+    multiplicities of g included, for each root c of mu.  V_bad is built
+    the same way from gcd(g, Hess(a, y)), with Hess = F_xx F_yy - F_xy^2:
+    its roots are the critical values taken at a point that is not a node.
+    mu is certified when e < deg(F) - 1 and mu does not divide V_bad."""
+    dom, d = F.dom, F.degree()
     Fx, Fy = F.derivative(0), F.derivative(1)
     if not primitive_gcd(Fx, Fy, 1).is_constant():
         return None
     if Fx.is_constant() or Fy.is_constant():
-        return [dom.one]  # one of them never vanishes: no critical point
-    lam = MPoly.variable(dom, 3, 2)
-    sheared = ((F.swap_vars(0, 1) if t else F).shear(0, 1, c)
-               for t, c in _shear_options(dom, F) if c)
-    for P in itertools.chain((F, F.swap_vars(0, 1)), sheared):
-        Px, Py = P.derivative(0), P.derivative(1)
-        B = resultant(Px, Py, 1)
-        if B.is_constant():
-            return [dom.one]  # B is nonzero for coprime P_x, P_y: no common zero
-        A = resultant(P.lift_vars(3) - lam, Py.lift_vars(3), 1)
-        E = [dom.one]
-        for b, _ in uni_factor(dom, B.to_dense(0))[1]:
-            E = unipoly.mul(dom, E, norm_mod(A, b, 0).to_dense(2))
-        if E:
-            return E
-    return None
+        return []  # one of them never vanishes: no critical point
+    hess = Fx.derivative(0) * Fy.derivative(1) - Fx.derivative(1) ** 2
+    V = V_bad = [dom.one]
+    for b, _ in uni_factor(dom, resultant(Fx, Fy, 1).to_dense(0))[1]:
+        L = _Residues(dom, b)
+        g = unipoly.gcd(L, L.fibre(Fx), L.fibre(Fy))
+        if len(g) > 1:
+            V = unipoly.mul(dom, V, L.values(F, g))
+            bad = unipoly.gcd(L, g, L.fibre(hess))
+            if len(bad) > 1:
+                V_bad = unipoly.mul(dom, V_bad, L.values(F, bad))
+    return [(mu, e < d - 1 and bool(unipoly.mod(dom, V_bad, mu)))
+            for mu, e in uni_factor(dom, V)[1] if len(mu) <= d]  # deg mu <= d - 1
 
 
 def stein_check(report: SpectralReport) -> bool:

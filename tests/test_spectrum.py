@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from indecpoly import spectrum
+from indecpoly import spectrum, unipoly
 from indecpoly.fields import DEFAULT_GUARD, QQ, ZZ, GuardExceeded, finite_field
 from indecpoly.parsing import parse_poly
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import is_indecomposable_multi
-from indecpoly.factoring import absolutely_irreducible, n_bar_factors
+from indecpoly.factoring import absolutely_irreducible, n_bar_factors, uni_roots
 from indecpoly.fields import embedding
 from indecpoly.resultants import primitive_gcd, resultant
 from indecpoly.spectrum import (SpectrumUnbounded, conic_is_degenerate,
@@ -226,7 +226,7 @@ def _swept(F):
 
 
 def _critical_path_taken(F):
-    return spectrum._smooth_at_infinity(F) and spectrum._critical_polynomial(F) is not None
+    return spectrum._smooth_at_infinity(F) and spectrum._critical_candidates(F) is not None
 
 
 def _assert_paths_agree(polys):
@@ -293,47 +293,54 @@ def test_critical_values_match_sweep_on_sparse_cubics_and_quartics():
 
 
 def test_critical_values_fallbacks_one_per_reason():
-    F4 = finite_field(2, 2)
+    F2, F4 = finite_field(2), finite_field(2, 2)
     # closure singular at infinity at (1:0:0): the components y = 0 and
     # x*y + 1 = 0 of F - 0 meet only there, so 0 is no critical value
     sing = parse_poly("x*y^2 + y", F3)
     assert not spectrum._smooth_at_infinity(sing)
-    assert spectrum._critical_polynomial(sing) == [F3.one]
+    assert spectrum._critical_candidates(sing) == []
     # F_x = F_y = x^2 in characteristic 2: a shared component, and free of
     # y, so res_y(F_x, F_y) = 1 would miss the spectral value 1
     shared = parse_poly("x^3 + x^2*y + y^2", F4)
     assert spectrum._smooth_at_infinity(shared)
     assert not primitive_gcd(shared.derivative(0), shared.derivative(1), 1).is_constant()
-    assert spectrum._critical_polynomial(shared) is None
-    # xy(x + y) - 0 holds a line in every direction over F_2, so E = 0 in
-    # both variable orders and under every shear
-    vanishing = parse_poly("x^2*y + x*y^2", finite_field(2))
+    assert spectrum._critical_candidates(shared) is None
+    # xy(x + y) - 0 holds a line in every direction over F_2, so
+    # res_x(b, res_y(F - l, F_y)) vanishes for every l in both variable
+    # orders and under every shear; the gcd y^2 on the fibre x = 0 finds the
+    # critical point, a square gcd is no node, and 0 is factored
+    vanishing = parse_poly("x^2*y + x*y^2", F2)
     assert spectrum._smooth_at_infinity(vanishing)
     assert primitive_gcd(vanishing.derivative(0), vanishing.derivative(1), 1).is_constant()
-    assert spectrum._critical_polynomial(vanishing) is None
+    assert spectrum._critical_candidates(vanishing) == [((F2.zero, F2.one), False)]
     reports = [spectral_values(F).to_json_dict() for F in (sing, shared, vanishing)]
     assert [[(o["representative"], o["multiplicity"]) for o in r["orbits"]] for r in reports] \
         == [[("0", 1)], [("1", 1)], [("0", 2)]]
-    assert _assert_paths_agree([sing, shared, vanishing]) == (0, 3)
+    assert _assert_paths_agree([sing, shared, vanishing]) == (1, 3)
 
 
 def test_critical_values_survive_a_vanishing_first_elimination():
     # the y-leading coefficients of F - l and F_y vanish together at x = 0
-    # and res_y(F_x, F_y) has the root 0, so E = 0 for this variable order;
-    # the swapped order gives a nonzero E
+    # and res_y(F_x, F_y) has the root 0, so res_y(F - l, F_y) vanishes on
+    # that fibre for every l; the gcd of F_x(0, y) and F_y(0, y) does not
+    # depend on the leading coefficients and finds two critical points there
     F = parse_poly("x^3 + 4*x^2*y + 3*x*y^2 + 2*x + 4", F5)
     Fx, Fy = F.derivative(0), F.derivative(1)
     assert resultant(Fx, Fy, 1).constant_term() == F5.zero
     A = resultant(F.lift_vars(3) - MPoly.variable(F5, 3, 2), Fy.lift_vars(3), 1)
     assert all(e[0] > 0 for e in A.terms)  # A(0, l) = 0 for every l
+    L = spectrum._Residues(F5, [F5.zero, F5.one])
+    assert len(unipoly.gcd(L, L.fibre(Fx), L.fibre(Fy))) == 3
     assert spectrum._smooth_at_infinity(F)
-    assert spectrum._critical_polynomial(F) is not None
+    # both points on x = 0 have the value 4, so T + 1 has exponent 2 = d - 1
+    assert spectrum._critical_candidates(F) == [((1, 1), False), ((3, 2, 1), True)]
     assert _assert_paths_agree([F]) == (1, 1)
 
 
-def test_critical_polynomial_tries_each_orientation_once(monkeypatch):
-    # E vanishes in every orientation, so all of them are tried before the
-    # sweep; shear 0 is F or its swap and must not be eliminated again
+def test_critical_points_take_one_variable_order(monkeypatch):
+    # res_x(b, res_y(F - l, F_y)) vanishes for this quartic in both
+    # variable orders and under every shear; the point path computes
+    # res_y(F_x, F_y) once, for F as given, and has no shears to try
     F4 = finite_field(2, 2)
     F = parse_poly("x^3*y + x^2*y^2 + (t + 1)*y^4 + (t + 1)*x*y^2 + t*y^2 + y", F4)
     pairs = []
@@ -345,6 +352,81 @@ def test_critical_polynomial_tries_each_orientation_once(monkeypatch):
 
     monkeypatch.setattr(spectrum, "resultant", recording)
     assert spectrum._smooth_at_infinity(F)
-    assert spectrum._critical_polynomial(F) is None
-    assert len(pairs) == len(set(pairs)) == 6
+    assert spectrum._critical_candidates(F) == [((0, 1), False), ((1, 1), True), ((3, 1), True)]
+    assert pairs == [(F.derivative(0).key(), F.derivative(1).key())]
+    assert not hasattr(spectrum, "_shear_options")
     assert spectral_values(F).to_json_dict() == _swept(F).to_json_dict()
+
+
+def test_critical_points_match_sweep_on_special_fibres():
+    F2, F4 = finite_field(2), finite_field(2, 2)
+
+    def fibre(F, b, P):  # P(a, y) on the fibre of the root a of b
+        return spectrum._Residues(F.dom, b).fibre(P)
+
+    def gcd_at(F, b):
+        L = spectrum._Residues(F.dom, b)
+        return unipoly.gcd(L, L.fibre(F.derivative(0)), L.fibre(F.derivative(1)))
+
+    x, x1 = [0, 1], [1, 1]
+    # two nodes on x = 0, at y = 1 and y = -1, with the values 3 and 2
+    two = parse_poly("x^2 + y^3 + 2*y", F5)
+    assert gcd_at(two, x) == [(4,), (), (1,)]
+    # over F_4 the gcd on x = 1 is y^2, a p-th power; F_xy vanishes there,
+    # and the value 1 is spectral with exponent 2 < d - 1
+    square = parse_poly("x^4 + (t + 1)*x^3*y + y^4 + t*y^3 + (t + 1)*x*y", F4)
+    assert gcd_at(square, x1) == [(), (), (1,)]
+    assert fibre(square, x1, square.derivative(0).derivative(1)) == []
+    # characteristic 2: the one critical point (0, 0) has F_xy = x^2 = 0, and
+    # F = y*(x^3 + y^3 + x*y + y), so only the Hessian keeps 0 from the
+    # certificate (exponent 2 < d - 1)
+    flat = parse_poly("x^3*y + y^4 + x*y^2 + y^2", F2)
+    assert gcd_at(flat, x) == [(), (), (1,)]
+    assert fibre(flat, x, flat.derivative(0).derivative(1)) == []
+    # characteristic 5: y = 0 and the conic x^2 + 2*x*y + y = 0 are tangent
+    # at the origin, a simple root of the gcd where the Hessian vanishes
+    tangent = parse_poly("x^2*y + 2*x*y^2 + y^2", F5)
+    assert gcd_at(tangent, x) == [(), (1,)]
+    cases = [two, square, flat, tangent,
+             parse_poly("x^2*y + x*y^2", F2),
+             parse_poly("x^3*y + x^2*y^2 + (t + 1)*y^4 + (t + 1)*x*y^2 + t*y^2 + y", F4)]
+    assert [[mu for mu, certified in spectrum._critical_candidates(F) if not certified]
+            for F in cases[1:4]] == [[(1, 1)], [(0, 1)], [(0, 1)]]
+    assert _assert_paths_agree(cases) == (6, 5)
+
+
+def test_certified_critical_values_are_absolutely_irreducible():
+    # the certificate against factoring over F_{q^m}, and the candidates
+    # against the sweep wherever it visits at most 130 elements
+    rng = random.Random("spectrum-certificate")
+    certified = open_ = spectral = 0
+    for field in (finite_field(2), F3, finite_field(2, 2), F5, F7):
+        for d in range(3, 7):
+            found = 0
+            while found < 5:
+                sparse = rng.random() < 0.5
+                F = MPoly(field, 2, {e: rng.randrange(field.q) for e in monomials_upto(2, d)
+                                     if not sparse or rng.random() < 0.4})
+                if F.degree() != d or not spectrum._smooth_at_infinity(F) \
+                        or not is_indecomposable_multi(F):
+                    continue
+                candidates = spectrum._critical_candidates(F)
+                if candidates is None:
+                    continue
+                found += 1
+                for mu, ok in candidates:
+                    if ok:
+                        K = finite_field(field.p, field.k * (len(mu) - 1))
+                        emb = embedding(field, K)
+                        lam = uni_roots(K, [emb(c) for c in mu])[0]
+                        shifted = F.map_coeffs(emb, K) - MPoly.const(K, 2, lam)
+                        assert absolutely_irreducible(shifted), (F.format(), mu)
+                    certified += ok
+                    open_ += not ok
+                if sum(field.q ** m for m in range(1, d)) <= 130:
+                    swept = _swept(F)
+                    factored = {mu for mu, ok in candidates if not ok}
+                    for o in swept.orbits:
+                        assert tuple(o.min_poly.to_dense()) in factored, F.format()
+                    spectral += len(swept.orbits)
+    assert certified >= 100 and open_ >= 40 and spectral >= 15  # 117, 48 and 17
