@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import census as census_mod
 from . import modp as modp_mod
@@ -128,28 +129,33 @@ def cmd_census(args):
     method = args.method
     out = []
     if args.n == 1:
-        u = census_mod.count_uni(args.q, args.d)
-        payload = {
-            "q": u.q,
-            "d": u.d,
-            "n": 1,
-            "N": str(u.total),
-            "method": u.method,
-            "D_lower": str(u.lower),
-            "D_upper": str(u.upper),
-        }
-        if u.exact is not None:
-            payload["D"] = str(u.exact)
-        if u.alpha is not None:
-            payload["alpha"] = _frac(u.alpha)
-        out.append(payload)
-        if method in ("enumeration", "all"):
+        scan = method in ("enumeration", "all")
+        # count_uni needs gcd(q, d) = 1; without it a scan is printed alone
+        u = None
+        if gcd(args.q, args.d) == 1 or not scan:
+            u = census_mod.count_uni(args.q, args.d)
+            payload = {
+                "q": u.q,
+                "d": u.d,
+                "n": 1,
+                "N": str(u.total),
+                "method": u.method,
+                "D_lower": str(u.lower),
+                "D_upper": str(u.upper),
+            }
+            if u.exact is not None:
+                payload["D"] = str(u.exact)
+            if u.alpha is not None:
+                payload["alpha"] = _frac(u.alpha)
+            out.append(payload)
+        if scan:
             rep = census_mod.enumerate_census_parallel(args.q, 1, args.d, args.jobs,
                                                        guard=args.guard)
             out.append(_census_payload(rep))
-            agree = u.exact is None or u.exact == rep.decomposable
-            agree = agree and u.lower <= rep.decomposable <= u.upper
-            out.append({"agreement": bool(agree)})
+            if u is not None:
+                agree = u.exact is None or u.exact == rep.decomposable
+                agree = agree and u.lower <= rep.decomposable <= u.upper
+                out.append({"agreement": bool(agree)})
         return out
     reps = {}
     if method in ("closed", "all"):

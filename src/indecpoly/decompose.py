@@ -14,11 +14,13 @@ of the inner polynomial is forced (it is the unique monic e-th root of the
 input's top form); when e is invertible in the field the lower parts come
 from the same term-by-term recovery as that e-th root, run on the whole
 input until the rest has degree d - m or less, and in wild characteristic
-(p | e) they are enumerated under a state-space guard.  One variable uses
-the classical approximate-root computation in the tame case with the same
-guarded enumeration as fallback.  The outer polynomial is recovered by
-repeated division, so a returned pair recomposes to the input by
-construction.
+(p | e) they are enumerated under a state-space guard.  One variable has
+one route for every split r = p^a r' with p not dividing r': the r'-th root
+of the top of the input at infinity forces the inner coefficients v_i with
+p^a (s - i) < s (as p^a-th roots) and rejects most inputs outright; the
+others are free and enumerated, none when the split is tame, and the guard
+counts the free ones only.  The outer polynomial is recovered by repeated
+division, so a returned pair recomposes to the input by construction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import unipoly
 from .arith import divisors, integer_nth_root
@@ -259,20 +262,54 @@ def iter_normalized_inner(field, n, m):
 # one variable (inner degree must be >= 2 too)
 # --------------------------------------------------------------------------
 
-def _approx_root_dense(dom, f, r, s):
-    """Monic w of degree s with deg(f - w^r) < (r-1)s, for monic f, r
-    invertible in the domain."""
-    d = r * s
-    w = [dom.zero] * s + [dom.one]
-    r_el = dom.from_int(r)
-    r_inv = dom.inv(r_el)
-    for j in range(1, s + 1):
-        pw = unipoly.pow_trunc(dom, list(reversed(w)), r, j + 1)  # series at infinity
-        have = pw[j] if len(pw) > j else dom.zero
-        want = f[d - j] if d - j < len(f) else dom.zero
-        delta = dom.sub(want, have)
-        w[s - j] = dom.mul(delta, r_inv)
-    return w
+def _forced_inner_top(dom, f, s, a, e):
+    """The forced coefficients [v_(s-k) .. v_(s-1)], k = (s-1)//pa, of a
+    normalized inner v of degree s with f = u(v) and deg u = pa*e, or None
+    when no such v exists.  f is monic, pa = p^a is the power of the
+    characteristic p in the outer degree (a = 0 when the split is tame) and e
+    is invertible in the field.
+
+    With t = 1/x the top of f reads F(t) = sum f_(d-j) t^j and agrees with
+    (v^pa)^e below t^s, so its e-th root W = 1 + U is the series of v^pa
+    there: U_j is v_(s-j/pa)^pa when pa | j and zero otherwise.  When the
+    split is tame, f = w(v + c) for an outer w without an x^(e-1) term, so
+    F agrees below t^(2s) with the e-th power of the series of v + c, which
+    stops at t^s: U_j must vanish for s < j < 2s.  The root is taken one
+    coefficient at a time from a table of [t^j] U^k:
+    U_j = (F_j - sum_(k>=2) C(e, k) [t^j] U^k) / e, which divides by e only.
+    """
+    d = len(f) - 1
+    pa = dom.char ** a
+    n = 2 * s if pa == 1 else s
+    zero, add, sub, mul = dom.zero, dom.add, dom.sub, dom.mul
+    binom = [dom.from_int(comb(e, k)) for k in range(min(e, n - 1) + 1)]
+    e_inv = dom.inv(dom.from_int(e))
+    U = [zero] * n
+    powers = [None, U] + [[zero] * n for _ in binom[2:]]  # powers[k][j] = [t^j] U^k
+    for j in range(1, n):
+        acc = f[d - j]
+        prev = U
+        for k in range(2, min(e, j) + 1):
+            row = powers[k]
+            c = zero
+            for i in range(1, j - k + 2):
+                if U[i] != zero:
+                    c = add(c, mul(U[i], prev[j - i]))
+            if c != zero:
+                row[j] = c
+                acc = sub(acc, mul(binom[k], c))
+            prev = row
+        if acc != zero:
+            if j % pa or j > s:
+                return None
+            U[j] = mul(acc, e_inv)
+    top = []
+    for i in range((s - 1) // pa, 0, -1):
+        c = U[i * pa]
+        for _ in range(a):
+            c = dom.pth_root(c)
+        top.append(c)
+    return top
 
 
 def _extract_outer_dense(dom, f, v, r):
@@ -295,29 +332,36 @@ def _extract_outer_dense(dom, f, v, r):
 
 
 def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
-    """(outer coeffs, normalized inner coeffs) with outer degree r, or None."""
+    """(outer coeffs, normalized inner coeffs) with outer degree r, or None.
+
+    With r = p^a e, p the characteristic and p not dividing e, the top of f
+    forces the inner coefficients v_i with p^a (s - i) < s or rejects f
+    (_forced_inner_top); the other s - 1 - (s-1)//p^a are free, none when
+    the split is tame.  The guard bounds q^(free count), before any work.
+    Free completions go in increasing coefficient order, and the first that
+    passes the exact check by repeated division (_extract_outer_dense) wins."""
     d = unipoly.degree(f)
     s = d // r
-    a = f[-1]
-    fm = unipoly.monic(dom, f)
     p = dom.char
-    if p == 0 or r % p:
-        w = _approx_root_dense(dom, fm, r, s)
-        v = list(w)
-        v[0] = dom.zero
-        u = _extract_outer_dense(dom, fm, v, r)
-        if u is None:
-            return None
-        return unipoly.scale(dom, u, a), v
-    if dom.q ** (s - 1) > guard:
+    a, e = 0, r
+    while p and e % p == 0:
+        a, e = a + 1, e // p
+    nfree = s - 1 - (s - 1) // p ** a
+    if nfree and dom.q ** nfree > guard:
         raise GuardExceeded(
-            f"inner enumeration of size {dom.q ** (s - 1)} exceeds guard {guard}"
+            f"inner enumeration of {nfree} free coefficients, size "
+            f"{dom.q ** nfree}, exceeds guard {guard}"
         )
-    for mid in itertools.product(dom.elements(), repeat=s - 1):
-        v = [dom.zero, *mid, dom.one]
+    fm = unipoly.monic(dom, f)
+    top = _forced_inner_top(dom, fm, s, a, e)
+    if top is None:
+        return None
+    lows = itertools.product(dom.elements(), repeat=nfree) if nfree else [()]
+    for low in lows:
+        v = [dom.zero, *low, *top, dom.one]
         u = _extract_outer_dense(dom, fm, v, r)
         if u is not None:
-            return unipoly.scale(dom, u, a), v
+            return unipoly.scale(dom, u, f[-1]), v
     return None
 
 

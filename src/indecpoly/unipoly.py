@@ -79,18 +79,6 @@ def mul_trunc(dom, a: list, b: list, k: int) -> list:
     return normalize(dom, out)
 
 
-def pow_trunc(dom, a: list, e: int, k: int) -> list:
-    out = [dom.one]
-    base = [v for v in a[:k]]
-    while e:
-        if e & 1:
-            out = mul_trunc(dom, out, base, k)
-        e >>= 1
-        if e:
-            base = mul_trunc(dom, base, base, k)
-    return out
-
-
 def divmod_poly(dom, a: list, b: list):
     """Quotient and remainder; the divisor's leading coefficient is inverted."""
     if not b:

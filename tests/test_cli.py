@@ -129,6 +129,20 @@ def test_cli_census_jobs_match_serial(capsys, q, n, d):
     assert pooled == serial
 
 
+@pytest.mark.parametrize("d", [6, 12])
+def test_cli_census_uni_scans_when_gcd_q_d_exceeds_one(capsys, d):
+    # the closed forms and sandwich bounds assume gcd(q, d) = 1: without
+    # them the scan is printed alone, and the counting methods stay errors
+    argv = ["--q", "2", "--n", "1", "--d", str(d)]
+    expected = run_cli(capsys, "enumerate", *argv)
+    assert expected[0] == 0
+    for method in ("enumeration", "all"):
+        assert run_cli(capsys, "census", *argv, "--method", method) == expected
+    for method in ("closed", "recursion"):
+        code, out, err = run_cli(capsys, "census", *argv, "--method", method)
+        assert code == 1 and out == "" and "gcd(q, d) = 1" in err
+
+
 def test_cli_spectrum_guard(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--field", "2^4", "--guard", "1000",
                              "x^4 + y^3 + x*y")

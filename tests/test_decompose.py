@@ -320,7 +320,11 @@ def test_wild_univariate_matches_brute_force_composition_sets():
     from indecpoly import unipoly
     from indecpoly.decompose import decompose_uni_dense
 
-    for q, p, k, d in [(2, 2, 1, 4), (2, 2, 1, 8), (4, 2, 2, 4)]:
+    # (3, 4) and (2, 9) are tame; (4, 6) has a wild r = 2 over F_4, where the
+    # p-th root is not the identity, and a tame r = 3; (2, 12) has the wild
+    # r = 6 = 2 * 3
+    for q, p, k, d in [(2, 2, 1, 4), (2, 2, 1, 8), (4, 2, 2, 4), (3, 3, 1, 4),
+                       (2, 2, 1, 9), (4, 2, 2, 6), (2, 2, 1, 12)]:
         F = finite_field(p, k)
         splits = [r for r in divisors(d) if r >= 2 and d // r >= 2]
         comp = {r: set() for r in splits}
@@ -375,6 +379,27 @@ def test_wild_case_unique_top_but_many_inners():
     assert dec.recompose() == f
     # the one-variable scan keeps the same order
     assert decompose_uni_dense(F2, [0, 0, 1, 0, 1], 2) == ([0, 1, 1], [0, 0, 1])
+
+
+def test_uni_guard_counts_only_free_inner_coefficients(monkeypatch):
+    # r = 2, s = 30 over F_2: the top of f forces v_16..v_29, so 15 of the 29
+    # inner coefficients are free and 2^15 fits the default guard of 2^24
+    from indecpoly import decompose, unipoly
+    from indecpoly.fields import GuardExceeded
+
+    v = MPoly.from_dense(F2, [0] * 14 + [1, 1, 1] + [0] * 12 + [1, 1], 1)
+    f = compose(MPoly.from_dense(F2, [1, 1, 1], 1), v)
+    dec = decompose_uni(f, 2)
+    assert dec is not None and dec.recompose() == f
+
+    def no_work(*args):
+        raise AssertionError("the guard must be checked before any work")
+
+    monkeypatch.setattr(decompose, "_forced_inner_top", no_work)
+    monkeypatch.setattr(unipoly, "divmod_poly", no_work)
+    with pytest.raises(GuardExceeded, match="15 free coefficients, size 32768, "
+                                            "exceeds guard 16384"):
+        decompose_uni(f, 2, guard=1 << 14)
 
 
 @pytest.mark.parametrize("field, n, m, count", [

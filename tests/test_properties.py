@@ -10,10 +10,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from indecpoly.decompose import compose, decompose_multi, decompose_uni  # noqa: E402
+from indecpoly import unipoly  # noqa: E402
+from indecpoly.decompose import (compose, decompose_multi, decompose_uni,  # noqa: E402
+                                 decompose_uni_dense)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, monomials_upto  # noqa: E402
@@ -61,6 +63,60 @@ def compositions(draw, nvars, inner_degrees, outer_degrees):
     H = MPoly(F, nvars, {e: coeff() for e in monos})
     assume(H.degree() == m)
     return compose(u, H), r
+
+
+def _free_inner_count(F, r, s):
+    """Inner coefficients of a one-variable split that the top of u(v) does
+    not force: v_i is forced when p^a (s - i) < s, p^a the power of the
+    characteristic in r."""
+    pa = 1
+    while r % (pa * F.p) == 0:
+        pa *= F.p
+    return s - 1 - (s - 1) // pa
+
+
+# every (field, r, s) with r, s >= 2 and r s <= 30 whose free inner space
+# stays small enough to enumerate quickly
+UNI_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5),
+              finite_field(2, 3), finite_field(3, 2)]
+UNI_SHAPES = [(F, r, s) for F in UNI_FIELDS for r in range(2, 16) for s in range(2, 30 // r + 1)
+              if F.q ** _free_inner_count(F, r, s) <= 256]
+
+
+@st.composite
+def uni_pairs(draw):
+    """(F, u, v): random u of degree r and normalized v of degree s."""
+    F, r, s = draw(st.sampled_from(UNI_SHAPES))
+    digits = st.integers(0, F.q - 1)
+    u = [F.element(draw(digits)) for _ in range(r)] + [F.element(draw(st.integers(1, F.q - 1)))]
+    v = [F.zero] + [F.element(draw(digits)) for _ in range(s - 1)] + [F.one]
+    return F, u, v
+
+
+def _uni_pair(q, r, s):
+    # a fixed draw of the given shape, so that the wild splits the property
+    # must cover run whatever hypothesis generates
+    F = next(F for F in UNI_FIELDS if F.q == q)
+    u = [F.element((3 * i + 1) % q) for i in range(r)] + [F.one]
+    v = [F.zero] + [F.element((5 * i + 2) % q) for i in range(1, s)] + [F.one]
+    return F, u, v
+
+
+@SETTINGS
+@given(uni_pairs())
+@example(_uni_pair(2, 4, 7))
+@example(_uni_pair(2, 6, 5))
+@example(_uni_pair(2, 12, 2))
+@example(_uni_pair(3, 6, 5))
+@example(_uni_pair(4, 2, 5))  # wild over extensions: the forced part takes
+@example(_uni_pair(9, 3, 4))  # a p-th root that is not the identity
+def test_decompose_uni_dense_finds_every_composition(case):
+    F, u, v = case
+    f = unipoly.compose(F, u, v)
+    res = decompose_uni_dense(F, f, len(u) - 1)
+    assert res is not None
+    assert len(res[0]) == len(u) and res[1][0] == F.zero and res[1][-1] == F.one
+    assert unipoly.compose(F, *res) == f
 
 
 @SETTINGS
