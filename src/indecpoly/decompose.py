@@ -182,8 +182,6 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
         ui = dom.div(rc, dom.pow(H.leading()[1], i))
         u[i] = ui
         r = r - powers[i].scale(ui)
-        if not r.is_zero() and r.degree() >= k and r.leading()[0] == re:
-            return None  # pragma: no cover - leading term always cancels
     if u[e] is None:
         return None
     return [c if c is not None else dom.zero for c in u]

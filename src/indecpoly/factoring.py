@@ -7,10 +7,11 @@ field embeddings), so identical inputs always produce identical outputs.
 
 Bivariate factorization is by lifting: make the input monic in y by a
 shear, factor a squarefree specialization, lift the factors x-adically past
-the total degree, and recombine subsets by trial division.  Shears are tried
-lazily, and the first one with a squarefree fibre is used.  When no shear
-has one (a field too small for the degree), the input is factored over
-F_{q^2} or F_{q^3} and the factors descend as Frobenius orbit products.
+the total degree one x-coefficient at a time, and recombine subsets by trial
+division.  Shears are tried lazily, and the first one with a squarefree
+fibre is used.  When no shear has one (a field too small for the degree),
+the input is factored over F_{q^2} and the factors descend as Frobenius
+orbit products.
 
 An exhaustive divisor search over the monic candidates of total degree up to
 half the input, in canonical graded-lex order and skipping every candidate
@@ -239,20 +240,29 @@ def _merge_factor_lists(a, b):
     return [(out[k][0], out[k][1]) for k in order]
 
 
-# -- helpers between MPoly and y-major dense form ---------------------------
+# -- helpers between MPoly and x-major dense form ---------------------------
 
-def _to_yx(F: MPoly):
-    """List over y-degree of dense x-coefficient lists."""
-    return [c.to_dense(0) for c in coeff_list(F, 1)]
+def _to_xy(F: MPoly):
+    """List over x-degree of dense y-coefficient lists."""
+    return [c.to_dense(1) for c in coeff_list(F, 0)]
 
 
-def _from_yx(field, rows):
+def _from_xy(field, cols):
     terms = {}
-    for j, row in enumerate(rows):
-        for i, c in enumerate(row):
+    for i, col in enumerate(cols):
+        for j, c in enumerate(col):
             if c != field.zero:
                 terms[(i, j)] = c
     return MPoly(field, 2, terms)
+
+
+def _xy_mul(field, A, B, K):
+    """Product of x-major y-dense polys, x-truncated below x^K."""
+    out = [[] for _ in range(min(K, len(A) + len(B) - 1))]
+    for i, a in enumerate(A[:K]):
+        for j, b in enumerate(B[: K - i]):
+            out[i + j] = unipoly.add(field, out[i + j], unipoly.mul(field, a, b))
+    return out
 
 
 def _pth_root_mpoly(F: MPoly):
@@ -280,77 +290,48 @@ def _shear_options(field, F: MPoly):
                 yield transposed, c
 
 
-def _lift_pair(field, T_rows, g0, h0, K):
+def _lift_pair(field, T, g0, h0, K):
     """Hensel-lift T = G*H from (g0, h0) at x=0 to precision x^K.
 
-    T_rows: y-major x-dense, monic in y; g0, h0: coprime monic y-univariate.
-    Returns (G_rows, H_rows) with T = G*H mod x^K, G monic of deg g0.
+    T: x-major y-dense, monic in y; g0, h0: coprime monic y-univariate with
+    T_0 = g0*h0.  Returns (G, H) with T = G*H mod x^K, G monic of deg g0.
+    Comparing x^m coefficients, e = T_m - sum_{0<i<m} G_i*H_{m-i} must equal
+    G_m*h0 + H_m*g0, so with A*g0 + B*h0 = 1 the new coefficients are
+    G_m = B*e mod g0 and H_m = (e - G_m*h0)/g0.
     """
     one, A, B = unipoly.xgcd(field, g0, h0)
     assert unipoly.degree(one) == 0
-    G = [[c] if c != field.zero else [] for c in g0]
-    H = [[c] if c != field.zero else [] for c in h0]
+    G, H = [g0], [h0]
     for m in range(1, K):
-        prod = _yx_mul(field, G, H, K)
-        e = []
-        for j in range(len(T_rows)):
-            t = T_rows[j] if j < len(T_rows) else []
-            p = prod[j] if j < len(prod) else []
-            dcoef = unipoly.sub(field, t, p)
-            e.append(dcoef[m] if len(dcoef) > m else field.zero)
-        e = unipoly.normalize(field, e)
-        if not e:
-            continue
+        e = T[m] if m < len(T) else []
+        for i in range(1, m):
+            e = unipoly.sub(field, e, unipoly.mul(field, G[i], H[m - i]))
         u = unipoly.mod(field, unipoly.mul(field, B, e), g0)
-        v_num = unipoly.sub(field, e, unipoly.mul(field, u, h0))
-        v, rem = unipoly.divmod_poly(field, v_num, g0)
+        v, rem = unipoly.divmod_poly(field, unipoly.sub(field, e, unipoly.mul(field, u, h0)), g0)
         assert not rem
-        for j, c in enumerate(u):
-            if c == field.zero:
-                continue
-            row = G[j]
-            row.extend([field.zero] * (m + 1 - len(row)))
-            row[m] = field.add(row[m], c)
-        for j, c in enumerate(v):
-            if c == field.zero:
-                continue
-            while len(H) <= j:
-                H.append([])
-            row = H[j]
-            row.extend([field.zero] * (m + 1 - len(row)))
-            row[m] = field.add(row[m], c)
+        G.append(u)
+        H.append(v)
     return G, H
 
 
-def _yx_mul(field, A, B, K):
-    """Product of y-major x-dense polys, x-truncated below x^K."""
-    out = [[] for _ in range(len(A) + len(B) - 1)]
-    for i, a in enumerate(A):
-        if not a:
-            continue
-        for j, b in enumerate(B):
-            if not b:
-                continue
-            out[i + j] = unipoly.add(field, out[i + j], unipoly.mul_trunc(field, a, b, K))
-    return out
-
-
-def _multilift(field, T_rows, locals_, K):
+def _multilift(field, T, locals_, K):
     if len(locals_) == 1:
-        return [[r[:K] for r in T_rows]]
+        return [T[:K]]
     g0 = locals_[0]
     h0 = [field.one]
     for g in locals_[1:]:
         h0 = unipoly.mul(field, h0, g)
-    G, H = _lift_pair(field, T_rows, g0, h0, K)
+    G, H = _lift_pair(field, T, g0, h0, K)
     return [G] + _multilift(field, H, locals_[1:], K)
 
 
-def _squarefree_fibres(field, rows, count):
-    """(x0, fibre) for each element x0 < min(q, count) at which
-    the fibre y -> F(x0, y) of the y-major rows is nonconstant and squarefree."""
+def _squarefree_fibres(field, cols, count):
+    """(x0, fibre) for each element x0 < min(q, count) at which the fibre
+    y -> F(x0, y) of the x-major columns is nonconstant and squarefree."""
     for x0 in range(min(field.q, count)):
-        fib = unipoly.normalize(field, [unipoly.evaluate(field, r, x0) for r in rows])
+        fib = []
+        for col in reversed(cols):
+            fib = unipoly.add(field, unipoly.scale(field, fib, x0), col)
         if unipoly.degree(fib) < 1:
             continue
         fibp = unipoly.derivative(field, fib)
@@ -368,7 +349,7 @@ def _factor_lift(S: MPoly, guard, depth=0):
         c0 = W.coeff((0, D))
         Wm = W.scale(field.inv(c0))
         # Wm is monic of degree D in y, so every fibre has degree D
-        for x0, fib in _squarefree_fibres(field, _to_yx(Wm), field.q):
+        for x0, fib in _squarefree_fibres(field, _to_xy(Wm), field.q):
             out = []
             for P in _factor_lift_at(field, Wm, x0, fib, D, guard):
                 Q = P.shear(0, 1, field.neg(c))
@@ -393,29 +374,25 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
         )
     T = Wm.shift_var(0, x0) if x0 != field.zero else Wm
     K = D + 1
-    T_rows = _to_yx(T)
-    lifted = _multilift(field, T_rows, local, K)
+    lifted = _multilift(field, _to_xy(T), local, K)
     # subset recombination by trial division
     result = []
     pool = list(range(len(lifted)))
     cur = T
     size = 1
     while pool and size <= len(pool):
-        hit = False
         for subset in combinations(pool, size):
             cand = [[field.one]]
             for j in subset:
-                cand = _yx_mul(field, cand, lifted[j], K)
-            P = _from_yx(field, cand)
+                cand = _xy_mul(field, cand, lifted[j], K)
+            P = _from_xy(field, cand)
             quot = cur.exact_div(P)
-            if quot is None:
-                continue
-            result.append(P)
-            pool = [j for j in pool if j not in subset]
-            cur = quot
-            hit = True
-            break
-        if not hit:
+            if quot is not None:
+                result.append(P)
+                pool = [j for j in pool if j not in subset]
+                cur = quot
+                break
+        else:
             size += 1
     if cur.deg_in(1) >= 1:
         result.append(cur)
@@ -426,35 +403,28 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
 
 
 def _factor_by_extension(S: MPoly, guard, depth):
-    """Factor over a small extension and descend by Frobenius orbit products."""
+    """Factor over F_{q^2} and descend by Frobenius orbit products: S is
+    squarefree, so each factor occurs once and each orbit product is F_q-rational."""
     field = S.dom
     if depth >= 2:
         # last resort: the reference engine, within its own guard
         return _factor_search(S, guard)
-    for j in (2, 3):
-        E = finite_field(field.p, field.k * j)
-        emb = embedding(field, E)
-        proj = projection(field, E)
-        SE = S.map_coeffs(emb, E)
-        parts = _factor_rec(SE, "lift", guard, depth + 1)
-        # group factors into Frobenius orbits over the base field
-        frob = lambda g: g.map_coeffs(lambda a: E.pow(a, field.q), E).monic()  # noqa: E731
-        remaining = [g for g, m in parts for _ in range(m)]
-        out = []
-        while remaining:
-            orbit = frobenius_orbit(remaining.pop(0), frob)
-            prod = orbit[0]
-            for h in orbit[1:]:
-                if h in remaining:
-                    remaining.remove(h)
-                prod = prod * h
-            down = {e: proj(cc) for e, cc in prod.terms.items()}
-            if None in down.values():
-                break
-            out.append(MPoly(field, 2, down).monic())
-        else:
-            return _merge_factor_lists([(g, 1) for g in out], [])
-    return _factor_search(S, guard)  # pragma: no cover
+    E = finite_field(field.p, field.k * 2)
+    proj = projection(field, E)
+    parts = _factor_rec(S.map_coeffs(embedding(field, E), E), "lift", guard, depth + 1)
+    frob = lambda g: g.map_coeffs(lambda a: E.pow(a, field.q), E)  # noqa: E731
+    remaining = [g for g, _ in parts]
+    out = []
+    while remaining:
+        prod = MPoly.const(E, 2, E.one)
+        for h in frobenius_orbit(remaining[0], frob):
+            remaining.remove(h)
+            prod = prod * h
+        down = {e: proj(cc) for e, cc in prod.terms.items()}
+        if None in down.values():  # pragma: no cover - orbit products are F_q-rational
+            raise ArithmeticError("orbit product coefficient outside the base field")
+        out.append((MPoly(field, 2, down).monic(), 1))
+    return out
 
 
 # -- full recursive factorization --------------------------------------------
@@ -541,7 +511,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
         evidence = 0
         for transposed in (False, True):
             P = G.swap_vars(0, 1) if transposed else G
-            fibres = _squarefree_fibres(field, _to_yx(P), 64)
+            fibres = _squarefree_fibres(field, _to_xy(P), 64)
             for good, (_x0, fib) in enumerate(fibres, 1):
                 _, fs = uni_factor(field, fib)
                 for g, _m in fs:

@@ -64,21 +64,6 @@ def mul(dom, a: list, b: list) -> list:
     return normalize(dom, out)
 
 
-def mul_trunc(dom, a: list, b: list, k: int) -> list:
-    """Product modulo x^k."""
-    out = [dom.zero] * min(k, max(len(a) + len(b) - 1, 0))
-    for i, ai in enumerate(a):
-        if i >= k or ai == dom.zero:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= k:
-                break
-            if bj == dom.zero:
-                continue
-            out[i + j] = dom.add(out[i + j], dom.mul(ai, bj))
-    return normalize(dom, out)
-
-
 def divmod_poly(dom, a: list, b: list):
     """Quotient and remainder; the divisor's leading coefficient is inverted."""
     if not b:

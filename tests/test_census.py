@@ -129,6 +129,17 @@ def test_parallel_census_pool_no_larger_than_its_parts(monkeypatch):
     assert rep == enumerate_census(2, 2, 1)
 
 
+def test_parallel_census_checks_the_guard_before_any_worker_starts(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(GuardExceeded, match="scan space 1024 exceeds guard 10"):
+        enumerate_census_parallel(2, 2, 3, 2, guard=10)
+
+
 def test_guard_raises():
     with pytest.raises(GuardExceeded):
         enumerate_census(5, 2, 5, guard=10_000)

@@ -183,6 +183,27 @@ def test_cli_text_format(capsys):
     assert "D: 12" in out
 
 
+def test_cli_text_format_renders_the_nested_orbit_list(capsys):
+    code, out, _ = run_cli(capsys, "--format", "text", "spectrum", "--field", "3", "x*y")
+    assert code == 0
+    assert "orbits:\n    degree: 1\n    min_poly: x\n    multiplicity: 1\n" in out
+    assert "    representative: 0\npoly: x*y\n" in out
+
+
+def test_cli_rejects_a_strong_pseudoprime_to_the_bases_up_to_37(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin for every prime base
+    # up to 37, and fails it for base 41
+    from indecpoly.arith import is_prime
+
+    n = 318665857834031151167461
+    assert not is_prime(n)
+    code, out, err = run_cli(capsys, "pthpower", "--field", f"{n}^1", "x^2 + 1")
+    assert code == 1 and out == ""
+    assert f"{n} is not prime" in err
+    code, _, err = run_cli(capsys, "pthpower", "--field", "91^1", "x^2 + 1")
+    assert code == 1 and "91 is not prime" in err
+
+
 def test_cli_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("SPEC_GUARD", "10")
     code, _, err = run_cli(capsys, "enumerate", "--q", "2", "--n", "2", "--d", "3")

@@ -9,6 +9,7 @@ import pytest
 from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
+from indecpoly.parsing import parse_poly
 from indecpoly.decompose import (Decomposition, _extract_outer, compose, decompose_multi,
                                  decompose_uni, decompose_uni_dense, dickson,
                                  is_indecomposable_multi, is_indecomposable_uni, is_pth_power,
@@ -161,6 +162,11 @@ def test_eth_root():
     cube = t ** 3
     root = poly_eth_root(cube, 3)
     assert root is not None and root ** 3 == cube
+
+
+def test_eth_root_of_a_non_monic_input_over_a_prime_field():
+    assert poly_eth_root(parse_poly("4*x^2 + 4*x*y + y^2", F5), 2).format() == "2*x + y"
+    assert poly_eth_root(parse_poly("2*x^2", F5), 2) is None  # 2 is not a square mod 5
 
 
 def test_integer_nth_root_beyond_float_range():

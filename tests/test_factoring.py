@@ -222,6 +222,37 @@ def test_lift_engine_no_shear_direction_uses_extension_descent():
         assert fl.expand() == G
 
 
+def test_extension_descent_multiplies_a_conjugate_orbit(monkeypatch):
+    # no shear of F has a squarefree fibre over F_2, and over F_4 F splits
+    # into two conjugate conics whose product descends to F itself
+    from indecpoly import factoring
+    from indecpoly.fields import embedding
+
+    F4 = finite_field(2, 2)
+    F = parse_poly("x^4 + x^3*y + y^4 + x^3 + x^2*y + x*y^2 + x + 1", F2)
+    entered = []
+    descend = factoring._factor_by_extension
+
+    def spy(S, guard, depth):
+        entered.append((S.format(), depth))
+        return descend(S, guard, depth)
+
+    monkeypatch.setattr(factoring, "_factor_by_extension", spy)
+    fl = bivar_factor(F, method="lift")
+    assert entered == [(F.format(), 0)]
+    fs = bivar_factor(F, method="search")
+    assert [(g.key(), m) for g, m in fl.factors] == [(g.key(), m) for g, m in fs.factors]
+    assert [(g.format(), m) for g, m in fl.factors] == [(F.format(), 1)]
+    fe = bivar_factor(F.map_coeffs(embedding(F2, F4), F4))
+    assert [g.format() for g, _ in fe.factors] == [
+        "x^2 + t*x*y + t*y^2 + (t + 1)*x + t",
+        "x^2 + (t + 1)*x*y + (t + 1)*y^2 + t*x + (t + 1)",
+    ]
+    assert conjugate_split_count(F) == 2
+    assert absolutely_irreducible(F) is False
+    assert n_bar_factors(F) == 2
+
+
 def test_conjugate_split_count_matches_extension_factor_counts():
     # oracle: the orbit size equals the largest number of distinct factors
     # over the extensions up to the degree

@@ -11,6 +11,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from indecpoly import unipoly  # noqa: E402
+from indecpoly.arith import is_prime  # noqa: E402
 from indecpoly.decompose import compose, decompose_uni, is_indecomposable_uni  # noqa: E402
 from indecpoly.factoring import uni_factor  # noqa: E402
 from indecpoly.fields import QQ, ZECH_LIMIT, ZZ, finite_field  # noqa: E402
@@ -202,3 +203,14 @@ def test_extension_arithmetic_matches_galoistools(p, k):
         assert F.inv(b) == element(inv)
         assert F.pow(b, n) == element(gt.gf_pow_mod(fb if n >= 0 else inv, abs(n), m, p, SZZ))
         assert F.pow(a, abs(n)) == element(gt.gf_pow_mod(fa, abs(n), m, p, SZZ))
+
+
+def test_is_prime_matches_sympy():
+    # Carmichael numbers, the smallest strong pseudoprimes to base 2 and to
+    # bases 2..7, Mersenne primes, and the smallest strong pseudoprime to
+    # bases 2..37, which only base 41 exposes
+    for n in range(200_000):
+        assert is_prime(n) == sympy.isprime(n), n
+    for n in (561, 1105, 1729, 2047, 3215031751, 2 ** 61 - 1, 2 ** 89 - 1,
+              399165290221 * 798330580441):
+        assert is_prime(n) == sympy.isprime(n), n
