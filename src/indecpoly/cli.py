@@ -73,9 +73,11 @@ def cmd_spectrum(args):
 def cmd_decompose(args):
     field = _parse_field(args.field)
     F = parse_poly(args.poly, field)
+    if F.is_constant():
+        raise ValueError("cannot decompose a constant")
     d = F.degree()
     found = []
-    outers = [args.outer_degree] if args.outer_degree else [
+    outers = [args.outer_degree] if args.outer_degree is not None else [
         e for e in divisors(d) if e >= 2 and (F.n >= 2 or d // e >= 2)
     ]
     for e in outers:

@@ -18,6 +18,14 @@ a = 0). A prime p with p > deg_y(F) whose reduction keeps delta0 * delta_l
 nonzero guarantees that F mod p stays indecomposable over the closure of
 F_p.
 
+A modular image may certify that the gcd is 1, but never stands in for a
+nontrivial gcd (Brown's lemma on unlucky reductions). Let h be the primitive
+gcd of P and P_x in Z[l][x] (the gcd above, since P is primitive), and let a
+bar denote l = a and reduction mod a prime. h divides P, so lc_x(h) divides lc_x(P); when lc_x(P)(a) is nonzero
+mod the prime, h-bar keeps the x-degree of h and divides gcd(P-bar, P-bar').
+So gcd(P-bar, P-bar') = 1 forces deg_x h = 0, and then delta_red = P. Only
+when no image certifies does the chain take the gcd over Z[l].
+
 The primitive-part sign convention: the leading x-coefficient of the
 primitive part has a positive leading integer coefficient in l; the content
 absorbs the sign (so -4*(x^3 - l) has content -4 and primitive part
@@ -28,7 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from . import unipoly
 from .arith import primes_upto, is_prime
 from .decompose import is_indecomposable_multi
 from .fields import QQ, ZZ, prime_field
@@ -37,6 +47,12 @@ from .resultants import coeff_list, content, discriminant, primitive_gcd
 
 # variable layout for chain polynomials: index 0 = x, index 1 = l
 CHAIN_VARS = ("x", "l")
+
+# the prime and the values of l tried, in order, by `_squarefree_certified`;
+# l = 0 is left out: F = 0 has a singular point for many inputs (the cusp
+# among them), and the image there then has a repeated root
+CERT_PRIME = 2**31 - 1
+CERT_POINTS = (1, 2, 3, 4)
 
 
 def content_primitive(F: MPoly):
@@ -55,6 +71,28 @@ def content_primitive(F: MPoly):
     return cont, F.exact_div(cont)
 
 
+def _squarefree_certified(P: MPoly) -> bool:
+    """True when an image of P proves gcd(P, P_x) = 1 in Z[l][x].
+
+    The image at l = a is taken mod CERT_PRIME, for each a of CERT_POINTS
+    where lc_x(P)(a) stays nonzero; it proves the gcd trivial when it is
+    coprime to its derivative (see the module docstring). An x-free P is
+    never certified. False proves nothing: the gcd may still be 1.
+    """
+    n = P.deg_in(0)
+    if n < 1:
+        return False
+    p = CERT_PRIME
+    dom = prime_field(p)
+    for a in CERT_POINTS:
+        img = [0] * (n + 1)
+        for (i, j), c in P.terms.items():
+            img[i] = (img[i] + c * pow(a, j, p)) % p
+        if img[n] and unipoly.gcd(dom, img, unipoly.derivative(dom, img)) == [1]:
+            return True
+    return False
+
+
 # --------------------------------------------------------------------------
 # the chain
 # --------------------------------------------------------------------------
@@ -66,6 +104,11 @@ class CriterionChain:
     delta_red: MPoly     # primitive squarefree part, Z[x, l]
     delta_l: MPoly       # disc_x(delta_red) in Z[l] (vars (x, l), x-free)
     delta0: MPoly        # leading x-coefficient of delta_xl, in Z[l]
+
+    @cached_property
+    def criterion_product(self) -> MPoly:
+        """delta0 * delta_l, which a good prime keeps nonzero."""
+        return self.delta0 * self.delta_l
 
     def to_json_dict(self):
         return {
@@ -107,13 +150,17 @@ def build_chain(F: MPoly) -> CriterionChain:
         raise ValueError("degenerate input: the discriminant chain vanishes")
     delta_xl = MPoly(ZZ, 2, {(e[0], e[2]): c for e, c in delta3.terms.items()})
     # gcd with the x-derivative in Z[l][x], taken before any reduction mod p
+    # unless one image proves it is 1
     _, prim = content_primitive(delta_xl)
-    quo = prim.exact_div(primitive_gcd(prim, delta_xl.derivative(0), 0))
-    if quo is None:  # pragma: no cover - the gcd divides
-        raise ArithmeticError("gcd does not divide")
-    _, delta_red = content_primitive(quo)
-    if primitive_gcd(delta_red, delta_red.derivative(0), 0).deg_in(0) > 0:  # pragma: no cover
-        raise ArithmeticError("reduced part is not squarefree")
+    if _squarefree_certified(prim):
+        delta_red = prim
+    else:
+        quo = prim.exact_div(primitive_gcd(prim, delta_xl.derivative(0), 0))
+        if quo is None:  # pragma: no cover - the gcd divides
+            raise ArithmeticError("gcd does not divide")
+        _, delta_red = content_primitive(quo)
+        if primitive_gcd(delta_red, delta_red.derivative(0), 0).deg_in(0) > 0:  # pragma: no cover
+            raise ArithmeticError("reduced part is not squarefree")
     if delta_red.deg_in(0) >= 1:
         delta_l = discriminant(delta_red, 0)
     else:
@@ -135,8 +182,7 @@ def criterion_holds(chain: CriterionChain, p: int) -> bool:
         raise ValueError("p must be prime")
     if p <= chain.poly.deg_in(1):
         return False
-    prod = chain.delta0 * chain.delta_l
-    return any(c % p for c in prod.terms.values())
+    return any(c % p for c in chain.criterion_product.terms.values())
 
 
 def good_primes(chain: CriterionChain, bound: int) -> list[int]:

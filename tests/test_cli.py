@@ -104,6 +104,24 @@ def test_cli_decompose_and_indec(capsys):
     assert json.loads(out)["indecomposable"] is True
 
 
+def test_cli_decompose_outer_degree_zero_is_rejected(capsys):
+    # 0 is a given outer degree, not "try every divisor"
+    for e in ("0", "1"):
+        code, out, err = run_cli(capsys, "decompose", "--field", "7", "--outer-degree", e,
+                                 "x^2+2*x*y+y^2")
+        assert code == 1 and out == ""
+        assert f"outer degree {e} must be >= 2" in err
+    code, out, _ = run_cli(capsys, "decompose", "--field", "7", "x^2+2*x*y+y^2")
+    assert code == 0 and json.loads(out)["decompositions"][0]["outer_degree"] == 2
+
+
+@pytest.mark.parametrize("poly", ["7", "0"])
+def test_cli_decompose_rejects_a_constant(capsys, poly):
+    code, out, err = run_cli(capsys, "decompose", "--field", "5", poly)
+    assert code == 1 and out == ""
+    assert "cannot decompose a constant" in err
+
+
 def test_cli_pthpower(capsys):
     code, out, _ = run_cli(capsys, "pthpower", "--field", "3", "x^3 + y^3")
     assert code == 0

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from indecpoly import unipoly
+from indecpoly import modp, unipoly
+from indecpoly.cli import main
 from indecpoly.fields import QQ, ZZ, prime_field
 from indecpoly.mpoly import MPoly
 from indecpoly.decompose import is_indecomposable_multi
-from indecpoly.modp import (CHAIN_VARS, build_chain, content_primitive, criterion_holds,
-                            good_primes)
+from indecpoly.modp import (CERT_POINTS, CERT_PRIME, CHAIN_VARS, _squarefree_certified,
+                            build_chain, content_primitive, criterion_holds, good_primes)
 from indecpoly.parsing import parse_poly
+from indecpoly.resultants import coeff_list, primitive_gcd
 
 
 def zz(terms):
@@ -173,3 +177,149 @@ def test_delta_red_matches_sympy_seeded_deg_y3():
             continue  # decomposable or degenerate
         assert _matches_sympy(F.format()), F.format()
         checked += 1
+
+
+# -- the modular certificate that gcd(P, P_x) = 1 -----------------------------
+
+def _random_zl_x(rng, deg_x, deg_l):
+    terms = {(i, j): rng.randint(-3, 3) for i in range(deg_x + 1) for j in range(deg_l + 1)}
+    terms[(deg_x, rng.randint(0, deg_l))] = rng.choice([-2, -1, 1, 2])
+    return zz(terms)
+
+
+# leading x-coefficients that vanish mod CERT_PRIME at the first points, or at
+# every point, so that a later point or the fallback is used
+_L = zz({(0, 1): 1})
+_VANISHING_LEADS = [
+    _L - zz({(0, 0): CERT_POINTS[0]}),
+    (_L - zz({(0, 0): CERT_POINTS[0]})) * (_L - zz({(0, 0): CERT_POINTS[1]})),
+    _L + zz({(0, 0): CERT_PRIME - CERT_POINTS[0]}),  # vanishes mod p only
+    zz({(0, 0): CERT_PRIME}) * _L,
+    reduce(lambda a, b: a * b, [_L - zz({(0, 0): a}) for a in CERT_POINTS]),
+]
+
+
+def test_certificate_is_sound_on_seeded_polynomials_over_z_l():
+    rng = random.Random(14)
+    x = zz({(1, 0): 1})
+    certified = 0
+    for k in range(120):
+        P = _random_zl_x(rng, rng.randint(1, 4), rng.randint(0, 2))
+        if k % 3 == 0:
+            P = P + (rng.choice(_VANISHING_LEADS) - coeff_list(P, 0)[-1]) * x ** P.deg_in(0)
+        if P.deg_in(0) < 1:
+            continue
+        _, P = content_primitive(P)
+        if _squarefree_certified(P):
+            certified += 1
+            assert primitive_gcd(P, P.derivative(0), 0).deg_in(0) == 0, P
+    assert certified > 40
+
+
+def test_certificate_never_accepts_a_square_factor():
+    rng = random.Random(41)
+    x = zz({(1, 0): 1})
+    one = zz({(0, 0): 1})
+    fixed = [
+        # the image of B at the first point is a unit, so only the lc test stands
+        (x + one, _VANISHING_LEADS[0] * x + one),
+        (x * x - _L, zz({(0, 1): CERT_PRIME}) * x + one),
+        (x + _L, _VANISHING_LEADS[-1] * x + one),
+        (one, x - _L),
+    ]
+    seeded = []
+    while len(seeded) < 60:
+        A = _random_zl_x(rng, rng.randint(0, 3), rng.randint(0, 2))
+        B = _random_zl_x(rng, rng.randint(1, 2), rng.randint(0, 2))
+        if len(seeded) % 4 == 0:
+            B = B + (rng.choice(_VANISHING_LEADS) - coeff_list(B, 0)[-1]) * x ** B.deg_in(0)
+        if not A.is_zero() and B.deg_in(0) >= 1:
+            seeded.append((A, B))
+    for A, B in fixed + seeded:
+        _, P = content_primitive(A * B * B)
+        assert not _squarefree_certified(P), (A, B)
+
+
+def test_certificate_needs_an_x_degree_of_at_least_one():
+    assert not _squarefree_certified(zz({(0, 0): 1}))
+    assert not _squarefree_certified(zz({(0, 1): 1, (0, 0): 1}))
+
+
+def test_certificate_uses_a_later_point_or_falls_back():
+    x = zz({(1, 0): 1})
+    one = zz({(0, 0): 1})
+    # the cusp's P = x^3 - l is unlucky at l = 0 only; l = 1 certifies it
+    assert _squarefree_certified(x ** 3 - _L)
+    # lc vanishes at the first point and the image at the second is squarefree
+    assert _squarefree_certified(_VANISHING_LEADS[1] * x ** 2 + x + one)
+    # lc vanishes at every point: nothing is proved
+    assert not _squarefree_certified(_VANISHING_LEADS[-1] * x ** 2 + x + one)
+
+
+def _forbid_gcd(*_):
+    raise AssertionError("the gcd over Z[l] ran")
+
+
+def _seeded_monic_quadratics(total, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        terms = {(i, j): rng.randint(-3, 3) for i in range(total + 1) for j in range(2)
+                 if i + j <= total and (i, j) != (total - 1, 1)}
+        terms[(0, 2)] = 1
+        F = zz(terms)
+        if F.degree() == total and is_indecomposable_multi(F.map_coeffs(Fraction, QQ)):
+            out.append(F)
+    return out
+
+
+def test_certified_chains_skip_the_gcd_and_keep_their_goldens(monkeypatch):
+    corpus = _seeded_monic_quadratics(4, 6, 4) + _seeded_monic_quadratics(5, 3, 5)
+    old = []
+    with monkeypatch.context() as m:
+        m.setattr(modp, "_squarefree_certified", lambda P: False)
+        for F in corpus:
+            old.append(build_chain(F).to_json_dict())
+    monkeypatch.setattr(modp, "primitive_gcd", _forbid_gcd)
+    test_chain_golden_cusp()
+    test_chain_golden_parabola()
+    test_good_primes_cusp()
+    for F, want in zip(corpus, old):
+        assert build_chain(F).to_json_dict() == want
+
+
+def test_nontrivial_gcds_still_take_the_gcd_over_z_l(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return primitive_gcd(*args)
+
+    monkeypatch.setattr(modp, "primitive_gcd", counting)
+    for text, want in NONTRIVIAL_GCD.items():
+        calls.clear()
+        ch = build_chain(parse_poly(text, ZZ))
+        assert ch.delta_red.format(CHAIN_VARS) == want
+        # the content l is stripped before the certificate, which then proves
+        # the gcd trivial; the other three keep both gcds over Z[l]
+        assert len(calls) == (0 if text == "y^3 + x^2*y^2" else 2), text
+
+
+def test_x_free_chain_is_left_to_the_empty_product_convention(capsys):
+    # deg_y = 1: delta_xl = 1, so P = 1 is never certified and the gcd
+    # over Z[l] gives delta_red = 1
+    assert main(["modp", "y + x^2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta_red"] == "1"
+    assert payload["delta_lambda"] == "1"
+
+
+def test_criterion_product_is_formed_once_per_chain(monkeypatch):
+    ch = build_chain(zz({(0, 2): 1, (3, 0): 1}))
+    assert ch.criterion_product == ch.delta0 * ch.delta_l
+
+    def no_products(*_):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(MPoly, "__mul__", no_products)
+    assert good_primes(ch, 13) == [5, 7, 11, 13]
