@@ -95,3 +95,13 @@ def integer_nth_root(a: int, n: int):
                 break
             r = s
     return r if r ** n == a else None
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k and p prime, else ValueError; one exact k-th root
+    per k <= log2(q) and no trial division, so a large prime q is fast."""
+    for k in range(max(q, 1).bit_length(), 0, -1):
+        p = integer_nth_root(q, k)
+        if p is not None and is_prime(p):
+            return p, k
+    raise ValueError(f"{q} is not a prime power")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .arith import big_omega, divisors, factorint
+from .arith import big_omega, divisors, factorint, prime_power
 from .decompose import decompose_multi, decompose_uni_dense
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
@@ -57,6 +57,7 @@ class CensusReport:
 
 def count_total(q, n, d) -> int:
     """Number of polynomials of exact degree d in n variables over F_q."""
+    prime_power(q)  # ValueError unless q is a prime power
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     return (q ** comb(n + d - 1, n - 1) - 1) * q ** comb(n + d - 1, n)
@@ -86,6 +87,7 @@ def count_recursive(q, n, d) -> CensusReport:
 def count_closed_small(q, n, d):
     """Closed-form decomposable count for d with at most two prime factors
     (counted with multiplicity); None otherwise."""
+    prime_power(q)  # ValueError unless q is a prime power
     if n < 2:
         raise ValueError("closed forms here are for n >= 2")
     fac = factorint(d) if d > 1 else {}
@@ -182,6 +184,7 @@ class UniCount:
 
 
 def count_uni(q, d) -> UniCount:
+    prime_power(q)  # ValueError unless q is a prime power
     if gcd(q, d) != 1:
         raise ValueError("one-variable counting here assumes gcd(q, d) = 1")
     if d < 1:

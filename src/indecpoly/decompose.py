@@ -9,18 +9,16 @@ The decomposability conventions differ by arity and both are exposed:
 * n >= 2 variables: any outer degree >= 2 counts, inner degree 1 allowed;
 * one variable: both the outer and the inner degree must be >= 2.
 
-Search strategy per outer degree e with inner degree m = d/e: the top form
-of the inner polynomial is forced (it is the unique monic e-th root of the
-input's top form); when e is invertible in the field the lower parts come
-from the same term-by-term recovery as that e-th root, run on the whole
-input until the rest has degree d - m or less, and in wild characteristic
-(p | e) they are enumerated under a state-space guard.  One variable has
-one route for every split r = p^a r' with p not dividing r': the r'-th root
-of the top of the input at infinity forces the inner coefficients v_i with
-p^a (s - i) < s (as p^a-th roots) and rejects most inputs outright; the
-others are free and enumerated, none when the split is tame, and the guard
-counts the free ones only.  The outer polynomial is recovered by repeated
-division, so a returned pair recomposes to the input by construction.
+One rule for every split, in both arities: with outer degree e = p^a e'
+(p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
+inner degree m = d/e, the top of the input forces the inner coefficients of
+degree k with p^a (m - k) < m, as the p^a-th root of an e'-th root taken one
+term at a time (over homogeneous components in decompose_multi, as a series
+at infinity in _forced_inner_top), or rejects the input.  The others are
+free: the guard bounds q^(free count) before they are enumerated, and there
+are none when the split is tame.  The outer polynomial is recovered by
+repeated division, so a returned pair recomposes to the input by
+construction.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from . import unipoly
 from .arith import divisors, integer_nth_root
@@ -190,10 +188,12 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None.
 
-    In tame characteristic the inner polynomial is forced term by term,
-    so the result is the unique one; in wild characteristic (p | e) the
-    forced top form is completed by a guarded enumeration of lower parts and
-    the canonically first inner polynomial wins.
+    Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
+    degree d - m.  So extend H_m^(p^a), H_m the monic e-th root of the top
+    form, to the e'-th root of F/lc(F) down to that degree: its p^a-th root
+    is the sum of the forced components H_k, p^a (m - k) < m.  The free
+    monomials go in iter_completions order; the first inner polynomial with
+    an outer one (_extract_outer) wins.
     """
     if F.is_zero() or F.is_constant():
         raise ValueError("cannot decompose a constant")
@@ -202,33 +202,25 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
         raise ValueError(f"outer degree {e} must be >= 2 and divide {d}")
     dom = F.dom
     m = d // e
+    pa = gcd(e, dom.char ** e) if dom.char else 1  # p^a, the p-part of e
     c = F.leading()[1]
-    top = F.leading_form().scale(dom.inv(c))
-    Hm = poly_eth_root(top, e)
-    if Hm is None:
+    H = poly_eth_root(F.leading_form().scale(dom.inv(c)), e)
+    if H is None:
         return None
-    p = dom.char
-    candidates = []
-    if p == 0 or e % p:
-        H = _extend_root(F.scale(dom.inv(c)), e, Hm, d - m)
+    free = [mono for mono in monomials_upto(F.n, m - 1)
+            if sum(mono) and pa * (m - sum(mono)) >= m]
+    if free and dom.q ** len(free) > guard:
+        raise GuardExceeded(f"inner enumeration of {len(free)} free monomials, size "
+                            f"{dom.q ** len(free)}, exceeds guard {guard}")
+    if pa < m:  # otherwise the top form is the only forced component
+        R = _extend_root(F.scale(dom.inv(c)), e // pa, H ** pa, d - m)
+        H = None if R is None else poly_eth_root(R, pa)
         if H is None:
             return None
-        candidates = [H]
-    else:
-        if m == 1:
-            candidates = [Hm]
-        else:
-            lower = [mono for mono in monomials_upto(F.n, m - 1) if sum(mono) > 0]
-            space = dom.q ** len(lower)
-            if space > guard:
-                raise GuardExceeded(
-                    f"inner-part enumeration of size {space} exceeds guard {guard}"
-                )
-            candidates = iter_completions(dom, F.n, Hm.terms, lower)
-    for H in candidates:
-        u = _extract_outer(F, H, e)
+    for inner in iter_completions(dom, F.n, H.terms, free) if free else [H]:
+        u = _extract_outer(F, inner, e)
         if u is not None:
-            return Decomposition(MPoly.from_dense(dom, u, 1), H)
+            return Decomposition(MPoly.from_dense(dom, u, 1), inner)
     return None
 
 

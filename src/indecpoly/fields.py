@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from . import unipoly
-from .arith import factorint, is_prime
+from .arith import factorint, is_prime, prime_power
 
 ZECH_LIMIT = 1 << 16
 
@@ -278,11 +278,7 @@ def finite_field(p, k=1) -> FiniteField:
 
 def field_from_order(q) -> FiniteField:
     """The field of order q for a prime power q."""
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, k), = fac.items()
-    return finite_field(p, k)
+    return finite_field(*prime_power(q))
 
 
 def _default_modulus(base, k):

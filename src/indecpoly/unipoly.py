@@ -159,13 +159,6 @@ def pow_mod(dom, a: list, e: int, m: list) -> list:
     return out
 
 
-def evaluate(dom, a: list, x):
-    acc = dom.zero
-    for c in reversed(a):
-        acc = dom.add(dom.mul(acc, x), c)
-    return acc
-
-
 def derivative(dom, a: list) -> list:
     out = []
     for i in range(1, len(a)):

@@ -259,3 +259,42 @@ def test_cli_spectrum_f7_quartic_with_f7_6_descent(capsys):
     assert payload["s_poly"] == "1"
     assert payload["spectrum_size"] == 0
     assert payload["stein_holds"] is True
+
+
+def test_cli_large_prime_field_order_is_recognised_without_trial_division(capsys):
+    p = 100000000000000000039
+    code, out, _ = run_cli(capsys, "indec", "--field", str(p), "x^2+y^3")
+    assert code == 0 and json.loads(out)["indecomposable"] is True
+    assert run_cli(capsys, "indec", "--field", f"{p}^1", "x^2+y^3")[1] == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--q", "6", "--n", "2", "--d", "2", "--method", "closed"),
+    ("census", "--q", "1", "--n", "2", "--d", "2"),
+    ("census", "--q", "6", "--n", "1", "--d", "5"),
+    ("check-bounds", "--q", "6", "--d", "8"),
+    ("indec", "--field", "6", "x*y"),
+    ("indec", "--field", "318665857834031151167461", "x*y"),
+])
+def test_cli_rejects_a_field_order_that_is_not_a_prime_power(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    q = argv[argv.index("--q") + 1] if "--q" in argv else argv[2]
+    assert code == 1 and out == ""
+    assert err == f"error: {q} is not a prime power\n"
+
+
+# (H^2 + H for the inner quartic H below) over F_4
+F4_OCTIC = ("x^8 + x^6*y^2 + (t + 1)*x^6 + x^2*y^4 + y^6 + t*x^4 + x^3*y + x^2*y^2"
+            " + t*x^3 + x*y^2 + y^3 + t*x^2 + x*y + y^2 + y")
+
+
+def test_cli_decompose_wild_split_enumerates_only_free_monomials(capsys):
+    # over F_4 at outer degree 2 the inner quartic's cubic part is forced, so
+    # only the 5 monomials of degree <= 2 are enumerated (4^5, not 4^9)
+    code, out, _ = run_cli(capsys, "decompose", "--field", "4", "--guard", "4096",
+                           "--outer-degree", "2", F4_OCTIC)
+    assert code == 0
+    assert json.loads(out)["decompositions"] == [{
+        "outer_degree": 2, "outer": "t^2 + t",
+        "inner": "x^4 + x^3*y + t*x^3 + x*y^2 + y^3 + t*x^2 + x*y + y",
+    }]

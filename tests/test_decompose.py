@@ -8,7 +8,7 @@ import pytest
 
 from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
-from indecpoly.mpoly import MPoly, monomials_upto
+from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
 from indecpoly.parsing import parse_poly
 from indecpoly.decompose import (Decomposition, _extract_outer, compose, decompose_multi,
                                  decompose_uni, decompose_uni_dense, dickson,
@@ -222,7 +222,7 @@ def test_tame_decompose_multi_matches_form_division_reference():
         for n in (2, 3):
             for e, m in itertools.product((2, 3), (2, 3)):
                 if getattr(dom, "char", 0) and e % dom.char == 0:
-                    continue  # wild: the lower parts are enumerated instead
+                    continue  # wild: pinned to the lower-monomial enumeration below
                 for trial in range(4):
                     H = _random_poly(rng, dom, n, m, draw)
                     u = MPoly.from_dense(dom, [draw() for _ in range(e)] + [draw()], 1)
@@ -425,3 +425,118 @@ def test_iter_normalized_inner_order_and_count(field, n, m, count):
     q = field.q
     top = sum(1 for e in monos if sum(e) == m)
     assert len(inners) == (q ** top - 1) // (q - 1) * q ** (comb(n + m - 1, n) - 1) == count
+
+
+def _lower_monomial_enumeration_reference(F, e):
+    """(outer, inner) with outer degree e by enumerating every lower
+    monomial of the inner polynomial below its forced top form, in
+    iter_completions order; the first inner with an outer polynomial wins."""
+    dom = F.dom
+    m = F.degree() // e
+    c = F.leading()[1]
+    Hm = poly_eth_root(F.leading_form().scale(dom.inv(c)), e)
+    if Hm is None:
+        return None
+    lower = [mono for mono in monomials_upto(F.n, m - 1) if sum(mono) > 0]
+    for H in iter_completions(dom, F.n, Hm.terms, lower):
+        u = _extract_outer(F, H, e)
+        if u is not None:
+            return MPoly.from_dense(dom, u, 1), H
+    return None
+
+
+def _wild_power(dom, e):
+    pa = 1
+    while e % (pa * dom.char) == 0:
+        pa *= dom.char
+    return pa
+
+
+def test_wild_decompose_multi_matches_lower_monomial_enumeration():
+    # p | e and m >= 2: the forced components (p^a (m - k) < m) come from the
+    # root extension when p^a < m, and the top form alone otherwise; the free
+    # monomials keep the reference's order, so the first inner is the same.
+    # Over F_3 and F_9, p^a < m needs m >= 4, where the reference would
+    # enumerate 3^9 inner polynomials per input, so they cover p^a >= m only
+    rng = random.Random(93)
+    F4, F9 = finite_field(2, 2), finite_field(3, 2)
+    cases = [(F2, 2, 2, 3), (F2, 2, 2, 4), (F2, 3, 2, 3), (F2, 2, 6, 3), (F2, 2, 4, 2),
+             (F4, 2, 2, 3), (F4, 3, 2, 2), (F3, 2, 3, 2), (F3, 3, 3, 2), (F3, 2, 6, 2),
+             (F9, 2, 3, 2), (F9, 3, 3, 2)]
+    seen = {}
+    for dom, n, e, m in cases:
+        def draw():
+            return dom.element(rng.randrange(dom.q))
+        forced = "forced" if _wild_power(dom, e) < m else "top"
+        for trial in range(6):
+            H = _random_poly(rng, dom, n, m, draw)
+            u = MPoly.from_dense(dom, [draw() for _ in range(e)] + [dom.one], 1)
+            if H.degree() != m:
+                continue
+            F = compose(u, H)
+            if trial % 2:  # perturb one monomial below the top form
+                k = rng.randrange(1, e * m)
+                mono = rng.choice([mm for mm in monomials_upto(n, k) if sum(mm) == k])
+                F = F + MPoly(dom, n, {mono: dom.element(rng.randrange(1, dom.q))})
+            want = _lower_monomial_enumeration_reference(F, e)
+            got = decompose_multi(F, e)
+            if want is None:
+                assert got is None, F.format()
+            else:
+                assert got is not None, F.format()
+                assert (got.outer, got.inner) == want, F.format()
+            key = (forced, want is not None)
+            seen[key] = seen.get(key, 0) + 1
+    assert all(seen.get((f, w), 0) >= 5 for f in ("forced", "top") for w in (True, False)), seen
+
+
+def test_wild_multivariate_exhaustive_composition_set_e2_m3_over_f2():
+    # every u(H) with deg u = 2 and H normalized of degree 3 in two variables
+    # over F_2 decomposes; a perturbation decomposes iff it is one of them
+    comps = {}
+    for H in iter_normalized_inner(F2, 2, 3):
+        for a0, a1 in itertools.product(range(2), repeat=2):
+            F = compose(MPoly.from_dense(F2, [a0, a1, 1], 1), H)
+            comps[F.key()] = F
+    for F in comps.values():
+        dec = decompose_multi(F, 2)
+        assert dec is not None and dec.recompose() == F, F.format()
+    rng = random.Random(94)
+    found = []
+    pool = list(comps.values())
+    for _ in range(300):
+        F = rng.choice(pool)
+        k = rng.randrange(0, 6)
+        mono = rng.choice([mm for mm in monomials_upto(2, k) if sum(mm) == k])
+        P = F + MPoly(F2, 2, {mono: 1})
+        dec = decompose_multi(P, 2)
+        assert (dec is not None) == (P.key() in comps), P.format()
+        if dec is not None:
+            assert dec.recompose() == P
+        found.append(dec is not None)
+    assert 20 <= sum(found) <= len(found) - 20, sum(found)
+
+
+def test_multi_guard_counts_only_free_monomials(monkeypatch):
+    # an octic over F_4 at outer degree 2 (p^a = 2, m = 4): the cubic part of
+    # the inner quartic is forced, so 5 monomials are free (4^5 = 1024); the
+    # enumeration of every lower monomial would be 4^9
+    from indecpoly import decompose
+    from indecpoly.fields import GuardExceeded
+
+    F4 = finite_field(2, 2)
+    H = parse_poly("x^4 + x^3*y + t*x^3 + x*y^2 + y^3 + t*x^2 + x*y + y", F4)
+    F = compose(MPoly.from_dense(F4, [0, 1, 1], 1), H)
+    dec = decompose_multi(F, 2, guard=4096)
+    assert dec is not None and dec.inner == H and dec.recompose() == F
+
+    def no_work(*args):
+        raise AssertionError("the guard must be checked before any work")
+
+    with pytest.raises(GuardExceeded, match="5 free monomials, size 1024, "
+                                            "exceeds guard 512"):
+        decompose_multi(F, 2, guard=512)
+    monkeypatch.setattr(decompose, "_extend_root", no_work)
+    monkeypatch.setattr(decompose, "_extract_outer", no_work)
+    with pytest.raises(GuardExceeded, match="5 free monomials, size 1024"):
+        decompose_multi(F, 2, guard=512)

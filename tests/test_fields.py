@@ -28,6 +28,30 @@ def test_field_from_order():
         field_from_order(12)
 
 
+def test_prime_power_by_exact_roots():
+    from indecpoly.arith import prime_power
+
+    for p in (2, 3, 5, 7, 31, 2 ** 31 - 1):
+        for k in (1, 2, 3, 7):
+            assert prime_power(p ** k) == (p, k)
+    assert prime_power(2 ** 64) == (2, 64)
+    assert prime_power(100000000000000000039 ** 2) == (100000000000000000039, 2)
+    for q in (-8, 0, 1, 6, 12, 36, 100, 2 ** 10 * 3, (2 ** 31 - 1) * 3):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+
+
+def test_field_from_order_of_a_large_prime_needs_no_trial_division():
+    # trial division to sqrt(q) = 10^10 would not finish; exact roots do
+    q = 100000000000000000039
+    F = field_from_order(q)
+    assert (F.p, F.k) == (q, 1) and F is finite_field(q, 1)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        field_from_order(q * 3)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        field_from_order(q * (q + 2))
+
+
 def test_f4_modulus_is_the_unique_irreducible_quadratic():
     F4 = finite_field(2, 2)
     assert F4.modulus == (1, 1, 1)  # t^2 + t + 1
