@@ -116,6 +116,9 @@ def cmd_pthpower(args):
 
 
 def cmd_modp(args):
+    # the prime sieve holds one byte per integer up to --primes-to
+    if args.primes_to > args.guard:
+        raise GuardExceeded(f"sieve space {args.primes_to} exceeds guard {args.guard}")
     F = parse_poly(args.poly, ZZ, nvars=2)
     chain = modp_mod.build_chain(F)
     out = chain.to_json_dict()

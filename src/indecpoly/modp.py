@@ -169,10 +169,17 @@ def build_chain(F: MPoly) -> CriterionChain:
         raise ValueError("degenerate input: disc_x of the reduced part vanishes")
     delta0 = coeff_list(delta_xl, 0)[-1]
     chain = CriterionChain(F, delta_xl, delta_red, delta_l, delta0)
-    p = next((p for p in primes_upto(50) if criterion_holds(chain, p)), None)
+    p = next((p for p in primes_upto(50) if _keeps_criterion(chain, p)), None)
     if p is not None and not is_indecomposable_multi(F.reduce_mod(prime_field(p))):  # pragma: no cover
         raise ArithmeticError(f"criterion contradicted at p={p}")
     return chain
+
+
+def _keeps_criterion(chain: CriterionChain, p: int) -> bool:
+    """The criterion at a p already known to be prime."""
+    if p <= chain.poly.deg_in(1):
+        return False
+    return any(c % p for c in chain.criterion_product.terms.values())
 
 
 def criterion_holds(chain: CriterionChain, p: int) -> bool:
@@ -180,13 +187,11 @@ def criterion_holds(chain: CriterionChain, p: int) -> bool:
     the input mod p is then indecomposable over the closure of F_p."""
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if p <= chain.poly.deg_in(1):
-        return False
-    return any(c % p for c in chain.criterion_product.terms.values())
+    return _keeps_criterion(chain, p)
 
 
 def good_primes(chain: CriterionChain, bound: int) -> list[int]:
     """All primes up to the bound passing the criterion, ascending."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    return [p for p in primes_upto(bound) if criterion_holds(chain, p)]
+    return [p for p in primes_upto(bound) if _keeps_criterion(chain, p)]

@@ -2,11 +2,17 @@
 
 Entries of the Sylvester matrix (and of the multiplication matrix in
 `norm_mod`) are polynomials in the remaining variables.  One kernel takes
-every determinant: it packs those variables into a single one by Kronecker
+every determinant: it packs those variables into a single one t by Kronecker
 substitution, with strides that no minor of the matrix can reach, and runs
-Bareiss elimination on the dense coefficient lists.  Its interior divisions
+one Bareiss elimination loop on the packed entries.  Its interior divisions
 are exact over any integral domain, so everything stays in ZZ/QQ/F_q without
 fractions, and the determinant unpacks term by term.
+
+The packing also supplies the ring the loop runs in.  Over ZZ it evaluates
+t at 2^B, so an entry is one Python int, with B sized by a bound on the
+coefficients of every minor (see `_det_bareiss`).  Over every other domain,
+the F_q resultants of `spectrum` and `norm_mod` among them, an entry is a
+dense `unipoly` list.
 
 The gcd of two polynomials in two variables is taken in D[x_var], with D the
 polynomials in the other variable, by a primitive pseudo-remainder sequence:
@@ -25,6 +31,8 @@ with the empty-product convention disc = 1 for d = 1.
 
 from __future__ import annotations
 
+import operator
+from functools import partial
 from math import gcd as igcd, prod
 
 from . import unipoly
@@ -45,7 +53,7 @@ def coeff_list(f: MPoly, var) -> list[MPoly]:
 
 def _det_bareiss(rows):
     """Determinant of a square matrix of MPoly entries, by Bareiss elimination
-    on Kronecker-packed dense images.
+    on Kronecker-packed images.
 
     Every variable the entries use is packed into one variable t: variable v
     gets the stride 1 + (sum over rows of the row's largest deg_v), the first
@@ -55,6 +63,15 @@ def _det_bareiss(rows):
     them is a minor, taking one entry from each of its rows, so its deg_v
     stays below the stride of v and it unpacks without overlap; the products
     inside a step may overflow a stride, which does no harm.
+
+    Over ZZ the packed entry is further evaluated at t = 2^B, so each entry
+    is one Python int and the step is int `*`, `-` and an exact `divmod`;
+    Z[t] -> Z is a ring homomorphism too.  Every coefficient of every minor
+    is at most the product over rows of max(1, sum_j ||f_ij||_1) in absolute
+    value, and B is taken with 2^(B-1) above that bound: a nonzero minor
+    then has a nonzero image, so the pivot tests are faithful, and the
+    determinant is read back as balanced base-2^B digits.  Every other
+    domain runs the same loop on dense `unipoly` lists.
     """
     n = len(rows)
     if n == 0:
@@ -65,11 +82,34 @@ def _det_bareiss(rows):
     radix = [prod(strides[:i]) for i in range(len(used))]
     size = prod(strides)
 
-    def pack(f):
-        out = [dom.zero] * size
-        for e, c in f.terms.items():
-            out[sum(e[v] * r for v, r in zip(used, radix))] = c
-        return unipoly.normalize(dom, out)
+    def index(e):
+        return sum(e[v] * r for v, r in zip(used, radix))
+
+    if dom.key() == ("zz",):
+        bound = prod(max(1, sum(abs(c) for f in r for c in f.terms.values())) for r in rows)
+        B = bound.bit_length() + 1
+        mask, half = (1 << B) - 1, 1 << (B - 1)
+
+        def pack(f):
+            return sum(c << (B * index(e)) for e, c in f.terms.items())
+
+        def digits(v):  # balanced base-2^B digits, each below 2^(B-1) in size
+            out = []
+            while v:
+                out.append(((v + half) & mask) - half)
+                v = (v - out[-1]) >> B
+            return out
+
+        mul, sub, quo = operator.mul, operator.sub, dom.exact_div
+    else:
+        def pack(f):
+            out = [dom.zero] * size
+            for e, c in f.terms.items():
+                out[index(e)] = c
+            return unipoly.normalize(dom, out)
+
+        mul, sub, quo = (partial(op, dom) for op in (unipoly.mul, unipoly.sub, unipoly.exact_quo))
+        digits = list
 
     a = [[pack(f) for f in r] for r in rows]
     sign = 1
@@ -85,14 +125,17 @@ def _det_bareiss(rows):
             ai = a[i]
             aik = ai[k]
             for j in range(k + 1, n):
-                num = unipoly.sub(dom, unipoly.mul(dom, akk, ai[j]), unipoly.mul(dom, aik, ak[j]))
-                q = unipoly.exact_quo(dom, num, prev) if k else num  # the first divisor is 1
-                if q is None or len(q) > size:  # pragma: no cover - minors are exact
+                num = sub(mul(akk, ai[j]), mul(aik, ak[j]))
+                q = quo(num, prev) if k else num  # the first divisor is 1
+                if q is None:  # pragma: no cover - minors are exact
                     raise ArithmeticError("inexact Bareiss division")
                 ai[j] = q
         prev = akk
+    coeffs = digits(a[n - 1][n - 1])
+    if len(coeffs) > size:  # pragma: no cover - the strides bound every minor
+        raise ArithmeticError("determinant overflows its strides")
     terms = {}
-    for t, c in enumerate(a[n - 1][n - 1]):
+    for t, c in enumerate(coeffs):
         if c != dom.zero:
             e = [0] * nvars
             for v, s in zip(used, strides):

@@ -205,6 +205,68 @@ def test_det_bareiss_reaches_the_top_of_every_stride(dom):
     assert det.coeff((6, 6)) == dom.one
 
 
+def test_det_bareiss_over_zz_with_large_mixed_sign_coefficients_matches_laplace():
+    # coefficients of 2^40 to 2^70 in size with mixed signs, so the balanced
+    # base-2^B unpack of the packed determinant borrows between digits;
+    # entries in three variables, zero pivots at the first and second step,
+    # and singular matrices
+    rng = random.Random("det-zz-large")
+
+    def coeff():
+        return rng.choice([-1, 1]) * rng.randrange(2**40, 2**70)
+
+    def entry(used):
+        if rng.random() < 0.2:
+            return MPoly(ZZ, 3)
+        terms = {}
+        for _t in range(rng.randrange(1, 4)):
+            e = [0, 0, 0]
+            for v in used:
+                e[v] = rng.randrange(3)
+            terms[tuple(e)] = coeff()
+        return MPoly(ZZ, 3, terms)
+
+    swaps = [0, 0]
+    singular = mixed = 0
+    for trial in range(48):
+        size = rng.randrange(2, 6)
+        used = (0, 1, 2) if trial % 2 else tuple(rng.sample(range(3), rng.randrange(1, 3)))
+        m = [[entry(used) for _ in range(size)] for _ in range(size)]
+        kind = trial % 4
+        if kind == 1:  # zero pivot at the first step
+            m[0][0] = MPoly(ZZ, 3)
+            swaps[0] += 1
+        elif kind == 2 and size >= 3:  # zero pivot at the second step
+            c = entry(used)
+            m[1][:2] = [m[0][0] * c, m[0][1] * c]
+            swaps[1] += 1
+        elif kind == 3:  # a row that depends on the others
+            c = entry(used)
+            m[-1] = [a * c + b for a, b in zip(m[0], m[1])] if size >= 3 else [a * c for a in m[0]]
+        det = _det_bareiss(m)
+        assert det == _laplace(m, ZZ, 3)
+        singular += det.is_zero()
+        signs = {c > 0 for c in det.terms.values()}
+        mixed += len(signs) == 2
+    assert min(swaps) >= 5 and singular >= 5 and mixed >= 20
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, -1, -1)])
+def test_det_bareiss_over_zz_reaches_its_coefficient_bound(signs):
+    # a diagonal matrix of single-term entries: the determinant's only
+    # coefficient is the product over rows of the rows' 1-norms, the bound
+    # that sizes the packing, in either sign
+    mags = [2**61 - 1, 2**64 + 13, 3**40]
+    monos = [(2, 0, 1), (0, 3, 0), (1, 1, 2)]
+    diag = [MPoly(ZZ, 3, {e: s * c}) for e, s, c in zip(monos, signs, mags)]
+    m = [[diag[i] if i == j else MPoly(ZZ, 3) for j in range(3)] for i in range(3)]
+    bound = mags[0] * mags[1] * mags[2]
+    want = bound * signs[0] * signs[1] * signs[2]
+    assert _det_bareiss(m) == MPoly(ZZ, 3, {(3, 4, 3): want})
+    # the same determinant with the rows reversed, so each pivot step swaps
+    assert _det_bareiss(m[::-1]) == MPoly(ZZ, 3, {(3, 4, 3): -want})
+
+
 def test_discriminant_golden_values():
     # disc_y(y^2 + c) = -4c with c the first variable
     f = MPoly(ZZ, 2, {(0, 2): 1, (1, 0): 1})

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from indecpoly import modp
 from indecpoly.cli import main
 from indecpoly.fields import ZZ, finite_field
 from indecpoly.parsing import ParseError, parse_poly
@@ -220,6 +221,28 @@ def test_cli_rejects_a_strong_pseudoprime_to_the_bases_up_to_37(capsys):
     assert f"{n} is not prime" in err
     code, _, err = run_cli(capsys, "pthpower", "--field", "91^1", "x^2 + 1")
     assert code == 1 and "91 is not prime" in err
+
+
+def test_cli_modp_checks_the_sieve_against_the_guard_first(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "modp", "y^2 + x^3", "--primes-to", "10000000",
+                             "--guard", "1000")
+    assert code == 1 and out == ""
+    assert err == "error: sieve space 10000000 exceeds guard 1000\n"
+
+    def no_chain(F):
+        raise ValueError("the chain was built")
+
+    monkeypatch.setattr(modp, "build_chain", no_chain)
+    code, out, err = run_cli(capsys, "modp", "y^2 + x^3", "--primes-to", "1001",
+                             "--guard", "1000")
+    assert code == 1 and out == ""
+    assert err == "error: sieve space 1001 exceeds guard 1000\n"
+
+
+def test_cli_modp_default_guard_admits_the_benchmark_sieve(capsys):
+    code, out, _ = run_cli(capsys, "modp", "y^2 + x^3", "--primes-to", "50")
+    assert code == 0
+    assert json.loads(out)["good_primes"][-1] == 47
 
 
 def test_cli_guard_env(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 
 from indecpoly import modp, unipoly
+from indecpoly.arith import primes_upto
 from indecpoly.cli import main
 from indecpoly.fields import QQ, ZZ, prime_field
 from indecpoly.mpoly import MPoly
@@ -46,6 +47,18 @@ def test_good_primes_cusp():
     assert criterion_holds(ch, 5)
     with pytest.raises(ValueError):
         criterion_holds(ch, 4)
+
+
+def test_good_primes_does_not_prove_the_sieved_primes_again(monkeypatch):
+    ch = build_chain(zz({(0, 2): 1, (3, 0): 1}))
+    want = [p for p in primes_upto(1000) if criterion_holds(ch, p)]
+
+    def no_primality_test(p):
+        raise AssertionError(f"is_prime({p}) called on a sieved prime")
+
+    monkeypatch.setattr(modp, "is_prime", no_primality_test)
+    assert good_primes(ch, 1000) == want
+    assert want[:3] == [5, 7, 11] and len(want) == 166
 
 
 def test_small_bound_no_primes():

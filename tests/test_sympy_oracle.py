@@ -104,6 +104,28 @@ def test_discriminant_of_f_minus_l_matches_sympy_over_zz():
         assert sympy.expand(_expr3(got) - want) == 0
 
 
+@pytest.mark.parametrize("text", [
+    "y^3 + 2*x^5*y - 7*x^6 + x*y^2 - 3*x^2*y + x^3 - 1",
+    "y^3 - 2*x^3*y^2 + x^5*y + 2*x^6 - x^4*y - x",
+])
+def test_deg6_cubic_chain_discriminants_match_sympy(text):
+    # chains of total degree 6, cubic in y: both determinants are large
+    # enough that every entry packs into a multi-word int
+    from indecpoly.modp import CHAIN_VARS, build_chain
+    from indecpoly.parsing import parse_poly
+
+    chain = build_chain(parse_poly(text, ZZ, nvars=2))
+
+    def expr(f):
+        return sympy.sympify(f.format(CHAIN_VARS).replace("^", "**"), locals={"x": x, "l": l})
+
+    F = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
+    assert sympy.expand(expr(chain.delta_xl) - sympy.discriminant(F - l, y)) == 0
+    delta_red = expr(chain.delta_red)
+    assert sympy.degree(delta_red, x) >= 15
+    assert sympy.expand(expr(chain.delta_l) - sympy.discriminant(delta_red, x)) == 0
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_resultant_with_two_surviving_variables_matches_sympy_mod_p(p):
     F = finite_field(p)
