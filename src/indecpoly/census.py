@@ -7,25 +7,32 @@ Three routes that must agree:
 * the induction formula I_d = N_d - sum over proper divisors d' of
   q^(d/d' - 1) * I_{d'}, seeded with I_1 = q(q^n - 1) (n >= 2 only: the
   one-variable convention does not partition the decomposables);
-* exhaustive enumeration: scan every polynomial of exact degree d and
-  classify it with the decomposition engine.
+* exhaustive enumeration: classify every polynomial of exact degree d with
+  the decomposition engine.  In n >= 2 variables the top coefficients are
+  the slowest digits of the scan index, so each top form T owns one block of
+  consecutive indices.  T is screened once: a split e survives when T/lc(T)
+  has an e-th root (decompose.top_form_root, the first step of
+  decompose_multi), and a block where no split survives is counted
+  indecomposable in one addition, without building its polynomials.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
 whose partial reports merge by addition (merge_reports), which is also how
-the command line front end's process pool combines its workers' reports.
+the command line front end's process pool combines its workers' reports;
+the counts of every slice stay exact, screened or not.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 from .arith import big_omega, divisors, factorint, prime_power
-from .decompose import decompose_multi, decompose_uni_dense
+from .decompose import decompose_multi, decompose_uni_dense, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -247,11 +254,15 @@ def scan_space(q, n, d) -> int:
 
 
 def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
-    """Scan every polynomial of exact degree d and classify it.
+    """Classify every polynomial of exact degree d.
 
     part = (lo, hi) restricts the scan to a slice of the coefficient-tuple
     index space [0, q^M); partial reports over a disjoint cover of that
-    space merge by addition (merge_reports).
+    space merge by addition (merge_reports).  For n >= 2 each top form is
+    screened once per slice, and decompose_multi runs only for the splits
+    its top admits; a top that admits none adds its whole overlap with the
+    slice to the indecomposables.  Each slice's counts are exact: those of
+    the polynomials whose indices lie in it.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -291,19 +302,29 @@ def _scan_multi(field, n, d, lo, hi, guard):
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
+    tops, lows = monos[:ntop], monos[ntop:]
+    block = q ** len(lows)  # the indices t * block + [0, block) share top t
     splits = [e for e in divisors(d) if e >= 2]
     dec = ind = 0
-    it = itertools.product(range(q), repeat=len(monos))
-    for digits in itertools.islice(it, lo, hi):
-        if not any(digits[:ntop]):
+    for t in range(max(lo // block, 1), -(-hi // block)):  # top 0 has degree < d
+        start, stop = max(lo - t * block, 0), min(hi - t * block, block)
+        top, rest = {}, t
+        for mono in reversed(tops):  # the first top monomial is the slowest digit
+            rest, top[mono] = divmod(rest, q)
+        T = MPoly(field, n, top)
+        live = [e for e in splits if top_form_root(T, e) is not None]
+        if not live:  # no split survives the top: the whole block is indecomposable
+            ind += stop - start
             continue
-        P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
-        for e in splits:
-            if decompose_multi(P, e, guard) is not None:
-                dec += 1
-                break
-        else:
-            ind += 1
+        suffixes = itertools.product(range(q), repeat=len(lows))
+        for digits in itertools.islice(suffixes, start, stop):
+            P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
+            for e in live:
+                if decompose_multi(P, e, guard) is not None:
+                    dec += 1
+                    break
+            else:
+                ind += 1
     return dec, ind
 
 
@@ -338,8 +359,18 @@ def _census_worker(args):
     return enumerate_census(q, n, d, guard=guard, part=(lo, hi))
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def enumerate_census_parallel(q, n, d, jobs, guard=DEFAULT_GUARD) -> CensusReport:
-    """Partitioned scan over a process pool; output independent of `jobs`."""
+    """Partitioned scan over a process pool; output independent of `jobs`.
+
+    The scan is cut into `jobs` ranges, but the pool has no more workers
+    than there are ranges or usable CPUs."""
     ranges = partition_ranges(q, n, d, jobs)
     if len(ranges) <= 1:
         return enumerate_census(q, n, d, guard=guard)
@@ -348,6 +379,6 @@ def enumerate_census_parallel(q, n, d, jobs, guard=DEFAULT_GUARD) -> CensusRepor
         raise GuardExceeded(f"scan space {space} exceeds guard {guard}")
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(ranges), _usable_cpus())) as pool:
         parts = pool.map(_census_worker, [(q, n, d, lo, hi, guard) for lo, hi in ranges])
         return merge_reports(parts)

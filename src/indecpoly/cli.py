@@ -27,6 +27,8 @@ from .parsing import ParseError, parse_poly
 from .spectrum import SpectrumUnbounded, spectral_values
 
 PROG = "spec"
+JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend "
+             "on it, and at most one worker process runs per usable CPU")
 
 
 def _parse_field(text):
@@ -250,13 +252,13 @@ def build_parser(guard):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--method", choices=("closed", "recursion", "enumeration", "all"),
                    default="all")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p = add("enumerate", cmd_enumerate, "exhaustive census scan")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p = add("check-bounds", cmd_check_bounds, "two-variable ratio bounds")
     p.add_argument("--q", type=int, required=True)

@@ -185,6 +185,16 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
     return [c if c is not None else dom.zero for c in u]
 
 
+def top_form_root(F: MPoly, e: int):
+    """The monic e-th root of the top form of F over lc(F), or None.
+
+    Every decomposition F = u(H) with deg u = e and H normalized makes the
+    top form of F equal lc(F) H_m^e, H_m the (monic) top form of H, so this
+    root is H_m; when it is None, F has no decomposition with outer degree e.
+    It reads the top form of F only."""
+    return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
+
+
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None.
 
@@ -203,8 +213,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     dom = F.dom
     m = d // e
     pa = gcd(e, dom.char ** e) if dom.char else 1  # p^a, the p-part of e
-    c = F.leading()[1]
-    H = poly_eth_root(F.leading_form().scale(dom.inv(c)), e)
+    H = top_form_root(F, e)
     if H is None:
         return None
     free = [mono for mono in monomials_upto(F.n, m - 1)
@@ -213,7 +222,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
         raise GuardExceeded(f"inner enumeration of {len(free)} free monomials, size "
                             f"{dom.q ** len(free)}, exceeds guard {guard}")
     if pa < m:  # otherwise the top form is the only forced component
-        R = _extend_root(F.scale(dom.inv(c)), e // pa, H ** pa, d - m)
+        R = _extend_root(F.scale(dom.inv(F.leading()[1])), e // pa, H ** pa, d - m)
         H = None if R is None else poly_eth_root(R, pa)
         if H is None:
             return None

@@ -1,12 +1,20 @@
+import functools
+import itertools
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from indecpoly.fields import GuardExceeded
+from indecpoly import census
+from indecpoly.arith import divisors
+from indecpoly.decompose import decompose_multi
+from indecpoly.fields import GuardExceeded, field_from_order
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni, enumerate_census,
                               enumerate_census_parallel, merge_reports, partition_ranges,
-                              trend_table)
+                              scan_space, trend_table)
+from indecpoly.mpoly import MPoly, monomials_upto
 
 
 def test_count_total_values():
@@ -102,13 +110,12 @@ def test_partition_merge_determinism():
     assert merged2.decomposable == full.decomposable
 
 
-def test_parallel_census_pool_no_larger_than_its_parts(monkeypatch):
-    # a fork pool starts all its workers at once, so --jobs beyond the
-    # number of parts must not start idle processes; the fake pool runs the
-    # parts in this process and records the size it was asked for
+def _inline_pool(monkeypatch):
+    """Replace the process pool by one that runs the parts in this process;
+    returns the pool sizes asked for and the number of parts mapped."""
     import concurrent.futures
 
-    sizes = []
+    sizes, mapped = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -121,12 +128,47 @@ def test_parallel_census_pool_no_larger_than_its_parts(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            mapped.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes, mapped
+
+
+def _pin_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_parallel_census_pool_no_larger_than_its_parts(monkeypatch):
+    # a fork pool starts all its workers at once, so --jobs beyond the
+    # number of parts must not start idle processes; the fake pool runs the
+    # parts in this process and records the size it was asked for
+    sizes, _ = _inline_pool(monkeypatch)
+    _pin_cpus(monkeypatch, 64)  # more CPUs than parts: the parts set the size
     rep = enumerate_census_parallel(2, 2, 1, 500)
     assert sizes == [8]  # the scan space of degree <= 1 in two variables over F_2
     assert rep == enumerate_census(2, 2, 1)
+
+
+def test_parallel_census_pool_no_larger_than_the_usable_cpus(monkeypatch):
+    # --jobs keeps its ranges, so the merged report is unchanged, but no more
+    # workers start than the CPUs this process may run on
+    sizes, mapped = _inline_pool(monkeypatch)
+    _pin_cpus(monkeypatch, 2)
+    rep = enumerate_census_parallel(2, 2, 1, 500)
+    assert sizes == [2] and mapped == [8]
+    assert rep == enumerate_census(2, 2, 1)
+
+
+def test_parallel_census_pool_falls_back_to_the_cpu_count(monkeypatch):
+    sizes, mapped = _inline_pool(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rep = enumerate_census_parallel(2, 2, 2, 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert enumerate_census_parallel(2, 2, 2, 7) == rep == enumerate_census(2, 2, 2)
+    assert sizes == [3, 1] and mapped == [7, 7]
 
 
 def test_parallel_census_checks_the_guard_before_any_worker_starts(monkeypatch):
@@ -176,3 +218,99 @@ def test_trend_table_monotone_on_doublings():
         n_half = count_total(2, 2, d // 2)
         bound = Fraction(d * 2 ** d * n_half, count_total(2, 2, d))
         assert table[d] <= bound
+
+
+# --------------------------------------------------------------------------
+# the screened two-variable scan against the unscreened per-polynomial loop
+# --------------------------------------------------------------------------
+
+# (2, 2, 4) is the one census here with two splits, e = 2 and e = 4
+SCREENED_CENSUSES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2),
+                     (2, 3, 2), (2, 2, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_prefix(q, n, d):
+    """Running (dec, ind) counts over the scan index space by the loop the
+    top-form screen replaced: every polynomial of exact degree d is built
+    and tried with decompose_multi at every split."""
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    ntop = sum(1 for e in monos if sum(e) == d)
+    splits = [e for e in divisors(d) if e >= 2]
+    dec, ind = [0], [0]
+    for digits in itertools.product(range(q), repeat=len(monos)):
+        a, b = dec[-1], ind[-1]
+        if any(digits[:ntop]):
+            P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
+            if any(decompose_multi(P, e) is not None for e in splits):
+                a += 1
+            else:
+                b += 1
+        dec.append(a)
+        ind.append(b)
+    return dec, ind
+
+
+def _top_block(q, n, d):
+    """(block length, number of top monomials): the indices sharing one top
+    form are t * block + [0, block)."""
+    monos = monomials_upto(n, d)
+    ntop = sum(1 for e in monos if sum(e) == d)
+    return q ** (len(monos) - ntop), ntop
+
+
+def _assert_slice_exact(q, n, d, lo, hi):
+    dec, ind = _reference_prefix(q, n, d)
+    rep = enumerate_census(q, n, d, part=(lo, hi))
+    assert (rep.decomposable, rep.indecomposable) == (dec[hi] - dec[lo], ind[hi] - ind[lo]), (
+        q, n, d, lo, hi)
+
+
+@pytest.mark.parametrize("q,n,d", SCREENED_CENSUSES)
+def test_screened_scan_is_exact_slice_by_slice(q, n, d):
+    space = scan_space(q, n, d)
+    block, ntop = _top_block(q, n, d)
+    slices = []
+    for parts, seed in ((7, 1), (13, 2)):  # uneven cuts, unlike partition_ranges
+        cuts = [0, *sorted(random.Random(seed).sample(range(1, space), parts - 1)), space]
+        slices += zip(cuts, cuts[1:])
+    live = q ** (ntop - 1)  # the top x^d: it has an e-th root for every e
+    dead = q ** (ntop - 2)  # the top x^(d-1) y: it has none
+    slices += [
+        (live * block + 1, (live + 1) * block - 1),  # strictly inside one top block
+        (dead * block + 1, (dead + 1) * block - 1),
+        (0, 0), (live * block + 3, live * block + 3), (space, space),  # empty
+        (block // 2, 3 * block + 2),  # starts in the all-zero top block
+        (0, block),  # the all-zero top block alone: nothing of degree d
+    ]
+    for lo, hi in slices:
+        _assert_slice_exact(q, n, d, lo, hi)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # a test-only extra; the rest of this module runs without it
+    given = None
+
+if given is not None:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.tuples(st.integers(0, 3 ** 6), st.integers(0, 3 ** 6)).map(sorted))
+    def test_screened_scan_is_exact_on_any_slice(bounds):
+        lo, hi = bounds
+        _assert_slice_exact(3, 2, 2, lo, hi)
+
+
+def test_screened_top_block_builds_no_polynomial(monkeypatch):
+    # the top x y over F_3 has no square root, so its whole block counts as
+    # indecomposable without a single call of the engine
+    block, ntop = _top_block(3, 2, 2)
+    t = 3 ** (ntop - 2)
+
+    def no_engine(*args):
+        raise AssertionError("decompose_multi ran inside a screened block")
+
+    monkeypatch.setattr(census, "decompose_multi", no_engine)
+    rep = enumerate_census(3, 2, 2, part=(t * block, (t + 1) * block))
+    assert (rep.decomposable, rep.indecomposable) == (0, block)

@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E4
 from hypothesis import strategies as st  # noqa: E402
 
 from indecpoly import unipoly  # noqa: E402
+from indecpoly.arith import divisors  # noqa: E402
 from indecpoly.decompose import (compose, decompose_multi, decompose_uni,  # noqa: E402
-                                 decompose_uni_dense)
+                                 decompose_uni_dense, top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, monomials_upto  # noqa: E402
@@ -129,6 +130,38 @@ def test_decompose_multi_recomposes_to_the_input(case):
     assert dec.inner.constant_term() == G.dom.zero
     assert dec.inner.leading()[1] == G.dom.one
     assert dec.recompose() == G
+
+
+@st.composite
+def screened_inputs(draw):
+    """A random polynomial in 2 or 3 variables over F_2 ... F_5, or a random
+    composition u(H), so that the screen meets tops with and without roots."""
+    nvars = draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        return draw(compositions(nvars, (1, 2), (2, 3)))[0]
+    F = draw(st.sampled_from(DECOMPOSE_FIELDS))
+    monos = monomials_upto(nvars, draw(st.sampled_from((2, 3, 4) if nvars == 2 else (2, 4))))
+    coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=len(monos), max_size=len(monos)))
+    G = MPoly(F, nvars, {e: F.element(c) for e, c in zip(monos, coeffs)})
+    assume(G.degree() >= 2)
+    return G
+
+
+@SETTINGS
+@given(screened_inputs())
+def test_top_form_root_screens_every_split(G):
+    # the census skips a split whose top has no root, so that must be a
+    # split without a decomposition; and a decomposition's inner top form is
+    # the root the screen took
+    for e in divisors(G.degree()):
+        if e < 2:
+            continue
+        root = top_form_root(G, e)
+        dec = decompose_multi(G, e)
+        if root is None:
+            assert dec is None
+        if dec is not None:
+            assert dec.inner.leading_form() == root
 
 
 @SETTINGS
