@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .arith import big_omega, divisors, factorint, prime_power
-from .decompose import decompose_multi, decompose_uni_dense, top_form_root
+from .decompose import decompose_multi, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -282,7 +282,7 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
 
 def _scan_uni(field, d, lo, hi, guard):
     q = field.q
-    splits = [r for r in divisors(d) if r >= 2 and d // r >= 2]
+    splits = outer_degrees(1, d)
     dec = ind = 0
     it = itertools.product(range(q), repeat=d + 1)
     for digits in itertools.islice(it, lo, hi):
@@ -304,7 +304,7 @@ def _scan_multi(field, n, d, lo, hi, guard):
     ntop = sum(1 for e in monos if sum(e) == d)
     tops, lows = monos[:ntop], monos[ntop:]
     block = q ** len(lows)  # the indices t * block + [0, block) share top t
-    splits = [e for e in divisors(d) if e >= 2]
+    splits = outer_degrees(n, d)
     dec = ind = 0
     for t in range(max(lo // block, 1), -(-hi // block)):  # top 0 has degree < d
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)

@@ -18,10 +18,10 @@ from math import gcd
 
 from . import census as census_mod
 from . import modp as modp_mod
-from .arith import divisors
+from .arith import prime_power
 from .decompose import (decompose_multi, decompose_uni, is_indecomposable_multi,
-                        is_indecomposable_uni, is_pth_power)
-from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, field_from_order, finite_field
+                        is_indecomposable_uni, is_pth_power, outer_degrees)
+from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, finite_field
 from .mpoly import MPoly, default_var_names
 from .parsing import ParseError, parse_poly
 from .spectrum import SpectrumUnbounded, spectral_values
@@ -31,11 +31,12 @@ JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend
              "on it, and at most one worker process runs per usable CPU")
 
 
-def _parse_field(text):
-    if "^" in text:
-        p, _, k = text.partition("^")
-        return finite_field(int(p), int(k))
-    return field_from_order(int(text))
+def _parse_field(text, guard):
+    # F_{p^k}, k >= 2, searches up to p^k moduli: check k, then p^k, against the guard first
+    p, k = map(int, text.split("^", 1)) if "^" in text else prime_power(int(text))
+    if k >= 2 and (k >= guard.bit_length() or p ** k > guard):
+        raise GuardExceeded(f"field order {p}^{k} exceeds guard {guard}")
+    return finite_field(p, k)
 
 
 def _emit(payload, fmt):
@@ -66,22 +67,20 @@ def _frac(f: Fraction) -> str:
 
 
 def cmd_spectrum(args):
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, args.guard)
     F = parse_poly(args.poly, field, nvars=2)
     rep = spectral_values(F, guard=args.guard)
     return rep.to_json_dict()
 
 
 def cmd_decompose(args):
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, args.guard)
     F = parse_poly(args.poly, field)
     if F.is_constant():
         raise ValueError("cannot decompose a constant")
     d = F.degree()
     found = []
-    outers = [args.outer_degree] if args.outer_degree is not None else [
-        e for e in divisors(d) if e >= 2 and (F.n >= 2 or d // e >= 2)
-    ]
+    outers = [args.outer_degree] if args.outer_degree is not None else outer_degrees(F.n, d)
     for e in outers:
         dec = (
             decompose_multi(F, e, guard=args.guard)
@@ -100,14 +99,14 @@ def cmd_decompose(args):
 
 
 def cmd_indec(args):
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, args.guard)
     F = parse_poly(args.poly, field)
     fn = is_indecomposable_multi if F.n >= 2 else is_indecomposable_uni
     return {"poly": F.format(), "variables": F.n, "indecomposable": fn(F, args.guard)}
 
 
 def cmd_pthpower(args):
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, args.guard)
     F = parse_poly(args.poly, field)
     root = is_pth_power(F)
     return {

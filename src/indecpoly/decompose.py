@@ -233,17 +233,18 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     return None
 
 
+def outer_degrees(n: int, d: int) -> list:
+    """The outer degrees e of the splits of a degree-d polynomial in n
+    variables: e >= 2 divides d, and in one variable d/e >= 2 as well."""
+    return [e for e in divisors(d) if e >= 2 and (n >= 2 or d // e >= 2)]
+
+
 def is_indecomposable_multi(F: MPoly, guard=DEFAULT_GUARD) -> bool:
-    """No decomposition u(H) with deg u >= 2 (inner degree 1 counts)."""
+    """No decomposition u(H) with deg u in outer_degrees: inner degree 1
+    counts in several variables, and one variable agrees with the _uni test."""
     if F.is_zero() or F.is_constant():
         raise ValueError("indecomposability is undefined for constants")
-    d = F.degree()
-    for e in divisors(d):
-        if e < 2:
-            continue
-        if decompose_multi(F, e, guard) is not None:
-            return False
-    return True
+    return all(decompose_multi(F, e, guard) is None for e in outer_degrees(F.n, F.degree()))
 
 
 def iter_normalized_inner(field, n, m):
@@ -393,12 +394,8 @@ def is_indecomposable_uni(f: MPoly, guard=DEFAULT_GUARD) -> bool:
     d = f.degree()
     if d < 1:
         raise ValueError("indecomposability is undefined for constants")
-    for r in divisors(d):
-        if r < 2 or d // r < 2:
-            continue
-        if decompose_uni_dense(f.dom, f.to_dense(), r, guard) is not None:
-            return False
-    return True
+    dense = f.to_dense()
+    return all(decompose_uni_dense(f.dom, dense, r, guard) is None for r in outer_degrees(1, d))
 
 
 # --------------------------------------------------------------------------

@@ -1,18 +1,17 @@
 """Resultants, discriminants and gcds by fraction-free elimination.
 
-Entries of the Sylvester matrix (and of the multiplication matrix in
-`norm_mod`) are polynomials in the remaining variables.  One kernel takes
-every determinant: it packs those variables into a single one t by Kronecker
-substitution, with strides that no minor of the matrix can reach, and runs
-one Bareiss elimination loop on the packed entries.  Its interior divisions
-are exact over any integral domain, so everything stays in ZZ/QQ/F_q without
-fractions, and the determinant unpacks term by term.
+Entries of the Sylvester matrix are polynomials in the remaining variables.
+One kernel takes every determinant: it packs those variables into a single
+one t by Kronecker substitution, with strides that no minor of the matrix can
+reach, and runs one Bareiss elimination loop on the packed entries.  Its
+interior divisions are exact over any integral domain, so everything stays in
+ZZ/QQ/F_q without fractions, and the determinant unpacks term by term.
 
 The packing also supplies the ring the loop runs in.  Over ZZ it evaluates
 t at 2^B, so an entry is one Python int, with B sized by a bound on the
 coefficients of every minor (see `_det_bareiss`).  Over every other domain,
-the F_q resultants of `spectrum` and `norm_mod` among them, an entry is a
-dense `unipoly` list.
+the F_q resultants of `spectrum` among them, an entry is a dense `unipoly`
+list.
 
 The gcd of two polynomials in two variables is taken in D[x_var], with D the
 polynomials in the other variable, by a primitive pseudo-remainder sequence:
@@ -174,34 +173,6 @@ def resultant(f: MPoly, g: MPoly, var) -> MPoly:
             row[i + j] = c
         rows.append(row)
     return _det_bareiss(rows)
-
-
-def norm_mod(A: MPoly, b: list, var) -> MPoly:
-    """res_var(b, A) for a monic b in x_var alone, given as a dense list of
-    domain elements: the product of A(beta) over the roots beta of b, taken
-    as the determinant of multiplication by A on D[x_var]/(b), D the
-    polynomials in the other variables.  The matrix has size deg b, against
-    deg b + deg_var A for the Sylvester matrix; its determinant is Bareiss
-    elimination on the Kronecker-packed dense images of the entries."""
-    dom, n = A.dom, A.n
-    e = len(b) - 1
-    if e == 0:
-        return MPoly.const(dom, n, dom.one)
-    zero = MPoly(dom, n)
-    low = [MPoly.const(dom, n, c) for c in b[:-1]]
-
-    def reduce(c):  # c mod b, padded to e coefficients
-        for i in range(len(c) - 1, e - 1, -1):
-            top = c.pop()
-            if not top.is_zero():
-                for k in range(e):
-                    c[i - e + k] = c[i - e + k] - top * low[k]
-        return c + [zero] * (e - len(c))
-
-    cols = [reduce(coeff_list(A, var))]
-    for _ in range(e - 1):
-        cols.append(reduce([zero] + cols[-1]))
-    return _det_bareiss(cols)
 
 
 def discriminant(f: MPoly, var) -> MPoly:

@@ -35,7 +35,7 @@ from .factoring import (absolutely_irreducible, bivar_factor, conjugate_split_co
                         frobenius_orbit, minimal_polynomial, uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
-from .resultants import coeff_list, norm_mod, primitive_gcd, resultant
+from .resultants import coeff_list, primitive_gcd, resultant
 
 
 class SpectrumUnbounded(ValueError):
@@ -226,17 +226,49 @@ class _Residues:
 
     def values(self, F: MPoly, g):
         """res_x(b, res_y(g, T - F)) in F_q[T] for a monic g in L[y]: the
-        product of T - F(P) over the points P = (a, beta), a a root of b and
-        beta one of g, with the multiplicities of g.  F is reduced mod g
-        first, which keeps the Sylvester matrix of size at most 2 deg g - 1."""
-        dom = self.base
+        product of T - F(a, beta) over the roots a of b and beta of g, with the
+        multiplicities of g, that is, the characteristic polynomial of F on
+        L[y]/(g).  Row (i, j) holds the F_q-coordinates of x^i y^j (F mod g):
+        the transpose of that multiplication matrix, with the same polynomial."""
+        dom, e, pad = self.base, len(self.b) - 1, [self.zero] * (len(g) - 1)
+        rows, h = [], unipoly.mod(self, self.fibre(F), g)
+        for _ in pad:  # h = y^j (F mod g)
+            xh = h
+            for _ in range(e):  # xh = x^i y^j (F mod g)
+                rows.append([c for u in (xh + pad)[:len(pad)] for c in (u + (dom.zero,) * e)[:e]])
+                xh = [self.mul(u, (dom.zero, dom.one)) for u in xh]
+            h = unipoly.mod(self, [self.zero] + h, g)
+        return _charpoly(dom, rows)
 
-        def lift(h):  # h in L[y] as a polynomial in x, y, T
-            return MPoly(dom, 3, {(i, j, 0): c for j, hj in enumerate(h) for i, c in enumerate(hj)})
 
-        T = MPoly.variable(dom, 3, 2)
-        R = resultant(lift(g), T - lift(unipoly.mod(self, self.fibre(F), g)), 1)
-        return norm_mod(R, self.b, 0).to_dense(2)
+def _charpoly(dom, M):
+    """det(T I - M) over the field dom, as a dense list.  Similarity brings M
+    to upper Hessenberg form H: per column, a row swap with its column swap,
+    then row eliminations, each followed by the inverse column operation.  The
+    leading blocks of H then give p_k = (T - h_kk) p_(k-1) - sum_(i<k) h_ik
+    h_(i+1,i) ... h_(k,k-1) p_(i-1), in O(n^3) operations (Cohen, Alg. 2.2.9)."""
+    n, H, p = len(M), [list(r) for r in M], [[dom.one]]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1] != dom.zero), None)
+        if piv is None:
+            continue  # column m - 1 is zero below the subdiagonal already
+        H[piv], H[m] = H[m], H[piv]
+        for r in H:
+            r[piv], r[m] = r[m], r[piv]
+        inv = dom.inv(H[m][m - 1])
+        for i in range(m + 1, n):
+            u = dom.mul(H[i][m - 1], inv)
+            for j in range(m - 1, n):
+                H[i][j] = dom.sub(H[i][j], dom.mul(u, H[m][j]))
+            for r in H:
+                r[m] = dom.add(r[m], dom.mul(u, r[i]))
+    for k in range(n):
+        pk, t = unipoly.mul(dom, [dom.neg(H[k][k]), dom.one], p[k]), dom.one
+        for i in range(k - 1, -1, -1):
+            t = dom.mul(t, H[i + 1][i])
+            pk = unipoly.sub(dom, pk, unipoly.scale(dom, p[i], dom.mul(t, H[i][k])))
+        p.append(pk)
+    return p[n]
 
 
 def _critical_candidates(F: MPoly):
@@ -255,9 +287,10 @@ def _critical_candidates(F: MPoly):
     g = 1.  Then V_b = res_x(b, res_y(g, T - F)) vanishes exactly at the
     critical values over the conjugates of a, and the exponent e of mu in
     V = prod V_b counts the critical points (a, beta) with F(a, beta) = c,
-    multiplicities of g included, for each root c of mu.  V_bad is built
-    the same way from gcd(g, Hess(a, y)), with Hess = F_xx F_yy - F_xy^2:
-    its roots are the critical values taken at a point that is not a node.
+    multiplicities of g included, for each root c of mu.  V_b is taken as
+    the characteristic polynomial of F on F_q[x, y]/(b, g), and V_bad the
+    same way from gcd(g, Hess(a, y)), with Hess = F_xx F_yy - F_xy^2: its
+    roots are the critical values taken at a point that is not a node.
     mu is certified when e < deg(F) - 1 and mu does not divide V_bad."""
     dom, d = F.dom, F.degree()
     Fx, Fy = F.derivative(0), F.derivative(1)

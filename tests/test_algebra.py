@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.resultants import _det_bareiss, discriminant, norm_mod, primitive_gcd, resultant
+from indecpoly.factoring import uni_factor
+from indecpoly.resultants import _det_bareiss, discriminant, primitive_gcd, resultant
+from indecpoly.spectrum import _charpoly, _Residues
 
 
 def rand_dense(rng, field, d):
@@ -112,20 +114,76 @@ def test_resultant_vanishes_iff_common_factor():
         assert res.is_zero() == has_common
 
 
-def test_norm_mod_equals_the_sylvester_resultant():
-    # res_x(b, A) for monic b in x alone, over F_7 and F_4, including b of
-    # degree 0 and 1, b with repeated roots, and A free of x
-    rng = random.Random(6)
-    for field in (finite_field(7), finite_field(2, 2)):
-        for _ in range(30):
-            b = unipoly.monic(field, rand_dense(rng, field, rng.randrange(0, 5)) or [field.one])
-            if rng.random() < 0.2:
-                b = unipoly.mul(field, b, b)
-            A = rand_mpoly(rng, field, 2, rng.randrange(0, 4))
-            if A.is_zero():
+@pytest.mark.parametrize("field", [finite_field(7), finite_field(2, 2), finite_field(3, 2)],
+                         ids=repr)
+def test_charpoly_equals_the_bareiss_determinant_of_t_minus_m(field):
+    # sizes 1-6, dense and sparse; the fixed matrices need the row/column
+    # swap at the first column (a zero subdiagonal entry above a nonzero one)
+    # and take the branch for a column already zero below the subdiagonal
+    rng = random.Random(f"charpoly:{field!r}")
+    T, zero = MPoly.variable(field, 1, 0), MPoly(field, 1)
+
+    def det_t_minus(M):
+        n = len(M)
+        return _det_bareiss([[(T if i == j else zero) - MPoly.const(field, 1, M[i][j])
+                              for j in range(n)] for i in range(n)]).to_dense(0)
+
+    fixed = [
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+        [[1, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0]],
+        [[2, 1, 1], [0, 1, 1], [0, 0, 1]],
+        [[0] * 5 for _ in range(5)],
+    ]
+    mats = [[[field.element(c) for c in r] for r in M] for M in fixed]
+    for n in range(1, 7):
+        for density in (1.0, 0.5, 0.25):
+            for _ in range(4):
+                mats.append([[field.element(rng.randrange(1, field.q))
+                              if rng.random() < density else field.zero
+                              for _ in range(n)] for _ in range(n)])
+    for M in mats:
+        before = [list(r) for r in M]
+        assert _charpoly(field, M) == det_t_minus(M)
+        assert M == before
+
+
+def _two_step_values(L, F, g):
+    """res_x(b, res_y(g, T - F)) from two Sylvester resultants over
+    F_q[x, y, T], with g in L[y] lifted to F_q[x][y]."""
+    dom = L.base
+    lift = {(i, j, 0): c for j, gj in enumerate(g) for i, c in enumerate(gj)}
+    T = MPoly.variable(dom, 3, 2)
+    F3 = MPoly(dom, 3, {(i, j, 0): c for (i, j), c in F.terms.items()})
+    R = resultant(MPoly(dom, 3, lift), T - F3, 1)
+    return resultant(MPoly.from_dense(dom, L.b, 3, 0), R, 0).to_dense(2)
+
+
+def test_residue_values_equal_the_two_step_resultant():
+    # fibres of seeded inputs in two variables over F_2, F_3, F_4 and F_5:
+    # every factor b of res_y(F_x, F_y) and one linear b, each with the
+    # critical gcd g, a random monic g of degree 1 or 2, and its square
+    rng = random.Random(18)
+    seen = set()
+    for field in (finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)):
+        y = MPoly.variable(field, 2, 1)
+        for _ in range(6):
+            F = rand_mpoly(rng, field, 2, rng.randrange(2, 6), density=0.5)
+            Fx, Fy = F.derivative(0), F.derivative(1)
+            if F.is_constant() or Fx.is_constant() or Fy.is_constant():
                 continue
-            want = resultant(MPoly.from_dense(field, b, 2, 0), A, 0)
-            assert norm_mod(A, b, 0) == want
+            B = resultant(Fx, Fy, 1).to_dense(0)
+            bs = [b for b, _ in uni_factor(field, B)[1]] if B else []
+            for b in bs + [[field.element(rng.randrange(field.q)), field.one]]:
+                L, k = _Residues(field, b), rng.randrange(1, 3)
+                H = y ** k + MPoly(field, 2, {(i, j): field.element(rng.randrange(field.q))
+                                              for i in range(len(b) - 1) for j in range(k)})
+                fx, fy = L.fibre(Fx), L.fibre(Fy)
+                crit = [unipoly.gcd(L, fx, fy)] if fx or fy else []
+                for g in [L.fibre(H), L.fibre(H * H)] + crit:
+                    if len(g) > 1:
+                        seen.add((len(b) - 1 == 1, len(g) - 1 == 1))
+                        assert L.values(F, g) == _two_step_values(L, F, g), (F.format(), b, g)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _laplace(m, dom, n):

@@ -291,6 +291,23 @@ def test_cli_large_prime_field_order_is_recognised_without_trial_division(capsys
     assert run_cli(capsys, "indec", "--field", f"{p}^1", "x^2+y^3")[1] == out
 
 
+@pytest.mark.parametrize("argv, order, guard", [
+    (("spectrum", "--field", "2^200", "x*y+x"), "2^200", 1 << 24),
+    (("spectrum", "--field", "2^30", "--guard", "4096", "x*y+x"), "2^30", 4096),
+    (("decompose", "--field", "2^400", "x^4"), "2^400", 1 << 24),
+    (("indec", "--field", "1024", "--guard", "1000", "x*y"), "2^10", 1000),
+    (("pthpower", "--field", f"3^{10 ** 30}", "x^3"), f"3^{10 ** 30}", 1 << 24),
+])
+def test_cli_checks_an_extension_field_against_the_guard_before_building_it(
+        capsys, monkeypatch, argv, order, guard):
+    # the modulus search of F_{p^k} walks up to p^k candidates
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    monkeypatch.setattr("indecpoly.cli.finite_field", lambda p, k: pytest.fail("field built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: field order {order} exceeds guard {guard}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--q", "6", "--n", "2", "--d", "2", "--method", "closed"),
     ("census", "--q", "1", "--n", "2", "--d", "2"),
