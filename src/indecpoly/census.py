@@ -11,9 +11,12 @@ Three routes that must agree:
   the decomposition engine.  In n >= 2 variables the top coefficients are
   the slowest digits of the scan index, so each top form T owns one block of
   consecutive indices.  T is screened once: a split e survives when T/lc(T)
-  has an e-th root (decompose.top_form_root, the first step of
+  has an e-th root H (decompose.top_form_root, the first step of
   decompose_multi), and a block where no split survives is counted
-  indecomposable in one addition, without building its polynomials.
+  indecomposable in one addition, without building its polynomials.  In a
+  block that survives, each polynomial goes to decompose.decompose_from_top
+  with the root H of each surviving split, which is thus taken once per
+  block.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -32,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .arith import big_omega, divisors, factorint, prime_power
-from .decompose import decompose_multi, decompose_uni_dense, outer_degrees, top_form_root
+from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -95,6 +98,8 @@ def count_closed_small(q, n, d):
     """Closed-form decomposable count for d with at most two prime factors
     (counted with multiplicity); None otherwise."""
     prime_power(q)  # ValueError unless q is a prime power
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
     if n < 2:
         raise ValueError("closed forms here are for n >= 2")
     fac = factorint(d) if d > 1 else {}
@@ -133,6 +138,8 @@ class BoundsReportN2:
 def bounds_check_n2(q, d) -> BoundsReportN2:
     """|D_d/N_d - alpha_d| <= alpha_d * beta_d for n = 2 and d with at least
     three prime factors, checked in exact rational arithmetic."""
+    if d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
     if big_omega(d) < 3:
         raise ValueError("bound statement needs at least three prime factors")
     ell = min(factorint(d))
@@ -259,10 +266,11 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     part = (lo, hi) restricts the scan to a slice of the coefficient-tuple
     index space [0, q^M); partial reports over a disjoint cover of that
     space merge by addition (merge_reports).  For n >= 2 each top form is
-    screened once per slice, and decompose_multi runs only for the splits
-    its top admits; a top that admits none adds its whole overlap with the
-    slice to the indecomposables.  Each slice's counts are exact: those of
-    the polynomials whose indices lie in it.
+    screened once per slice by decompose.top_form_root, and each polynomial
+    under it goes to decompose.decompose_from_top with the root of each
+    split its top admits; a top that admits none adds its whole overlap
+    with the slice to the indecomposables.  Each slice's counts are exact:
+    those of the polynomials whose indices lie in it.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -312,15 +320,15 @@ def _scan_multi(field, n, d, lo, hi, guard):
         for mono in reversed(tops):  # the first top monomial is the slowest digit
             rest, top[mono] = divmod(rest, q)
         T = MPoly(field, n, top)
-        live = [e for e in splits if top_form_root(T, e) is not None]
+        live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
         if not live:  # no split survives the top: the whole block is indecomposable
             ind += stop - start
             continue
         suffixes = itertools.product(range(q), repeat=len(lows))
         for digits in itertools.islice(suffixes, start, stop):
             P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
-            for e in live:
-                if decompose_multi(P, e, guard) is not None:
+            for e, H in live:
+                if decompose_from_top(P, e, H, guard) is not None:
                     dec += 1
                     break
             else:

@@ -13,7 +13,7 @@ One rule for every split, in both arities: with outer degree e = p^a e'
 (p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
 inner degree m = d/e, the top of the input forces the inner coefficients of
 degree k with p^a (m - k) < m, as the p^a-th root of an e'-th root taken one
-term at a time (over homogeneous components in decompose_multi, as a series
+term at a time (over homogeneous components in decompose_from_top, as a series
 at infinity in _forced_inner_top), or rejects the input.  The others are
 free: the guard bounds q^(free count) before they are enumerated, and there
 are none when the split is tame.  The outer polynomial is recovered by
@@ -160,9 +160,9 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
     """Outer coefficient list with F = sum u_i H^i and deg u = e, or None."""
     dom = F.dom
     m = H.degree()
-    if powers is None:
-        powers = [MPoly.const(dom, F.n, dom.one)]
-        for _ in range(e):
+    if powers is None:  # [1, H, ..., H^e], with no product by the constant 1
+        powers = [MPoly.const(dom, F.n, dom.one), H]
+        for _ in range(e - 1):
             powers.append(powers[-1] * H)
     u = [None] * (e + 1)
     lead_H = H.leading()[0]
@@ -191,31 +191,40 @@ def top_form_root(F: MPoly, e: int):
     Every decomposition F = u(H) with deg u = e and H normalized makes the
     top form of F equal lc(F) H_m^e, H_m the (monic) top form of H, so this
     root is H_m; when it is None, F has no decomposition with outer degree e.
-    It reads the top form of F only."""
-    return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
-
-
-def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
-    """The normalized decomposition of F with outer degree e, or None.
-
-    Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
-    degree d - m.  So extend H_m^(p^a), H_m the monic e-th root of the top
-    form, to the e'-th root of F/lc(F) down to that degree: its p^a-th root
-    is the sum of the forced components H_k, p^a (m - k) < m.  The free
-    monomials go in iter_completions order; the first inner polynomial with
-    an outer one (_extract_outer) wins.
-    """
+    It reads the top form of F only, so every F with the same top form has
+    the same root.  A constant F, or an e that is not a split of deg F,
+    raises ValueError."""
     if F.is_zero() or F.is_constant():
         raise ValueError("cannot decompose a constant")
     d = F.degree()
     if e < 2 or d % e:
         raise ValueError(f"outer degree {e} must be >= 2 and divide {d}")
+    return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
+
+
+def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
+    """The normalized decomposition of F with outer degree e, or None: the
+    root of its top form (top_form_root), then decompose_from_top."""
+    H = top_form_root(F, e)
+    return None if H is None else decompose_from_top(F, e, H, guard)
+
+
+def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
+    """The normalized decomposition of F with outer degree e, or None, given
+    H = top_form_root(F, e) (not None), the top form of every inner
+    polynomial.  A caller that already holds H for the top form of F, as the
+    census does for a whole block of polynomials, passes it here.
+
+    Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
+    degree d - m.  So extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F)
+    down to that degree: its p^a-th root is the sum of the forced components
+    H_k, p^a (m - k) < m.  The free monomials go in iter_completions order;
+    the first inner polynomial with an outer one (_extract_outer) wins.
+    """
+    d = F.degree()
     dom = F.dom
     m = d // e
     pa = gcd(e, dom.char ** e) if dom.char else 1  # p^a, the p-part of e
-    H = top_form_root(F, e)
-    if H is None:
-        return None
     free = [mono for mono in monomials_upto(F.n, m - 1)
             if sum(mono) and pa * (m - sum(mono)) >= m]
     if free and dom.q ** len(free) > guard:

@@ -5,8 +5,11 @@ variable count and the owning domain. The monomial order used everywhere
 (leading terms, canonical printing, divisor enumeration) is graded
 lexicographic: higher total degree wins, ties break lexicographically on the
 exponent tuple with the first variable strongest. Values are immutable by
-convention; every operation returns a fresh polynomial. An int coefficient
-over F_q is the element with that index (see fields), never reduced mod p.
+convention; every operation returns a fresh polynomial, and nothing writes
+the terms of a polynomial after its constructor.  The convention carries
+weight: degree() and leading() are computed on first use and kept on the
+value.  An int coefficient over F_q is the element with that index (see
+fields), never reduced mod p.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ def glex_key(e):
 
 
 class MPoly:
-    __slots__ = ("dom", "n", "terms")
+    __slots__ = ("dom", "n", "terms", "_degree", "_leading")
 
     def __init__(self, dom, n, terms=None):
         self.dom = dom
@@ -38,6 +41,7 @@ class MPoly:
                 if c != z:
                     clean[tuple(e)] = c
         self.terms = clean
+        self._degree = self._leading = None  # filled by degree() and leading()
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -78,9 +82,9 @@ class MPoly:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        if self._degree is None:
+            self._degree = max(map(sum, self.terms), default=-1)
+        return self._degree
 
     def deg_in(self, var):
         if not self.terms:
@@ -89,10 +93,12 @@ class MPoly:
 
     def leading(self):
         """(exponents, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=glex_key)
-        return e, self.terms[e]
+        if self._leading is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            e = max(self.terms, key=glex_key)
+            self._leading = e, self.terms[e]
+        return self._leading
 
     def leading_form(self):
         """Sum of the monomials of maximal total degree."""

@@ -309,8 +309,8 @@ def test_screened_top_block_builds_no_polynomial(monkeypatch):
     t = 3 ** (ntop - 2)
 
     def no_engine(*args):
-        raise AssertionError("decompose_multi ran inside a screened block")
+        raise AssertionError("decompose_from_top ran inside a screened block")
 
-    monkeypatch.setattr(census, "decompose_multi", no_engine)
+    monkeypatch.setattr(census, "decompose_from_top", no_engine)
     rep = enumerate_census(3, 2, 2, part=(t * block, (t + 1) * block))
     assert (rep.decomposable, rep.indecomposable) == (0, block)

@@ -323,6 +323,19 @@ def test_cli_rejects_a_field_order_that_is_not_a_prime_power(capsys, argv):
     assert err == f"error: {q} is not a prime power\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--q", "2", "--n", "2", "--d", "0"),
+    ("census", "--q", "2", "--n", "2", "--d", "-3"),
+    ("census", "--q", "2", "--n", "2", "--d", "0", "--method", "closed"),
+    ("check-bounds", "--q", "2", "--d", "0"),
+    ("check-bounds", "--q", "2", "--d", "-3"),
+])
+def test_cli_census_rejects_a_degree_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: need n >= 1 and d >= 1\n"
+
+
 # (H^2 + H for the inner quartic H below) over F_4
 F4_OCTIC = ("x^8 + x^6*y^2 + (t + 1)*x^6 + x^2*y^4 + y^6 + t*x^4 + x^3*y + x^2*y^2"
             " + t*x^3 + x*y^2 + y^3 + t*x^2 + x*y + y^2 + y")

@@ -1,5 +1,6 @@
-"""Property tests (hypothesis) for bivariate factoring, field embeddings and
-functional decomposition.
+"""Property tests (hypothesis) for bivariate factoring, field embeddings,
+functional decomposition and the degree and leading term that a polynomial
+keeps once computed.
 
 Examples are derandomized and bounded so the suite's running time stays
 fixed; hypothesis is a test-only dependency and the module is skipped
@@ -15,11 +16,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from indecpoly import unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
-from indecpoly.decompose import (compose, decompose_multi, decompose_uni,  # noqa: E402
-                                 decompose_uni_dense, top_form_root)
+from indecpoly.decompose import (_extract_outer, compose, decompose_from_top,  # noqa: E402
+                                 decompose_multi, decompose_uni, decompose_uni_dense,
+                                 top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
-from indecpoly.fields import embedding, finite_field, projection  # noqa: E402
-from indecpoly.mpoly import MPoly, monomials_upto  # noqa: E402
+from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
+from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
 
 FACTOR_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
 DECOMPOSE_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
@@ -151,8 +153,9 @@ def screened_inputs(draw):
 @given(screened_inputs())
 def test_top_form_root_screens_every_split(G):
     # the census skips a split whose top has no root, so that must be a
-    # split without a decomposition; and a decomposition's inner top form is
-    # the root the screen took
+    # split without a decomposition; it hands the root of a split that has
+    # one to decompose_from_top, which must then answer as decompose_multi
+    # does; and a decomposition's inner top form is the root the screen took
     for e in divisors(G.degree()):
         if e < 2:
             continue
@@ -160,8 +163,92 @@ def test_top_form_root_screens_every_split(G):
         dec = decompose_multi(G, e)
         if root is None:
             assert dec is None
+        else:
+            assert decompose_from_top(G, e, root) == dec
         if dec is not None:
             assert dec.inner.leading_form() == root
+
+
+@st.composite
+def outer_inner_pairs(draw):
+    """(F, u, H): u of degree 2..5 with any lower coefficients, zero among
+    them, and a normalized H in two variables, sometimes a monomial."""
+    F = draw(st.sampled_from(DECOMPOSE_FIELDS))
+    e = draw(st.integers(2, 5))
+    digits = st.integers(0, F.q - 1)
+    u = [F.element(draw(digits)) for _ in range(e)] + [F.element(draw(st.integers(1, F.q - 1)))]
+    m = draw(st.integers(1, 3 if e < 4 else 2))
+    monos = [mono for mono in monomials_upto(2, m) if sum(mono)]
+    if draw(st.booleans()):
+        H = MPoly(F, 2, {draw(st.sampled_from(monos)): F.one})
+    else:
+        H = MPoly(F, 2, {mono: F.element(draw(digits)) for mono in monos})
+        assume(not H.is_zero())
+        H = H.monic()
+    return F, u, H
+
+
+@SETTINGS
+@given(outer_inner_pairs())
+@example((finite_field(2), [finite_field(2).zero] * 4 + [finite_field(2).one],
+          MPoly(finite_field(2), 2, {(1, 1): 1})))
+@example((finite_field(5), [finite_field(5).element(c) for c in (3, 0, 0, 0, 0, 2)],
+          MPoly(finite_field(5), 2, {(2, 0): 1, (0, 1): 4})))
+def test_extract_outer_recovers_every_outer_coefficient(case):
+    F, u, H = case
+    e = len(u) - 1
+    G = compose(MPoly.from_dense(F, u, 1), H)
+    assert _extract_outer(G, H, e) == u
+    powers = [MPoly.const(F, 2, F.one)] + [H ** i for i in range(1, e + 1)]
+    assert _extract_outer(G, H, e, powers) == u
+
+
+MEMO_DOMAINS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5), QQ]
+
+
+@st.composite
+def memo_operands(draw):
+    """(A, B, k, c): two polynomials in 1 to 3 variables over F_2 ... F_5 or
+    QQ, either of them possibly zero, an exponent and a scalar."""
+    dom = draw(st.sampled_from(MEMO_DOMAINS))
+    nvars = draw(st.integers(1, 3))
+    ints = st.integers(0, dom.q - 1) if dom.is_finite else st.integers(-3, 3)
+
+    def poly():
+        monos = draw(st.lists(st.sampled_from(monomials_upto(nvars, 3)), max_size=5))
+        return MPoly(dom, nvars, {mono: draw(ints) for mono in monos})
+    c = draw(ints)
+    c = dom.element(c) if dom.is_finite else dom.from_int(c)
+    return poly(), poly(), draw(st.integers(0, 3)), c
+
+
+def _assert_fresh(P):
+    # twice: the first call fills the memo, the second reads it
+    for _ in range(2):
+        assert P.degree() == max((sum(e) for e in P.terms), default=-1)
+        if P.terms:
+            lead = max(P.terms, key=glex_key)
+            assert P.leading() == (lead, P.terms[lead])
+        else:
+            with pytest.raises(ValueError):
+                P.leading()
+
+
+@SETTINGS
+@given(memo_operands())
+def test_degree_and_leading_never_go_stale(case):
+    A, B, k, c = case
+    _assert_fresh(A)  # fill the operands' memos before any operation
+    _assert_fresh(B)
+    results = [A + B, A - B, A - A, A * B, A ** k, A.scale(c), A.derivative(0),
+               A.homogeneous_part(k), A.subst_poly(0, B)]
+    if not B.is_zero():
+        results += [(A * B).exact_div(B), A.exact_div(B)]
+    if not A.is_zero():
+        results.append(A.leading_form())
+    for P in results + [A, B]:
+        if P is not None:
+            _assert_fresh(P)
 
 
 @SETTINGS
