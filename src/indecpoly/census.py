@@ -7,22 +7,28 @@ Three routes that must agree:
 * the induction formula I_d = N_d - sum over proper divisors d' of
   q^(d/d' - 1) * I_{d'}, seeded with I_1 = q(q^n - 1) (n >= 2 only: the
   one-variable convention does not partition the decomposables);
-* exhaustive enumeration: classify every polynomial of exact degree d with
-  the decomposition engine.  In n >= 2 variables the top coefficients are
-  the slowest digits of the scan index, so each top form T owns one block of
-  consecutive indices.  T is screened once: a split e survives when T/lc(T)
-  has an e-th root H (decompose.top_form_root, the first step of
-  decompose_multi), and a block where no split survives is counted
-  indecomposable in one addition, without building its polynomials.  In a
-  block that survives, each polynomial goes to decompose.decompose_from_top
-  with the root H of each surviving split, which is thus taken once per
-  block.
+* exhaustive enumeration: count every polynomial of exact degree d with
+  the decomposition engine.  F = u(H) exactly when alpha F = (alpha u)(H)
+  for alpha != 0, so only the monic representative of each orbit
+  {alpha F} is classified, the one whose first nonzero top coefficient is
+  1, and its verdict counts q - 1 times.  In one variable these are the
+  indices [q^d, 2 q^d), lead digit 1.  In n >= 2 variables the top
+  coefficients are the slowest digits of the scan index, so each top form T
+  owns one block of consecutive indices, and only monic tops are visited.
+  T is screened once: a split e survives when T has an e-th root H
+  (decompose.top_form_root, the first step of decompose_multi), and a block
+  where no split survives is counted indecomposable in one addition,
+  without building its polynomials.  In a block that survives, each
+  polynomial goes to decompose.decompose_from_top with the root H of each
+  surviving split, which is thus taken once per block.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
 whose partial reports merge by addition (merge_reports), which is also how
-the command line front end's process pool combines its workers' reports;
-the counts of every slice stay exact, screened or not.
+the command line front end's process pool combines its workers' reports.
+A slice reports the orbits whose representative lies in it, q - 1
+polynomials each, so a slice of non-representative indices reports 0; the
+merged counts of a cover of the index space are exact.
 """
 
 from __future__ import annotations
@@ -265,12 +271,16 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
 
     part = (lo, hi) restricts the scan to a slice of the coefficient-tuple
     index space [0, q^M); partial reports over a disjoint cover of that
-    space merge by addition (merge_reports).  For n >= 2 each top form is
-    screened once per slice by decompose.top_form_root, and each polynomial
-    under it goes to decompose.decompose_from_top with the root of each
-    split its top admits; a top that admits none adds its whole overlap
-    with the slice to the indecomposables.  Each slice's counts are exact:
-    those of the polynomials whose indices lie in it.
+    space merge by addition (merge_reports) to the exact counts.  Only the
+    monic indices are classified, those whose first nonzero top digit is 1,
+    and each verdict counts for the q - 1 multiples alpha F.  So a slice
+    reports q - 1 times the verdicts at the monic indices it holds, not the
+    polynomials it holds: a slice without a monic index reports 0.  For
+    n >= 2 each monic top form is screened once per slice by
+    decompose.top_form_root, and each polynomial under it goes to
+    decompose.decompose_from_top with the root of each split its top
+    admits; a top that admits none adds q - 1 times its whole overlap with
+    the slice to the indecomposables.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -292,17 +302,20 @@ def _scan_uni(field, d, lo, hi, guard):
     q = field.q
     splits = outer_degrees(1, d)
     dec = ind = 0
-    it = itertools.product(range(q), repeat=d + 1)
-    for digits in itertools.islice(it, lo, hi):
-        if digits[0] == 0:  # digits are (lead, ..., const)
-            continue
-        f = list(reversed(digits))
+    lo, hi = max(lo, q ** d), min(hi, 2 * q ** d)  # the monic indices
+    f = [lo // q ** i % q for i in range(d + 1)]  # constant first, f[d] = 1
+    for _ in range(hi - lo):
         for r in splits:
             if decompose_uni_dense(field, f, r, guard) is not None:
-                dec += 1
+                dec += q - 1
                 break
         else:
-            ind += 1
+            ind += q - 1
+        for i in range(d):  # the odometer: the constant term turns fastest
+            if f[i] < q - 1:
+                f[i] += 1
+                break
+            f[i] = 0
     return dec, ind
 
 
@@ -314,7 +327,9 @@ def _scan_multi(field, n, d, lo, hi, guard):
     block = q ** len(lows)  # the indices t * block + [0, block) share top t
     splits = outer_degrees(n, d)
     dec = ind = 0
-    for t in range(max(lo // block, 1), -(-hi // block)):  # top 0 has degree < d
+    tops_lo, tops_hi = lo // block, -(-hi // block)
+    for t in itertools.chain.from_iterable(  # the tops whose first nonzero digit is 1
+            range(max(tops_lo, q ** k), min(tops_hi, 2 * q ** k)) for k in range(ntop)):
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)
         top, rest = {}, t
         for mono in reversed(tops):  # the first top monomial is the slowest digit
@@ -322,17 +337,17 @@ def _scan_multi(field, n, d, lo, hi, guard):
         T = MPoly(field, n, top)
         live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
         if not live:  # no split survives the top: the whole block is indecomposable
-            ind += stop - start
+            ind += (q - 1) * (stop - start)
             continue
         suffixes = itertools.product(range(q), repeat=len(lows))
         for digits in itertools.islice(suffixes, start, stop):
             P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
             for e, H in live:
                 if decompose_from_top(P, e, H, guard) is not None:
-                    dec += 1
+                    dec += q - 1
                     break
             else:
-                ind += 1
+                ind += q - 1
     return dec, ind
 
 

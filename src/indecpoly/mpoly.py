@@ -197,7 +197,8 @@ class MPoly:
         return self.scale(self.dom.inv(lc))
 
     def _check(self, other):
-        if self.n != other.n or self.dom.key() != other.dom.key():
+        if self.n != other.n or (self.dom is not other.dom
+                                 and self.dom.key() != other.dom.key()):
             raise ValueError("operands live in different polynomial rings")
 
     # -- calculus and substitution ------------------------------------------

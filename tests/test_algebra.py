@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indecpoly import unipoly
-from indecpoly.fields import QQ, ZZ, finite_field
+from indecpoly.fields import QQ, ZZ, PrimeField, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.factoring import uni_factor
 from indecpoly.resultants import _det_bareiss, discriminant, primitive_gcd, resultant
@@ -419,6 +419,20 @@ def test_leading_form():
     assert const.leading_form() == const
     with pytest.raises(ValueError):
         MPoly(ZZ, 2).leading_form()
+
+
+def test_operands_must_share_their_ring():
+    # distinct field objects of one order make one ring; another order, or
+    # another variable count, is refused
+    F3, G3 = finite_field(3), PrimeField(3)
+    x = MPoly.variable(F3, 2, 0)
+    assert F3 is not G3
+    assert x * MPoly.variable(G3, 2, 1) == MPoly(F3, 2, {(1, 1): 1})
+    for other in (MPoly.variable(finite_field(5), 2, 0), MPoly.variable(F3, 3, 0),
+                  MPoly.variable(ZZ, 2, 0)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="different polynomial rings"):
+                op(x, other)
 
 
 def test_exact_division_and_failure():

@@ -1,14 +1,16 @@
 import functools
+import importlib.util
 import itertools
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from indecpoly import census
 from indecpoly.arith import divisors
-from indecpoly.decompose import decompose_multi
+from indecpoly.decompose import decompose_multi, decompose_uni_dense, outer_degrees
 from indecpoly.fields import GuardExceeded, field_from_order
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni, enumerate_census,
@@ -221,29 +223,39 @@ def test_trend_table_monotone_on_doublings():
 
 
 # --------------------------------------------------------------------------
-# the screened two-variable scan against the unscreened per-polynomial loop
+# the reduced scans against the unreduced per-polynomial loop
 # --------------------------------------------------------------------------
 
 # (2, 2, 4) is the one census here with two splits, e = 2 and e = 4
 SCREENED_CENSUSES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2),
                      (2, 3, 2), (2, 2, 4)]
+# one variable: (4, 1, 4) is wild, its outer degree 2 divisible by p = 2
+UNI_CENSUSES = [(3, 1, 4), (4, 1, 4), (5, 1, 4)]
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_prefix(q, n, d):
     """Running (dec, ind) counts over the scan index space by the loop the
-    top-form screen replaced: every polynomial of exact degree d is built
-    and tried with decompose_multi at every split."""
+    reduced scans replaced: every polynomial of exact degree d is built and
+    tried at every split, by decompose_uni_dense in one variable and by
+    decompose_multi in several, with no top-form screen and no orbit
+    representatives."""
     field = field_from_order(q)
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
-    splits = [e for e in divisors(d) if e >= 2]
     dec, ind = [0], [0]
     for digits in itertools.product(range(q), repeat=len(monos)):
         a, b = dec[-1], ind[-1]
         if any(digits[:ntop]):
-            P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
-            if any(decompose_multi(P, e) is not None for e in splits):
+            if n == 1:
+                f = list(reversed(digits))
+                hit = any(decompose_uni_dense(field, f, r) is not None
+                          for r in outer_degrees(1, d))
+            else:
+                P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
+                hit = any(decompose_multi(P, e) is not None
+                          for e in divisors(d) if e >= 2)
+            if hit:
                 a += 1
             else:
                 b += 1
@@ -260,29 +272,82 @@ def _top_block(q, n, d):
     return q ** (len(monos) - ntop), ntop
 
 
-def _assert_slice_exact(q, n, d, lo, hi):
+@functools.lru_cache(maxsize=None)
+def _representative_prefix(q, n, d):
+    """Running (dec, ind) counts of the reference verdicts at the
+    representative indices only: those whose first nonzero top digit is 1,
+    one polynomial in each orbit {alpha F : alpha in F_q^*}."""
     dec, ind = _reference_prefix(q, n, d)
+    block, _ = _top_block(q, n, d)
+    rdec, rind = [0], [0]
+    for i in range(len(dec) - 1):
+        t = i // block
+        while t >= q:
+            t //= q
+        rep = t == 1
+        rdec.append(rdec[-1] + (dec[i + 1] - dec[i] if rep else 0))
+        rind.append(rind[-1] + (ind[i + 1] - ind[i] if rep else 0))
+    return rdec, rind
+
+
+def _assert_slice_exact(q, n, d, lo, hi):
+    """A slice reports q - 1 times the reference verdicts at the
+    representative indices in [lo, hi)."""
+    rdec, rind = _representative_prefix(q, n, d)
     rep = enumerate_census(q, n, d, part=(lo, hi))
-    assert (rep.decomposable, rep.indecomposable) == (dec[hi] - dec[lo], ind[hi] - ind[lo]), (
-        q, n, d, lo, hi)
+    assert (rep.decomposable, rep.indecomposable) == (
+        (q - 1) * (rdec[hi] - rdec[lo]), (q - 1) * (rind[hi] - rind[lo])), (q, n, d, lo, hi)
+    return rep
+
+
+def _assert_cover_exact(q, n, d, cuts):
+    """Each slice of the cover cuts[0] = 0 < ... < cuts[-1] = space is exact
+    as above, and the slices merge to the reference's counts over the whole
+    space."""
+    dec, ind = _reference_prefix(q, n, d)
+    assert cuts[0] == 0 and cuts[-1] == scan_space(q, n, d)
+    merged = merge_reports([_assert_slice_exact(q, n, d, lo, hi)
+                            for lo, hi in zip(cuts, cuts[1:])])
+    assert (merged.decomposable, merged.indecomposable) == (dec[-1], ind[-1]), (q, n, d, cuts)
+
+
+def _uneven_covers(space):
+    # uneven cuts, unlike partition_ranges
+    return [[0, *sorted(random.Random(seed).sample(range(1, space), parts - 1)), space]
+            for parts, seed in ((7, 1), (13, 2))]
 
 
 @pytest.mark.parametrize("q,n,d", SCREENED_CENSUSES)
 def test_screened_scan_is_exact_slice_by_slice(q, n, d):
     space = scan_space(q, n, d)
     block, ntop = _top_block(q, n, d)
-    slices = []
-    for parts, seed in ((7, 1), (13, 2)):  # uneven cuts, unlike partition_ranges
-        cuts = [0, *sorted(random.Random(seed).sample(range(1, space), parts - 1)), space]
-        slices += zip(cuts, cuts[1:])
+    for cuts in _uneven_covers(space):
+        _assert_cover_exact(q, n, d, cuts)
     live = q ** (ntop - 1)  # the top x^d: it has an e-th root for every e
     dead = q ** (ntop - 2)  # the top x^(d-1) y: it has none
-    slices += [
+    slices = [
         (live * block + 1, (live + 1) * block - 1),  # strictly inside one top block
         (dead * block + 1, (dead + 1) * block - 1),
         (0, 0), (live * block + 3, live * block + 3), (space, space),  # empty
         (block // 2, 3 * block + 2),  # starts in the all-zero top block
         (0, block),  # the all-zero top block alone: nothing of degree d
+    ]
+    for lo, hi in slices:
+        _assert_slice_exact(q, n, d, lo, hi)
+
+
+@pytest.mark.parametrize("q,n,d", UNI_CENSUSES)
+def test_monic_uni_scan_is_exact_slice_by_slice(q, n, d):
+    space = scan_space(q, n, d)
+    lead = q ** d  # the indices lead * c + [0, lead) have leading coefficient c
+    for cuts in _uneven_covers(space):
+        _assert_cover_exact(q, n, d, cuts)
+    slices = [
+        (lead + 1, 2 * lead - 1),  # strictly inside the monic range
+        (lead // 2, lead + 7), (2 * lead - 5, 2 * lead + 5),  # across its ends
+        (lead, 2 * lead), (0, space),
+        (0, lead), (2 * lead, space),  # no representative: (0, 0)
+        (0, 0), (lead + 3, lead + 3), (space, space),  # empty
     ]
     for lo, hi in slices:
         _assert_slice_exact(q, n, d, lo, hi)
@@ -299,12 +364,12 @@ if given is not None:
     @given(st.tuples(st.integers(0, 3 ** 6), st.integers(0, 3 ** 6)).map(sorted))
     def test_screened_scan_is_exact_on_any_slice(bounds):
         lo, hi = bounds
-        _assert_slice_exact(3, 2, 2, lo, hi)
+        _assert_cover_exact(3, 2, 2, [0, lo, hi, 3 ** 6])
 
 
 def test_screened_top_block_builds_no_polynomial(monkeypatch):
     # the top x y over F_3 has no square root, so its whole block counts as
-    # indecomposable without a single call of the engine
+    # indecomposable, q - 1 times over, without a single call of the engine
     block, ntop = _top_block(3, 2, 2)
     t = 3 ** (ntop - 2)
 
@@ -313,4 +378,49 @@ def test_screened_top_block_builds_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(census, "decompose_from_top", no_engine)
     rep = enumerate_census(3, 2, 2, part=(t * block, (t + 1) * block))
-    assert (rep.decomposable, rep.indecomposable) == (0, block)
+    assert (rep.decomposable, rep.indecomposable) == (0, 2 * block)
+
+
+def test_non_representative_slices_call_no_engine(monkeypatch):
+    # the top 2 x^2 over F_3 and the one-variable polynomials of leading
+    # coefficient 2 are counted at their monic multiples: these slices hold
+    # no representative, so they report nothing and never reach the engine
+    def no_engine(*args):
+        raise AssertionError("the engine ran on a non-representative index")
+
+    for name in ("top_form_root", "decompose_from_top", "decompose_uni_dense"):
+        monkeypatch.setattr(census, name, no_engine)
+    block, ntop = _top_block(3, 2, 2)
+    t = 2 * 3 ** (ntop - 1)
+    for n, d, lo, hi in [(2, 2, t * block, (t + 1) * block), (1, 4, 2 * 3 ** 4, 3 ** 5)]:
+        rep = enumerate_census(3, n, d, part=(lo, hi))
+        assert (rep.total, rep.decomposable, rep.indecomposable) == (0, 0, 0)
+
+
+# D(q, 1, d) taken from the unreduced scan, before the scan counted each
+# monic representative q - 1 times
+UNI_PINNED = [(3, 8, 810), (3, 10, 2754), (9, 4, 5832), (7, 6, 26754), (5, 6, 4500)]
+
+
+@pytest.mark.parametrize("q,d,dec", UNI_PINNED)
+def test_uni_enumeration_pinned_counts(q, d, dec):
+    rep = enumerate_census(q, 1, d)
+    assert (rep.total, rep.decomposable) == (count_total(q, 1, d), dec)
+    bounds = count_uni(q, d)
+    assert bounds.lower <= dec <= bounds.upper
+    assert bounds.exact in (None, dec)
+
+
+def _composition_image():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("census_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.uni_composition_image
+
+
+@pytest.mark.parametrize("q,d", [(3, 6), (5, 6)])
+def test_uni_enumeration_matches_the_composition_image(q, d):
+    # the oracle collects the decomposables of degree d as the set of u(v)
+    # over normalized v, sharing no code with the package
+    assert enumerate_census(q, 1, d).decomposable == len(_composition_image()(q, d))

@@ -18,7 +18,7 @@ from indecpoly import unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
 from indecpoly.decompose import (_extract_outer, compose, decompose_from_top,  # noqa: E402
                                  decompose_multi, decompose_uni, decompose_uni_dense,
-                                 top_form_root)
+                                 outer_degrees, top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
@@ -167,6 +167,60 @@ def test_top_form_root_screens_every_split(G):
             assert decompose_from_top(G, e, root) == dec
         if dec is not None:
             assert dec.inner.leading_form() == root
+
+
+# the census classifies one polynomial per orbit {alpha F : alpha != 0}, so
+# scaling by alpha must keep the verdict of every split and the inner found
+ORBIT_FIELDS = [finite_field(3), finite_field(2, 2), finite_field(5), finite_field(7),
+                finite_field(3, 2)]
+
+
+@st.composite
+def scaled_inputs(draw, nvars):
+    """(F, G, alpha): a random G of exact degree >= 2 in nvars variables, or
+    a random composition u(H), and a random alpha != 0."""
+    F = draw(st.sampled_from(ORBIT_FIELDS))
+    digits = st.integers(0, F.q - 1)
+    nonzero = st.integers(1, F.q - 1)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from({1: (4, 6, 8, 9), 2: (2, 3, 4), 3: (2, 3)}[nvars]))
+        monos = monomials_upto(nvars, d)
+        G = MPoly(F, nvars, {e: F.element(draw(digits)) for e in monos[1:]}
+                  | {monos[0]: F.element(draw(nonzero))})
+    else:
+        r = draw(st.sampled_from((2, 3)))
+        m = draw(st.sampled_from((2, 3) if nvars == 1 else (1, 2)))
+        u = MPoly.from_dense(F, [F.element(draw(digits)) for _ in range(r)]
+                             + [F.element(draw(nonzero))], 1)
+        H = MPoly(F, nvars, {e: F.element(draw(digits)) for e in monomials_upto(nvars, m)})
+        assume(H.degree() == m)
+        G = compose(u, H)
+    return F, G, F.element(draw(nonzero))
+
+
+@SETTINGS
+@given(scaled_inputs(1))
+def test_scaling_keeps_every_one_variable_verdict(case):
+    F, G, alpha = case
+    f = G.to_dense()
+    g = unipoly.scale(F, f, alpha)
+    for r in outer_degrees(1, G.degree()):
+        res, scaled = decompose_uni_dense(F, f, r), decompose_uni_dense(F, g, r)
+        assert (res is None) == (scaled is None)
+        if res is not None:
+            assert scaled == (unipoly.scale(F, res[0], alpha), res[1])
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3)).flatmap(scaled_inputs))
+def test_scaling_keeps_every_split_verdict(case):
+    F, G, alpha = case
+    for e in outer_degrees(G.n, G.degree()):
+        dec, scaled = decompose_multi(G, e), decompose_multi(G.scale(alpha), e)
+        assert (dec is None) == (scaled is None)
+        if dec is not None:
+            assert scaled.inner == dec.inner
+            assert scaled.outer == dec.outer.scale(alpha)
 
 
 @st.composite
