@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -105,3 +106,10 @@ def prime_power(q: int) -> tuple[int, int]:
         if p is not None and is_prime(p):
             return p, k
     raise ValueError(f"{q} is not a prime power")
+
+
+def decimal(n: int) -> str:
+    """The decimal digits of n at any size.  str(n) refuses ints of more than
+    4300 digits on Python 3.11 and later; Decimal converts without that
+    limit, and no process-wide setting changes."""
+    return str(Decimal(n))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .arith import big_omega, divisors, factorint, prime_power
+from .arith import big_omega, decimal, divisors, factorint, prime_power
 from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
@@ -62,9 +62,9 @@ class CensusReport:
                 "q": self.q,
                 "n": self.n,
                 "d": self.d,
-                "N": str(self.total),
-                "I": str(self.indecomposable),
-                "D": str(self.decomposable),
+                "N": decimal(self.total),
+                "I": decimal(self.indecomposable),
+                "D": decimal(self.decomposable),
                 "method": self.method,
             },
             sort_keys=True,
@@ -286,7 +286,7 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
         raise ValueError("need n >= 1 and d >= 1")
     space = scan_space(q, n, d)
     if space > guard:
-        raise GuardExceeded(f"scan space {space} exceeds guard {guard}")
+        raise GuardExceeded(f"scan space {decimal(space)} exceeds guard {guard}")
     field = field_from_order(q)
     lo, hi = (0, space) if part is None else part
     if not (0 <= lo <= hi <= space):
@@ -399,7 +399,7 @@ def enumerate_census_parallel(q, n, d, jobs, guard=DEFAULT_GUARD) -> CensusRepor
         return enumerate_census(q, n, d, guard=guard)
     space = scan_space(q, n, d)
     if space > guard:
-        raise GuardExceeded(f"scan space {space} exceeds guard {guard}")
+        raise GuardExceeded(f"scan space {decimal(space)} exceeds guard {guard}")
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(len(ranges), _usable_cpus())) as pool:

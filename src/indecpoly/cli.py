@@ -14,11 +14,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import census as census_mod
 from . import modp as modp_mod
-from .arith import prime_power
+from .arith import decimal, prime_power
 from .decompose import (decompose_multi, decompose_uni, is_indecomposable_multi,
                         is_indecomposable_uni, is_pth_power, outer_degrees)
 from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, finite_field
@@ -37,6 +37,14 @@ def _parse_field(text, guard):
     if k >= 2 and (k >= guard.bit_length() or p ** k > guard):
         raise GuardExceeded(f"field order {p}^{k} exceeds guard {guard}")
     return finite_field(p, k)
+
+
+def _check_count_size(q, n, d, guard):
+    # N_d has comb(n + d, n) base-q digits, and the counts are built at that
+    # size: check it against the guard once the inputs are otherwise valid
+    if n >= 1 and d >= 1 and (digits := comb(n + d, n)) > guard:
+        prime_power(q)  # ValueError unless q is a prime power
+        raise GuardExceeded(f"count of {digits} base-{q} digits exceeds guard {guard}")
 
 
 def _emit(payload, fmt):
@@ -63,7 +71,7 @@ def _emit_text(payload, indent=""):
 
 
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{decimal(f.numerator)}/{decimal(f.denominator)}"
 
 
 def cmd_spectrum(args):
@@ -132,6 +140,7 @@ def _census_payload(rep):
 
 
 def cmd_census(args):
+    _check_count_size(args.q, args.n, args.d, args.guard)
     method = args.method
     out = []
     if args.n == 1:
@@ -144,13 +153,13 @@ def cmd_census(args):
                 "q": u.q,
                 "d": u.d,
                 "n": 1,
-                "N": str(u.total),
+                "N": decimal(u.total),
                 "method": u.method,
-                "D_lower": str(u.lower),
-                "D_upper": str(u.upper),
+                "D_lower": decimal(u.lower),
+                "D_upper": decimal(u.upper),
             }
             if u.exact is not None:
-                payload["D"] = str(u.exact)
+                payload["D"] = decimal(u.exact)
             if u.alpha is not None:
                 payload["alpha"] = _frac(u.alpha)
             out.append(payload)
@@ -194,6 +203,7 @@ def cmd_enumerate(args):
 
 
 def cmd_check_bounds(args):
+    _check_count_size(args.q, 2, args.d, args.guard)
     rep = census_mod.bounds_check_n2(args.q, args.d)
     return {
         "q": rep.q,
@@ -206,6 +216,9 @@ def cmd_check_bounds(args):
 
 
 def cmd_bd_lemma(args):
+    # the check walks every d <= d_max; a d_max below 8 keeps its own error
+    if args.dmax > max(args.guard, 7):
+        raise GuardExceeded(f"d_max {args.dmax} exceeds guard {args.guard}")
     return {"d_max": args.dmax, "holds": census_mod.bd_lemma_check(args.dmax)}
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import unipoly
-from .arith import divisors, integer_nth_root
+from .arith import decimal, divisors, integer_nth_root
 from .factoring import _pth_root_mpoly, uni_roots
 from .fields import DEFAULT_GUARD, GuardExceeded
 from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
@@ -229,7 +229,7 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
             if sum(mono) and pa * (m - sum(mono)) >= m]
     if free and dom.q ** len(free) > guard:
         raise GuardExceeded(f"inner enumeration of {len(free)} free monomials, size "
-                            f"{dom.q ** len(free)}, exceeds guard {guard}")
+                            f"{decimal(dom.q ** len(free))}, exceeds guard {guard}")
     if pa < m:  # otherwise the top form is the only forced component
         R = _extend_root(F.scale(dom.inv(F.leading()[1])), e // pa, H ** pa, d - m)
         H = None if R is None else poly_eth_root(R, pa)
@@ -359,7 +359,7 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     if nfree and dom.q ** nfree > guard:
         raise GuardExceeded(
             f"inner enumeration of {nfree} free coefficients, size "
-            f"{dom.q ** nfree}, exceeds guard {guard}"
+            f"{decimal(dom.q ** nfree)}, exceeds guard {guard}"
         )
     fm = unipoly.monic(dom, f)
     top = _forced_inner_top(dom, fm, s, a, e)

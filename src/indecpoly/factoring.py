@@ -248,12 +248,7 @@ def _to_xy(F: MPoly):
 
 
 def _from_xy(field, cols):
-    terms = {}
-    for i, col in enumerate(cols):
-        for j, c in enumerate(col):
-            if c != field.zero:
-                terms[(i, j)] = c
-    return MPoly(field, 2, terms)
+    return MPoly(field, 2, {(i, j): c for i, col in enumerate(cols) for j, c in enumerate(col)})
 
 
 def _xy_mul(field, A, B, K):

@@ -1,15 +1,16 @@
 """Sparse multivariate polynomials over an exact coefficient domain.
 
 A polynomial is a map from exponent tuples to nonzero coefficients, plus the
-variable count and the owning domain. The monomial order used everywhere
-(leading terms, canonical printing, divisor enumeration) is graded
-lexicographic: higher total degree wins, ties break lexicographically on the
-exponent tuple with the first variable strongest. Values are immutable by
-convention; every operation returns a fresh polynomial, and nothing writes
-the terms of a polynomial after its constructor.  The convention carries
-weight: degree() and leading() are computed on first use and kept on the
-value.  An int coefficient over F_q is the element with that index (see
-fields), never reduced mod p.
+variable count and the owning domain.  The constructor is the one place that
+drops zero coefficients: operations hand it their raw sums and images.  The
+monomial order used everywhere (leading terms, canonical printing, divisor
+enumeration) is graded lexicographic: higher total degree wins, ties break
+lexicographically on the exponent tuple with the first variable strongest.
+Values are immutable by convention; every operation returns a fresh
+polynomial, and nothing writes the terms of a polynomial after its
+constructor.  The convention carries weight: degree() and leading() are
+computed on first use and kept on the value.  An int coefficient over F_q is
+the element with that index (see fields), never reduced mod p.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ class MPoly:
             z = dom.zero
             q = dom.q if dom.is_finite else None
             for e, c in terms.items():
-                if type(c) is int:  # a literal: over F_q the element itself
-                    if q is None:
-                        c = dom.from_int(c)
-                    elif not 0 <= c < q:
-                        raise ValueError(f"{c} is not an element of {dom}")
-                if c != z:
+                if c != z:  # the int literal 0 is zero in every domain
+                    if type(c) is int:  # a literal: over F_q the element itself
+                        if q is None:
+                            c = dom.from_int(c)
+                        elif not 0 <= c < q:
+                            raise ValueError(f"{c} is not an element of {dom}")
                     clean[tuple(e)] = c
         self.terms = clean
         self._degree = self._leading = None  # filled by degree() and leading()
@@ -58,10 +59,9 @@ class MPoly:
     def from_dense(cls, dom, coeffs, n=1, var=0):
         terms = {}
         for i, c in enumerate(coeffs):
-            if c != dom.zero:
-                e = [0] * n
-                e[var] = i
-                terms[tuple(e)] = c
+            e = [0] * n
+            e[var] = i
+            terms[tuple(e)] = c
         return cls(dom, n, terms)
 
     def to_dense(self, var=0):
@@ -132,11 +132,7 @@ class MPoly:
         out = dict(self.terms)
         dom = self.dom
         for e, c in other.terms.items():
-            s = dom.add(out.get(e, dom.zero), c)
-            if s == dom.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = dom.add(out.get(e, dom.zero), c)
         return MPoly(dom, self.n, out)
 
     def __sub__(self, other):
@@ -144,11 +140,7 @@ class MPoly:
         out = dict(self.terms)
         dom = self.dom
         for e, c in other.terms.items():
-            s = dom.sub(out.get(e, dom.zero), c)
-            if s == dom.zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = dom.sub(out.get(e, dom.zero), c)
         return MPoly(dom, self.n, out)
 
     def __neg__(self):
@@ -163,11 +155,7 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = dom.add(out.get(e, zero), dom.mul(c1, c2))
-                if s == zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = dom.add(out.get(e, zero), dom.mul(c1, c2))
         return MPoly(dom, self.n, out)
 
     def __pow__(self, k):
@@ -185,8 +173,6 @@ class MPoly:
 
     def scale(self, c):
         dom = self.dom
-        if c == dom.zero:
-            return MPoly(dom, self.n)
         return MPoly(dom, self.n, {e: dom.mul(v, c) for e, v in self.terms.items()})
 
     def monic(self):
@@ -207,16 +193,11 @@ class MPoly:
         out = {}
         for e, c in self.terms.items():
             k = e[var]
-            if k == 0:
-                continue
-            m = dom.mul(c, dom.from_int(k))
-            if m == dom.zero:
-                continue
-            e2 = list(e)
-            e2[var] = k - 1
-            e2 = tuple(e2)
-            out[e2] = dom.add(out.get(e2, dom.zero), m)
-        return MPoly(dom, self.n, {e: c for e, c in out.items() if c != dom.zero})
+            if k:
+                e2 = list(e)
+                e2[var] = k - 1
+                out[tuple(e2)] = dom.mul(c, dom.from_int(k))
+        return MPoly(dom, self.n, out)
 
     def evaluate(self, values):
         """Full evaluation at a point (list of domain elements)."""
@@ -274,13 +255,7 @@ class MPoly:
 
     # -- coefficient maps ----------------------------------------------------
     def map_coeffs(self, fn, dom2):
-        out = {}
-        z = dom2.zero
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v != z:
-                out[e] = v
-        return MPoly(dom2, self.n, out)
+        return MPoly(dom2, self.n, {e: fn(c) for e, c in self.terms.items()})
 
     def reduce_mod(self, field):
         """Coefficient-wise reduction of an integer polynomial into F_p^k."""

@@ -4,14 +4,15 @@ Entries of the Sylvester matrix are polynomials in the remaining variables.
 One kernel takes every determinant: it packs those variables into a single
 one t by Kronecker substitution, with strides that no minor of the matrix can
 reach, and runs one Bareiss elimination loop on the packed entries.  Its
-interior divisions are exact over any integral domain, so everything stays in
-ZZ/QQ/F_q without fractions, and the determinant unpacks term by term.
+interior divisions are exact, so everything stays in ZZ/QQ/F_q without
+fractions, and the determinant unpacks term by term.
 
 The packing also supplies the ring the loop runs in.  Over ZZ it evaluates
 t at 2^B, so an entry is one Python int, with B sized by a bound on the
-coefficients of every minor (see `_det_bareiss`).  Over every other domain,
-the F_q resultants of `spectrum` among them, an entry is a dense `unipoly`
-list.
+coefficients of every minor (see `_det_bareiss`).  Every other domain is a
+field, the F_q of `spectrum` among them, and an entry is a dense `unipoly`
+list.  Both divide by (quotient, remainder): builtin `divmod` on the ints,
+`unipoly.divmod_poly` on the lists.
 
 The gcd of two polynomials in two variables is taken in D[x_var], with D the
 polynomials in the other variable, by a primitive pseudo-remainder sequence:
@@ -70,7 +71,8 @@ def _det_bareiss(rows):
     value, and B is taken with 2^(B-1) above that bound: a nonzero minor
     then has a nonzero image, so the pivot tests are faithful, and the
     determinant is read back as balanced base-2^B digits.  Every other
-    domain runs the same loop on dense `unipoly` lists.
+    domain is a field and runs the same loop on dense `unipoly` lists, with
+    `unipoly.divmod_poly` in place of `divmod`.
     """
     n = len(rows)
     if n == 0:
@@ -99,7 +101,7 @@ def _det_bareiss(rows):
                 v = (v - out[-1]) >> B
             return out
 
-        mul, sub, quo = operator.mul, operator.sub, dom.exact_div
+        mul, sub, div = operator.mul, operator.sub, divmod
     else:
         def pack(f):
             out = [dom.zero] * size
@@ -107,7 +109,7 @@ def _det_bareiss(rows):
                 out[index(e)] = c
             return unipoly.normalize(dom, out)
 
-        mul, sub, quo = (partial(op, dom) for op in (unipoly.mul, unipoly.sub, unipoly.exact_quo))
+        mul, sub, div = (partial(f, dom) for f in (unipoly.mul, unipoly.sub, unipoly.divmod_poly))
         digits = list
 
     a = [[pack(f) for f in r] for r in rows]
@@ -125,10 +127,11 @@ def _det_bareiss(rows):
             aik = ai[k]
             for j in range(k + 1, n):
                 num = sub(mul(akk, ai[j]), mul(aik, ak[j]))
-                q = quo(num, prev) if k else num  # the first divisor is 1
-                if q is None:  # pragma: no cover - minors are exact
-                    raise ArithmeticError("inexact Bareiss division")
-                ai[j] = q
+                if k:  # the first divisor is 1
+                    num, r = div(num, prev)
+                    if r:  # pragma: no cover - minors are exact
+                        raise ArithmeticError("inexact Bareiss division")
+                ai[j] = num
         prev = akk
     coeffs = digits(a[n - 1][n - 1])
     if len(coeffs) > size:  # pragma: no cover - the strides bound every minor

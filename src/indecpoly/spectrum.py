@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import unipoly
-from .arith import is_prime
+from .arith import decimal, is_prime
 from .decompose import is_indecomposable_multi
 from .factoring import (absolutely_irreducible, bivar_factor, conjugate_split_count,
                         frobenius_orbit, minimal_polynomial, uni_factor, uni_roots)
@@ -121,7 +121,7 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     top = max(1, d - 1)
     sweep = sum(field.q ** m for m in range(1, top + 1))
     if sweep > guard:
-        raise GuardExceeded(f"spectral sweep over {sweep} elements exceeds guard {guard}")
+        raise GuardExceeded(f"spectral sweep over {decimal(sweep)} elements exceeds guard {guard}")
     if not is_indecomposable_multi(F, guard):
         raise SpectrumUnbounded(
             "decomposable input: every constant shift is reducible, the "

@@ -1,9 +1,9 @@
-"""Dense univariate polynomial arithmetic over an exact coefficient domain.
+"""Dense univariate polynomial arithmetic over a field.
 
-Polynomials are plain lists of domain elements in ascending degree with no
-trailing zeros; [] is the zero polynomial. The domain object (a finite field
-from .fields, or the rational/integer domains there) supplies the element
-operations, so these functions never touch representation details.
+Polynomials are plain lists of field elements in ascending degree with no
+trailing zeros; [] is the zero polynomial. The field object (a finite field
+from .fields, or QQ there) supplies the element operations, so these
+functions never touch representation details.
 """
 
 from __future__ import annotations
@@ -83,30 +83,6 @@ def divmod_poly(dom, a: list, b: list):
         for j in range(db + 1):
             rem[i - db + j] = dom.sub(rem[i - db + j], dom.mul(q, b[j]))
     return normalize(dom, quot), normalize(dom, rem)
-
-
-def exact_quo(dom, a: list, b: list):
-    """a / b when b divides a exactly, else None.  Leading coefficients are
-    divided with dom.exact_div, so this works over ZZ as well as fields."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = len(b) - 1
-    terms = [(j - db, c) for j, c in enumerate(b) if c != dom.zero]
-    rem = list(a)
-    quot = [dom.zero] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if c == dom.zero:
-            continue
-        q = dom.exact_div(c, b[-1])
-        if q is None:
-            return None
-        quot[i - db] = q
-        for j, bj in terms:
-            rem[i + j] = dom.sub(rem[i + j], dom.mul(q, bj))
-    if any(c != dom.zero for c in rem[:db]):
-        return None
-    return normalize(dom, quot)
 
 
 def mod(dom, a: list, b: list) -> list:

@@ -1,8 +1,12 @@
 import json
+import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from indecpoly import modp
+from indecpoly.census import count_recursive
 from indecpoly.cli import main
 from indecpoly.fields import ZZ, finite_field
 from indecpoly.parsing import ParseError, parse_poly
@@ -351,3 +355,70 @@ def test_cli_decompose_wild_split_enumerates_only_free_monomials(capsys):
         "outer_degree": 2, "outer": "t^2 + t",
         "inner": "x^4 + x^3*y + t*x^3 + x*y^2 + y^3 + t*x^2 + x*y + y",
     }]
+
+
+def _parse_int(text):
+    return int(Decimal(text))  # int(text) refuses more than 4300 digits
+
+
+def test_cli_prints_exact_integers_of_any_size(capsys):
+    # N_200 over F_2 in two variables has 6,112 decimal digits
+    rep = count_recursive(2, 2, 200)
+    code, out, _ = run_cli(capsys, "census", "--q", "2", "--n", "2", "--d", "200",
+                           "--method", "recursion")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "recursion"
+    assert len(payload["N"]) > 4300
+    assert [_parse_int(payload[k]) for k in "NID"] == [
+        rep.total, rep.indecomposable, rep.decomposable]
+    code, out, _ = run_cli(capsys, "check-bounds", "--q", "2", "--d", "200")
+    assert code == 0
+    num, den = map(_parse_int, json.loads(out)["ratio"].split("/"))
+    assert Fraction(num, den) == Fraction(rep.decomposable, rep.total)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--q", "2", "--n", "2", "--d", "200"),
+    ("decompose", "--field", "2", "x^60000"),
+    ("spectrum", "--field", "2", "x^14300*y + x + y"),
+])
+def test_cli_guard_messages_print_sizes_of_any_length(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "exceeds guard 16777216" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("census", "--q", "2", "--d", "100000", "--method", "closed"),
+     "count of 5000150001 base-2 digits exceeds guard 16777216"),
+    (("census", "--q", "2", "--d", "100000", "--method", "recursion"),
+     "count of 5000150001 base-2 digits exceeds guard 16777216"),
+    (("census", "--q", "3", "--n", "1", "--d", "100", "--guard", "100"),
+     "count of 101 base-3 digits exceeds guard 100"),
+    (("check-bounds", "--q", "2", "--d", "100000"),
+     "count of 5000150001 base-2 digits exceeds guard 16777216"),
+    (("bd-lemma", "--dmax", "200000", "--guard", "1000"),
+     "d_max 200000 exceeds guard 1000"),
+])
+def test_cli_checks_the_counts_against_the_guard_before_work(capsys, monkeypatch, argv, message):
+    # N_d has comb(n + d, n) base-q digits; the counting code never runs
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    for name in ("count_total", "count_closed_small", "count_uni", "bounds_check_n2",
+                 "bd_lemma_check"):
+        monkeypatch.setattr(f"indecpoly.census.{name}", lambda *a: pytest.fail("work began"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_cli_count_guard_keeps_the_earlier_input_errors(capsys):
+    # comb(202, 2) = 20,301 digits fit the default guard; a guard below it
+    # reports after the prime-power check, and a d_max below 8 keeps its error
+    code, _, err = run_cli(capsys, "check-bounds", "--q", "6", "--d", "200", "--guard", "100")
+    assert code == 1 and err == "error: 6 is not a prime power\n"
+    code, _, err = run_cli(capsys, "bd-lemma", "--dmax", "5", "--guard", "3")
+    assert code == 1 and err == "error: need d_max >= 8\n"

@@ -277,6 +277,7 @@ def memo_operands(draw):
 
 
 def _assert_fresh(P):
+    assert all(c != P.dom.zero for c in P.terms.values())  # the constructor drops zeros
     # twice: the first call fills the memo, the second reads it
     for _ in range(2):
         assert P.degree() == max((sum(e) for e in P.terms), default=-1)
@@ -294,8 +295,14 @@ def test_degree_and_leading_never_go_stale(case):
     A, B, k, c = case
     _assert_fresh(A)  # fill the operands' memos before any operation
     _assert_fresh(B)
+    dom, n = A.dom, A.n
+    first = next(iter(A.terms.values()), dom.zero)
     results = [A + B, A - B, A - A, A * B, A ** k, A.scale(c), A.derivative(0),
-               A.homogeneous_part(k), A.subst_poly(0, B)]
+               A.homogeneous_part(k), A.subst_poly(0, B), A.scale(dom.zero),
+               MPoly.from_dense(dom, [c, dom.zero, dom.one, dom.zero], n, n - 1),
+               A.map_coeffs(lambda v: dom.sub(v, first), dom)]  # maps `first` to zero
+    if dom.char:  # d/dx x^p = p x^(p-1) = 0
+        results.append((MPoly.variable(dom, n, 0) ** dom.char).derivative(0))
     if not B.is_zero():
         results += [(A * B).exact_div(B), A.exact_div(B)]
     if not A.is_zero():
