@@ -6,9 +6,8 @@ from .arith import divisors, factorint, is_prime, primes_upto
 from .census import (CensusReport, bd_lemma_check, bounds_check_n2, count_closed_small,
                      count_recursive, count_total, count_uni, enumerate_census,
                      enumerate_census_parallel, merge_reports, trend_table)
-from .decompose import (Decomposition, compose, decompose_multi, decompose_uni,
-                        dickson, is_indecomposable_multi, is_indecomposable_uni,
-                        is_pth_power, normalize, poly_eth_root)
+from .decompose import (Decomposition, compose, decompose_multi, dickson,
+                        is_indecomposable_multi, is_pth_power, normalize, poly_eth_root)
 from .factoring import (Factorization, absolutely_irreducible, bivar_factor,
                         bivar_irreducible, conjugate_split_count, n_bar_factors,
                         squarefree_part, uni_factor, uni_roots)

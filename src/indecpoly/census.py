@@ -11,16 +11,18 @@ Three routes that must agree:
   the decomposition engine.  F = u(H) exactly when alpha F = (alpha u)(H)
   for alpha != 0, so only the monic representative of each orbit
   {alpha F} is classified, the one whose first nonzero top coefficient is
-  1, and its verdict counts q - 1 times.  In one variable these are the
-  indices [q^d, 2 q^d), lead digit 1.  In n >= 2 variables the top
-  coefficients are the slowest digits of the scan index, so each top form T
-  owns one block of consecutive indices, and only monic tops are visited.
-  T is screened once: a split e survives when T has an e-th root H
-  (decompose.top_form_root, the first step of decompose_multi), and a block
-  where no split survives is counted indecomposable in one addition,
-  without building its polynomials.  In a block that survives, each
-  polynomial goes to decompose.decompose_from_top with the root H of each
-  surviving split, which is thus taken once per block.
+  1, and its verdict counts q - 1 times.  The top coefficients are the
+  slowest digits of the scan index, so each top form T owns one block of
+  consecutive indices, and only monic tops are visited; one scan serves
+  every arity.  Arity decides only how a block is classified.  In one
+  variable the single top x^d owns the indices [q^d, 2 q^d), and each
+  polynomial goes to decompose.decompose_uni_dense at every split.  In
+  n >= 2 variables T is screened once: a split e survives when T has an
+  e-th root H (decompose.top_form_root, the first step of decompose_multi),
+  and a block where no split survives is counted indecomposable in one
+  addition, without building its polynomials.  In a block that survives,
+  each polynomial goes to decompose.decompose_from_top with the root H of
+  each surviving split, which is thus taken once per block.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -275,7 +277,9 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     monic indices are classified, those whose first nonzero top digit is 1,
     and each verdict counts for the q - 1 multiples alpha F.  So a slice
     reports q - 1 times the verdicts at the monic indices it holds, not the
-    polynomials it holds: a slice without a monic index reports 0.  For
+    polynomials it holds: a slice without a monic index reports 0.  One
+    scan (_scan) walks the monic top blocks in every arity.  In one
+    variable each polynomial goes to decompose.decompose_uni_dense.  For
     n >= 2 each monic top form is screened once per slice by
     decompose.top_form_root, and each polynomial under it goes to
     decompose.decompose_from_top with the root of each split its top
@@ -291,35 +295,11 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     lo, hi = (0, space) if part is None else part
     if not (0 <= lo <= hi <= space):
         raise ValueError("bad partition range")
-    if n == 1:
-        dec, ind = _scan_uni(field, d, lo, hi, guard)
-    else:
-        dec, ind = _scan_multi(field, n, d, lo, hi, guard)
+    dec, ind = _scan(field, n, d, lo, hi, guard)
     return CensusReport(q, n, d, dec + ind, ind, dec, "enumeration")
 
 
-def _scan_uni(field, d, lo, hi, guard):
-    q = field.q
-    splits = outer_degrees(1, d)
-    dec = ind = 0
-    lo, hi = max(lo, q ** d), min(hi, 2 * q ** d)  # the monic indices
-    f = [lo // q ** i % q for i in range(d + 1)]  # constant first, f[d] = 1
-    for _ in range(hi - lo):
-        for r in splits:
-            if decompose_uni_dense(field, f, r, guard) is not None:
-                dec += q - 1
-                break
-        else:
-            ind += q - 1
-        for i in range(d):  # the odometer: the constant term turns fastest
-            if f[i] < q - 1:
-                f[i] += 1
-                break
-            f[i] = 0
-    return dec, ind
-
-
-def _scan_multi(field, n, d, lo, hi, guard):
+def _scan(field, n, d, lo, hi, guard):
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -331,23 +311,32 @@ def _scan_multi(field, n, d, lo, hi, guard):
     for t in itertools.chain.from_iterable(  # the tops whose first nonzero digit is 1
             range(max(tops_lo, q ** k), min(tops_hi, 2 * q ** k)) for k in range(ntop)):
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)
-        top, rest = {}, t
-        for mono in reversed(tops):  # the first top monomial is the slowest digit
-            rest, top[mono] = divmod(rest, q)
-        T = MPoly(field, n, top)
-        live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
-        if not live:  # no split survives the top: the whole block is indecomposable
-            ind += (q - 1) * (stop - start)
-            continue
-        suffixes = itertools.product(range(q), repeat=len(lows))
-        for digits in itertools.islice(suffixes, start, stop):
-            P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
-            for e, H in live:
-                if decompose_from_top(P, e, H, guard) is not None:
-                    dec += q - 1
-                    break
-            else:
-                ind += q - 1
+        suffixes = itertools.islice(itertools.product(range(q), repeat=len(lows)), start, stop)
+        hits = 0
+        if n == 1:  # the one top x^d: the dense engine at every split
+            for digits in suffixes:
+                f = [*reversed(digits), 1]  # constant first
+                for r in splits:
+                    if decompose_uni_dense(field, f, r, guard) is not None:
+                        hits += 1
+                        break
+        else:
+            top, rest = {}, t
+            for mono in reversed(tops):  # the first top monomial is the slowest digit
+                rest, top[mono] = divmod(rest, q)
+            T = MPoly(field, n, top)
+            live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
+            if not live:  # no split survives the top: the whole block is indecomposable
+                ind += (q - 1) * (stop - start)
+                continue
+            for digits in suffixes:
+                P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
+                for e, H in live:
+                    if decompose_from_top(P, e, H, guard) is not None:
+                        hits += 1
+                        break
+        dec += (q - 1) * hits
+        ind += (q - 1) * (stop - start - hits)
     return dec, ind
 
 

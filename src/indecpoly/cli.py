@@ -19,8 +19,7 @@ from math import comb, gcd
 from . import census as census_mod
 from . import modp as modp_mod
 from .arith import decimal, prime_power
-from .decompose import (decompose_multi, decompose_uni, is_indecomposable_multi,
-                        is_indecomposable_uni, is_pth_power, outer_degrees)
+from .decompose import decompose_multi, is_indecomposable_multi, is_pth_power, outer_degrees
 from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, finite_field
 from .mpoly import MPoly, default_var_names
 from .parsing import ParseError, parse_poly
@@ -90,11 +89,7 @@ def cmd_decompose(args):
     found = []
     outers = [args.outer_degree] if args.outer_degree is not None else outer_degrees(F.n, d)
     for e in outers:
-        dec = (
-            decompose_multi(F, e, guard=args.guard)
-            if F.n >= 2
-            else decompose_uni(F, e, guard=args.guard)
-        )
+        dec = decompose_multi(F, e, guard=args.guard)
         if dec is not None:
             found.append(
                 {
@@ -109,8 +104,8 @@ def cmd_decompose(args):
 def cmd_indec(args):
     field = _parse_field(args.field, args.guard)
     F = parse_poly(args.poly, field)
-    fn = is_indecomposable_multi if F.n >= 2 else is_indecomposable_uni
-    return {"poly": F.format(), "variables": F.n, "indecomposable": fn(F, args.guard)}
+    return {"poly": F.format(), "variables": F.n,
+            "indecomposable": is_indecomposable_multi(F, args.guard)}
 
 
 def cmd_pthpower(args):

@@ -4,10 +4,16 @@ A normalized inner polynomial is monic under graded-lex and has zero
 constant term; composing with the affine adjustment of the outer polynomial
 turns any decomposition into a normalized one with the same composite.
 
-The decomposability conventions differ by arity and both are exposed:
+The decomposability convention depends on arity, and outer_degrees alone
+applies it, so decompose_multi and is_indecomposable_multi serve every arity:
 
 * n >= 2 variables: any outer degree >= 2 counts, inner degree 1 allowed;
 * one variable: both the outer and the inner degree must be >= 2.
+
+In one variable decompose_multi hands the dense coefficient list to
+decompose_uni_dense.  Both engines return the same canonical inner: among
+the inner polynomials of a split, the first in itertools.product order over
+the free coefficients, the highest-degree one varying slowest.
 
 One rule for every split, in both arities: with outer degree e = p^a e'
 (p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
@@ -203,10 +209,26 @@ def top_form_root(F: MPoly, e: int):
 
 
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
-    """The normalized decomposition of F with outer degree e, or None: the
-    root of its top form (top_form_root), then decompose_from_top."""
-    H = top_form_root(F, e)
-    return None if H is None else decompose_from_top(F, e, H, guard)
+    """The normalized decomposition of F with outer degree e, or None, in any
+    number of variables; ValueError unless e is in outer_degrees(F.n, deg F).
+    In several variables the root of the top form (top_form_root) goes on to
+    decompose_from_top; in one variable decompose_uni_dense answers, and its
+    pair is checked to recompose to F."""
+    if F.n >= 2:
+        H = top_form_root(F, e)
+        return None if H is None else decompose_from_top(F, e, H, guard)
+    if F.is_zero() or F.is_constant():
+        raise ValueError("cannot decompose a constant")
+    d = F.degree()
+    if e not in outer_degrees(1, d):
+        raise ValueError(f"invalid degree split: need e >= 2 and {d}/e >= 2")
+    res = decompose_uni_dense(F.dom, F.to_dense(), e, guard)
+    if res is None:
+        return None
+    u, v = res
+    dec = Decomposition(MPoly.from_dense(F.dom, u, 1), MPoly.from_dense(F.dom, v, 1))
+    dec.check(F)
+    return dec
 
 
 def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
@@ -249,8 +271,8 @@ def outer_degrees(n: int, d: int) -> list:
 
 
 def is_indecomposable_multi(F: MPoly, guard=DEFAULT_GUARD) -> bool:
-    """No decomposition u(H) with deg u in outer_degrees: inner degree 1
-    counts in several variables, and one variable agrees with the _uni test."""
+    """No decomposition u(H) with deg u in outer_degrees, in any number of
+    variables: inner degree 1 counts in several variables, not in one."""
     if F.is_zero() or F.is_constant():
         raise ValueError("indecomposability is undefined for constants")
     return all(decompose_multi(F, e, guard) is None for e in outer_degrees(F.n, F.degree()))
@@ -347,7 +369,8 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     forces the inner coefficients v_i with p^a (s - i) < s or rejects f
     (_forced_inner_top); the other s - 1 - (s-1)//p^a are free, none when
     the split is tame.  The guard bounds q^(free count), before any work.
-    Free completions go in increasing coefficient order, and the first that
+    Free completions go in itertools.product order with the highest free
+    coefficient slowest, the order of decompose_from_top, and the first that
     passes the exact check by repeated division (_extract_outer_dense) wins."""
     d = unipoly.degree(f)
     s = d // r
@@ -367,44 +390,11 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
         return None
     lows = itertools.product(dom.elements(), repeat=nfree) if nfree else [()]
     for low in lows:
-        v = [dom.zero, *low, *top, dom.one]
+        v = [dom.zero, *reversed(low), *top, dom.one]
         u = _extract_outer_dense(dom, fm, v, r)
         if u is not None:
             return unipoly.scale(dom, u, f[-1]), v
     return None
-
-
-def decompose_uni(f: MPoly, r: int, guard=DEFAULT_GUARD):
-    """Normalized one-variable decomposition with outer degree r, or None.
-
-    Requires r >= 2 and cofactor degree d/r >= 2 (degree-one inner
-    polynomials do not count in one variable)."""
-    if f.n != 1:
-        raise ValueError("expected a univariate polynomial")
-    d = f.degree()
-    if d < 1:
-        raise ValueError("cannot decompose a constant")
-    if r < 2 or d % r or d // r < 2:
-        raise ValueError(f"invalid degree split: need r >= 2 and {d}/r >= 2")
-    dom = f.dom
-    res = decompose_uni_dense(dom, f.to_dense(), r, guard)
-    if res is None:
-        return None
-    u, v = res
-    dec = Decomposition(MPoly.from_dense(dom, u, 1), MPoly.from_dense(dom, v, 1))
-    dec.check(f)
-    return dec
-
-
-def is_indecomposable_uni(f: MPoly, guard=DEFAULT_GUARD) -> bool:
-    """One-variable indecomposability: no split with both degrees >= 2."""
-    if f.n != 1:
-        raise ValueError("expected a univariate polynomial")
-    d = f.degree()
-    if d < 1:
-        raise ValueError("indecomposability is undefined for constants")
-    dense = f.to_dense()
-    return all(decompose_uni_dense(f.dom, dense, r, guard) is None for r in outer_degrees(1, d))
 
 
 # --------------------------------------------------------------------------

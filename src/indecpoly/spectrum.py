@@ -31,8 +31,8 @@ from fractions import Fraction
 from . import unipoly
 from .arith import decimal, is_prime
 from .decompose import is_indecomposable_multi
-from .factoring import (absolutely_irreducible, bivar_factor, conjugate_split_count,
-                        frobenius_orbit, minimal_polynomial, uni_factor, uni_roots)
+from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynomial,
+                        n_bar_factors, uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
 from .resultants import coeff_list, primitive_gcd, resultant
@@ -169,12 +169,9 @@ def _report(F: MPoly, candidates, guard) -> SpectralReport:
         FK = lifted.get(K.k)
         if FK is None:
             FK = lifted[K.k] = F.map_coeffs(embedding(field, K), K)
-        G = FK - MPoly.const(K, 2, lam)
-        fac = bivar_factor(G, guard=guard)
-        counts = [conjugate_split_count(g, guard) for g, _ in fac.factors]
-        if fac.total_multiplicity() == 1 and counts == [1]:
-            continue  # absolutely irreducible
-        nb = sum(counts)
+        nb = n_bar_factors(FK - MPoly.const(K, 2, lam), guard)
+        if nb == 1:  # absolutely irreducible: F indecomposable, so F - lam is no power
+            continue
         mp = minimal_polynomial(lam, K, field)
         m = K.k // field.k
         orbits.append(SpectralOrbit(m, MPoly.from_dense(field, mp, 1), lam, K, nb - 1))

@@ -12,7 +12,7 @@ from indecpoly.arith import divisors
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni,
                               enumerate_census, trend_table)
-from indecpoly.decompose import (_extract_outer, compose, decompose_uni, dickson,
+from indecpoly.decompose import (_extract_outer, compose, decompose_multi, dickson,
                                  is_indecomposable_multi, iter_normalized_inner)
 from indecpoly.factoring import absolutely_irreducible
 from indecpoly.fields import embedding, finite_field
@@ -193,15 +193,15 @@ def test_criterion_09_normalization_uniqueness():
 @pytest.mark.criterion(10, "multiple decompositions with swapped degrees")
 def test_criterion_10_swapped_decompositions():
     x6 = MPoly.from_dense(F5, [0, 0, 0, 0, 0, 0, 1], 1)
-    d2 = decompose_uni(x6, 2)
-    d3 = decompose_uni(x6, 3)
+    d2 = decompose_multi(x6, 2)
+    d3 = decompose_multi(x6, 3)
     assert d2 is not None and d3 is not None
     assert d2.inner.degree() == 3 and d3.inner.degree() == 2
     assert d2.recompose() == x6 == d3.recompose()
     a = F5.element(2)
     D6 = dickson(F5, 6, a)
-    e2 = decompose_uni(D6, 2)
-    e3 = decompose_uni(D6, 3)
+    e2 = decompose_multi(D6, 2)
+    e3 = decompose_multi(D6, 3)
     assert e2 is not None and e3 is not None
     assert e2.inner == dickson(F5, 3, a)  # D_3 is already normalized
     assert e2.recompose() == D6 == e3.recompose()

@@ -11,9 +11,8 @@ from indecpoly.fields import QQ, embedding, finite_field
 from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
 from indecpoly.parsing import parse_poly
 from indecpoly.decompose import (Decomposition, _extract_outer, compose, decompose_multi,
-                                 decompose_uni, decompose_uni_dense, dickson,
-                                 is_indecomposable_multi, is_indecomposable_uni, is_pth_power,
-                                 iter_normalized_inner, normalize, poly_eth_root)
+                                 decompose_uni_dense, dickson, is_indecomposable_multi,
+                                 is_pth_power, iter_normalized_inner, normalize, poly_eth_root)
 
 F2, F3, F5, F7 = finite_field(2), finite_field(3), finite_field(5), finite_field(7)
 
@@ -73,14 +72,15 @@ def test_is_indecomposable_multi_examples():
 
 def test_decompose_uni_examples():
     f = MPoly.from_dense(QQ, [Fraction(0), Fraction(0), Fraction(2), Fraction(0), Fraction(1)], 1)
-    dec = decompose_uni(f, 2)
+    dec = decompose_multi(f, 2)
     assert dec.outer.to_dense() == [Fraction(0), Fraction(2), Fraction(1)]
     assert dec.inner.to_dense() == [Fraction(0), Fraction(0), Fraction(1)]
     x4 = MPoly.from_dense(F3, [0, 0, 0, 0, 1], 1)
-    dec2 = decompose_uni(x4, 2)
+    dec2 = decompose_multi(x4, 2)
     assert dec2.outer.to_dense() == [0, 0, 1] and dec2.inner.to_dense() == [0, 0, 1]
-    with pytest.raises(ValueError):
-        decompose_uni(MPoly.from_dense(F3, [0, 0, 0, 0, 0, 1], 1), 5)  # cofactor 1
+    # x^5 = t^5(x), refused: in one variable the inner degree must be >= 2 too
+    with pytest.raises(ValueError, match="invalid degree split"):
+        decompose_multi(MPoly.from_dense(F3, [0, 0, 0, 0, 0, 1], 1), 5)
 
 
 def test_prime_degree_univariate_indecomposable():
@@ -88,7 +88,7 @@ def test_prime_degree_univariate_indecomposable():
         F = finite_field(q)
         rng = random.Random(d)
         f = [F.element(rng.randrange(q)) for _ in range(d)] + [F.one]
-        assert is_indecomposable_uni(MPoly.from_dense(F, f, 1))
+        assert is_indecomposable_multi(MPoly.from_dense(F, f, 1))
 
 
 def test_recomposition_randomized():
@@ -102,7 +102,7 @@ def test_recomposition_randomized():
             f = MPoly.from_dense(F, u, 1)
             g = MPoly.from_dense(F, v, 1)
             comp = compose(f, g)
-            dec = decompose_uni(comp, r)
+            dec = decompose_multi(comp, r)
             assert dec is not None
             assert dec.recompose() == comp
 
@@ -395,7 +395,7 @@ def test_uni_guard_counts_only_free_inner_coefficients(monkeypatch):
 
     v = MPoly.from_dense(F2, [0] * 14 + [1, 1, 1] + [0] * 12 + [1, 1], 1)
     f = compose(MPoly.from_dense(F2, [1, 1, 1], 1), v)
-    dec = decompose_uni(f, 2)
+    dec = decompose_multi(f, 2)
     assert dec is not None and dec.recompose() == f
 
     def no_work(*args):
@@ -405,7 +405,7 @@ def test_uni_guard_counts_only_free_inner_coefficients(monkeypatch):
     monkeypatch.setattr(unipoly, "divmod_poly", no_work)
     with pytest.raises(GuardExceeded, match="15 free coefficients, size 32768, "
                                             "exceeds guard 16384"):
-        decompose_uni(f, 2, guard=1 << 14)
+        decompose_multi(f, 2, guard=1 << 14)
 
 
 @pytest.mark.parametrize("field, n, m, count", [

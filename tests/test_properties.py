@@ -17,11 +17,12 @@ from hypothesis import strategies as st  # noqa: E402
 from indecpoly import unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
 from indecpoly.decompose import (_extract_outer, compose, decompose_from_top,  # noqa: E402
-                                 decompose_multi, decompose_uni, decompose_uni_dense,
+                                 decompose_multi, decompose_uni_dense,
                                  outer_degrees, top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
+from indecpoly.parsing import parse_poly  # noqa: E402
 
 FACTOR_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
 DECOMPOSE_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
@@ -87,9 +88,10 @@ UNI_SHAPES = [(F, r, s) for F in UNI_FIELDS for r in range(2, 16) for s in range
 
 
 @st.composite
-def uni_pairs(draw):
-    """(F, u, v): random u of degree r and normalized v of degree s."""
-    F, r, s = draw(st.sampled_from(UNI_SHAPES))
+def uni_pairs(draw, shapes=UNI_SHAPES):
+    """(F, u, v): random u of degree r and normalized v of degree s, for a
+    shape (F, r, s) drawn from `shapes`."""
+    F, r, s = draw(st.sampled_from(shapes))
     digits = st.integers(0, F.q - 1)
     u = [F.element(draw(digits)) for _ in range(r)] + [F.element(draw(st.integers(1, F.q - 1)))]
     v = [F.zero] + [F.element(draw(digits)) for _ in range(s - 1)] + [F.one]
@@ -167,6 +169,33 @@ def test_top_form_root_screens_every_split(G):
             assert decompose_from_top(G, e, root) == dec
         if dec is not None:
             assert dec.inner.leading_form() == root
+
+
+# one variable, wild and tame: shapes r s <= 16 whose every split has few
+# enough free inner coefficients for the graded engine to enumerate quickly
+ENTRY_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(2, 3),
+                finite_field(3, 2)]
+ENTRY_SHAPES = [(F, r, s) for F in ENTRY_FIELDS for r in range(2, 9) for s in range(2, 16 // r + 1)
+                if all(F.q ** _free_inner_count(F, e, r * s // e) <= 256
+                       for e in outer_degrees(1, r * s))]
+
+
+@SETTINGS
+@given(uni_pairs(ENTRY_SHAPES).map(lambda c: MPoly.from_dense(c[0], unipoly.compose(*c), 1)))
+@example(parse_poly("x^9 + x^5 + x^4 + x^3 + 2*x^2 + 2", finite_field(3)))
+@example(parse_poly("(t + 1)*x^12 + t*x^8 + (t + 1)*x^6 + (t^2 + t)*x^4 + (t + 1)*x^3"
+                    " + x^2 + (t^2 + 1)*x + (t^2 + t)", finite_field(2, 3)))
+def test_one_variable_entry_returns_the_graded_engines_pair(f):
+    # the graded engine is the one-variable reference: where a split has
+    # several normalized inners, the dense engine behind decompose_multi
+    # must pick the same one
+    for r in outer_degrees(1, f.degree()):
+        H = top_form_root(f, r)
+        graded = None if H is None else decompose_from_top(f, r, H)
+        assert decompose_multi(f, r) == graded
+        dense = decompose_uni_dense(f.dom, f.to_dense(), r)
+        assert dense == (None if graded is None
+                         else (graded.outer.to_dense(), graded.inner.to_dense()))
 
 
 # the census classifies one polynomial per orbit {alpha F : alpha != 0}, so
@@ -316,7 +345,7 @@ def test_degree_and_leading_never_go_stale(case):
 @given(compositions(1, (2, 3), (2, 3, 4, 5)))
 def test_decompose_uni_recomposes_to_the_input(case):
     g, r = case
-    dec = decompose_uni(g, r)
+    dec = decompose_multi(g, r)
     assert dec is not None
     assert dec.outer.degree() == r
     assert dec.inner.to_dense()[0] == g.dom.zero and dec.inner.to_dense()[-1] == g.dom.one

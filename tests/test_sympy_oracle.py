@@ -12,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 
 from indecpoly import unipoly  # noqa: E402
 from indecpoly.arith import is_prime  # noqa: E402
-from indecpoly.decompose import compose, decompose_uni, is_indecomposable_uni  # noqa: E402
+from indecpoly.decompose import compose, decompose_multi, is_indecomposable_multi  # noqa: E402
 from indecpoly.factoring import uni_factor  # noqa: E402
 from indecpoly.fields import QQ, ZECH_LIMIT, ZZ, finite_field  # noqa: E402
 from indecpoly.mpoly import MPoly  # noqa: E402
@@ -159,7 +159,7 @@ def _random_qq(rng, d):
     return MPoly.from_dense(QQ, coeffs + [Fraction(rng.choice([-2, 1, 3]))], 1)
 
 
-def test_is_indecomposable_uni_matches_sympy_decompose_over_qq():
+def test_one_variable_indecomposability_matches_sympy_decompose_over_qq():
     rng = random.Random("decompose-qq")
     agreed = {True: 0, False: 0}
     for _ in range(40):
@@ -172,7 +172,7 @@ def test_is_indecomposable_uni_matches_sympy_decompose_over_qq():
             f = compose(u, v)
             if rng.random() < 0.3:
                 f = f + MPoly.from_dense(QQ, [Fraction(0), Fraction(1)], 1)
-        ours = is_indecomposable_uni(f)
+        ours = is_indecomposable_multi(f)
         parts = sympy.decompose(_to_sympy(f))
         if len(parts) > 1:
             assert not ours  # sympy's parts recompose to f
@@ -182,7 +182,7 @@ def test_is_indecomposable_uni_matches_sympy_decompose_over_qq():
             # (x^3 + x)(x^3 + x^2).  Recompose ours in sympy instead.
             d = f.degree()
             dec = next(dec for r in range(2, d) if d % r == 0 and d // r >= 2
-                       for dec in [decompose_uni(f, r)] if dec is not None)
+                       for dec in [decompose_multi(f, r)] if dec is not None)
             inner, outer = _to_sympy(dec.inner), _to_sympy(dec.outer)
             assert sympy.expand(outer.subs(x, inner) - _to_sympy(f)) == 0
             continue
