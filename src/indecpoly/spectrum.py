@@ -8,15 +8,16 @@ Each spectral value carries the multiplicity n(c) - 1 where n(c) counts the
 distinct irreducible factors of F - c over the closure; the sum of the
 multiplicities is bounded by deg(F) - 1 (Stein's inequality).
 
-The candidates tested are the critical values when that is sound: two
-components of a reducible F - c meet in P^2 at a singular point, and c only
-enters the z^d term of the homogenization, so when the closure of F is
-smooth at infinity every spectral c is F(P) at an affine critical point P.
-The critical points are found fibre by fibre, as the common roots of F_x
-and F_y over each root of res_y(F_x, F_y), and most critical values are
-then settled by a node count instead of a factorization.  Otherwise (the
-closure singular at infinity, or F_x and F_y with a common component)
-every orbit is swept.
+The candidates tested are the critical values of phi = F/z^d once the base
+points of the pencil F - c z^d are blown up: two components of a reducible
+F - c meet on the connected fibre of phi over c, either at an affine common
+zero of F - c, F_x and F_y, or on an exceptional curve over a singular point
+of the closure on z = 0 (`_infinity_candidates`).  The affine critical
+points are found fibre by fibre, as the common roots of F_x and F_y over
+each root of res_y(F_x, F_y), and when the closure is smooth at infinity
+most critical values are settled by a node count instead of a
+factorization.  Every orbit is swept instead when F_x and F_y share a
+component or the charts at infinity give up.
 
 The report keeps one minimal polynomial per orbit and their product, a
 polynomial with base-field coefficients whose roots are exactly the
@@ -92,20 +93,23 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
     Soundness of the critical-value path, in three lines: a reducible F - c
     has two components meeting at a singular point of its closure; that
     point is affine when the closure of F is smooth at infinity, which does
-    not depend on c; so F - c, F_x and F_y vanish there.  The full sweep of
-    every Frobenius orbit of F_{q^m}, m <= deg(F) - 1, runs instead when
-    the closure is singular at infinity or F_x and F_y share a component.
+    not depend on c; so F - c, F_x and F_y vanish there.  Otherwise the
+    candidates at infinity join them.  The full sweep of every Frobenius
+    orbit of F_{q^m}, m <= deg(F) - 1, runs when F_x and F_y share a
+    component or the charts at infinity give up (`_Pencil`).
 
-    The certificate: take such an F and a critical value c at fewer than
-    d - 1 points over the closure, d = deg(F), each of them a node, that is,
-    with Hess = F_xx F_yy - F_xy^2 nonzero.  Then F - c is absolutely
-    irreducible.  A split F - c = G H meets in deg G deg H >= d - 1 points of
-    P^2 counted with multiplicity (Bezout), all of them affine singular
-    points of F - c, and i_P(G, H) = 1 at a node, since G and H are then
-    smooth at P with distinct tangents.  In characteristic 2, F_xx = 0, so
-    Hess = F_xy^2, and a double point with F_xy = 0 has the tangent cone
-    (u x + v y)^2, no node: the same test holds.  Every other critical
-    value of degree at most d - 1 over F_q is factored.
+    The certificate, for a closure smooth at infinity only: take such an F
+    and a critical value c at fewer than d - 1 points over the closure,
+    d = deg(F), each of them a node, that is, with Hess = F_xx F_yy - F_xy^2
+    nonzero.  Then F - c is absolutely irreducible.  A split F - c = G H
+    meets in deg G deg H >= d - 1 points of P^2 counted with multiplicity
+    (Bezout), all of them affine singular points of F - c, and i_P(G, H) = 1
+    at a node, since G and H are then smooth at P with distinct tangents.
+    In characteristic 2, F_xx = 0, so Hess = F_xy^2, and a double point with
+    F_xy = 0 has the tangent cone (u x + v y)^2, no node: the same test
+    holds.  Every other candidate of degree at most d - 1 over F_q is
+    factored, the affine critical values of a closure singular at infinity
+    included.
 
     Raises GuardExceeded before any work when the sweep would visit more
     than `guard` elements, counted as the sum of q^m over the extensions
@@ -127,10 +131,13 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
             "decomposable input: every constant shift is reducible, the "
             "spectrum is the whole algebraic closure"
         )
-    critical = _critical_candidates(F) if _smooth_at_infinity(F) else None
-    candidates = _sweep(field, top) if critical is None else _critical_orbits(
-        field, [mu for mu, certified in critical if not certified])
-    return _report(F, candidates, guard)
+    critical = _critical_candidates(F)
+    infinity = None if critical is None else _infinity_candidates(F, guard)
+    if infinity is None:
+        return _report(F, _sweep(field, top), guard)
+    smooth = _smooth_at_infinity(F)  # the certificate counts affine points only
+    polys = {mu for mu, certified in critical if not (certified and smooth)}
+    return _report(F, (_first_root(field, h) for h in sorted(polys.union(infinity))), guard)
 
 
 def _sweep(field, top):
@@ -149,14 +156,13 @@ def _sweep(field, top):
                 yield K, lam
 
 
-def _critical_orbits(field, polys):
-    """(K, lam) for every monic irreducible h in `polys`, with K = F_{q^m},
+def _first_root(field, h):
+    """(K, lam) for a monic irreducible h over `field`, with K = F_{q^m},
     m = deg h, and lam the root of h of smallest index, the element the sweep
-    would pick for that orbit."""
-    for h in polys:
-        K = finite_field(field.p, field.k * (len(h) - 1))
-        emb = embedding(field, K)
-        yield K, uni_roots(K, [emb(c) for c in h])[0]
+    would pick for its orbit."""
+    K = finite_field(field.p, field.k * (len(h) - 1))
+    emb = embedding(field, K)
+    return K, uni_roots(K, [emb(c) for c in h])[0]
 
 
 def _report(F: MPoly, candidates, guard) -> SpectralReport:
@@ -184,18 +190,157 @@ def _report(F: MPoly, candidates, guard) -> SpectralReport:
 
 
 def _smooth_at_infinity(F: MPoly) -> bool:
-    """No singular point of the projective closure of F = 0 lies on z = 0.
+    """No singular point of the projective closure of F = 0 lies on z = 0."""
+    g, vertical = _singular_at_infinity(F)
+    return len(g) == 1 and not vertical
 
-    With F_d, F_{d-1} the top two homogeneous parts, such a point is a common
-    zero of F_d, dF_d/dx, dF_d/dy and F_{d-1} (the z-derivative there), that
-    is, a nonconstant gcd of these binary forms.  A constant shift of F
-    leaves all four unchanged once d >= 2."""
-    d = F.degree()
+
+def _singular_at_infinity(F: MPoly):
+    """(g, vertical): the singular points of the closure on z = 0 are
+    (1 : a : 0) for the roots a of the monic g in F_q[y], and (0 : 1 : 0)
+    when `vertical`.  They are the common zeros of the binary forms F_d,
+    dF_d/dx, dF_d/dy and F_{d-1} (the z-derivative there), which a constant
+    shift of F leaves unchanged once d >= 2; g is their gcd at x = 1."""
+    dom, d = F.dom, F.degree()
     top = F.homogeneous_part(d)
-    g = top
-    for h in (top.derivative(0), top.derivative(1), F.homogeneous_part(d - 1)):
-        g = primitive_gcd(g, h, 1)
-    return g.is_constant()
+    g, vertical = [], True
+    for form, e in ((top, d), (top.derivative(0), d - 1), (top.derivative(1), d - 1),
+                    (F.homogeneous_part(d - 1), d - 1)):
+        at_one = unipoly.normalize(dom, [form.coeff((e - j, j)) for j in range(e + 1)])
+        g = unipoly.gcd(dom, g, at_one)
+        vertical = vertical and len(at_one) <= e
+    return g, vertical
+
+
+class _Unresolved(Exception):
+    """The charts at infinity cannot bound the candidates; the sweep runs."""
+
+
+def _infinity_candidates(F: MPoly, guard=DEFAULT_GUARD):
+    """The monic irreducible mu in F_q[T] of degree at most deg(F) - 1 whose
+    roots are finite values of phi = F/z^d on the exceptional curves over the
+    singular points of the closure on z = 0: the constant value of each
+    non-dicritical curve and the values at the critical points of phi on each
+    dicritical one.  None when the sweep must run instead (see `_Pencil`).
+
+    Blowing up the base points of the pencil F - c z^d makes phi a morphism
+    X -> P^1 whose fibres are connected, F being indecomposable, so two
+    components of a reducible F - c meet where its fibre is singular, in any
+    characteristic.  Over a point at infinity where the closure is smooth,
+    every member is smooth, and the exceptional curves lie over c = oo but
+    the last, which phi maps isomorphically to P^1: nothing finite."""
+    field, d = F.dom, F.degree()
+    g, vertical = _singular_at_infinity(F)
+    pencil = _Pencil(field, guard, d * d)
+    try:
+        if vertical:
+            pencil.chart(F.swap_vars(0, 1), field, field.zero)
+        for h, _ in uni_factor(field, g)[1]:
+            pencil.chart(F, *pencil.root(field, h))  # the point (1 : a : 0)
+    except _Unresolved:
+        return None
+    return sorted(mu for mu in pencil.values if len(mu) <= d)
+
+
+class _Pencil:
+    """The pencil A - c B near one base point at a time, A and B in local
+    coordinates (u, v) with the common powers of the exceptional curves
+    divided out.  `blow_up` covers its exceptional curve E by two charts:
+    (u, v) -> (u, u v), where E is u = 0, and (u, v) -> (u v, v), whose
+    origin is the one point of E the first chart misses.
+
+    The multiplicities m_i = min(ord A, ord B) of all base points, infinitely
+    near ones included, satisfy sum m_i^2 = d^2 (Noether's formula), and
+    `budget` holds what is left of d^2.  A blow-up of multiplicity m reads
+    the terms of order at most m + 1 <= budget + 1, and each blow-up lowers
+    the order of a term by at most its m, so terms of order above
+    budget + 1 are dropped.  The sweep runs (`_Unresolved`) when both
+    numerators of d(A/B) vanish on a dicritical E, when a point needs an
+    extension of more than `guard` elements, or when a blow-up would take
+    sum m_i^2 past d^2, which only a pair that never resolves does."""
+
+    def __init__(self, field, guard, budget):
+        self.field, self.guard, self.budget = field, guard, budget
+        self.values = set()  # minimal polynomials over the base field
+
+    def root(self, K, h):
+        """`_first_root(K, h)` within the guard."""
+        if K.q ** (len(h) - 1) > self.guard:
+            raise _Unresolved
+        return _first_root(K, h)
+
+    def add(self, K, c):
+        self.values.add(tuple(minimal_polynomial(c, K, self.field)))
+
+    def chart(self, F: MPoly, K, a):
+        """Resolve at (1 : a : 0), a in K: A = F(1, a + v, u), homogenized
+        with u = z, and B = u^d."""
+        d = F.degree()
+        A = MPoly(F.dom, 2, {(d - i - j, j): c for (i, j), c in F.terms.items()})
+        self.blow_up(_moved(A, embedding(F.dom, K), K, a, d), MPoly(K, 2, {(d, 0): K.one}))
+
+    def blow_up(self, A: MPoly, B: MPoly):
+        """Blow up the common zero of A and B at the origin, collect the values
+        on the exceptional curve E and resolve the base points left on it."""
+        K, keep = A.dom, self.budget + 1
+        A, B = (MPoly(K, 2, {e: c for e, c in P.terms.items() if sum(e) <= keep}) for P in (A, B))
+        m = min((sum(e) for P in (A, B) for e in P.terms), default=keep + 1)
+        if m * m > self.budget:
+            raise _Unresolved
+        self.budget -= m * m
+        A1, B1 = (MPoly(K, 2, {(i + j - m, j): c for (i, j), c in P.terms.items()})
+                  for P in (A, B))
+        a, b = _on_axis(A1, 0), _on_axis(B1, 0)  # phi on E = a/b
+        # chart 2 at its origin: A(u v, v) / v^m at u = v = 0, and d/du, d/dv
+        a2, b2 = (tuple(P.coeff(e) for e in ((0, m), (1, m - 1), (0, m + 1))) for P in (A, B))
+        if not b:
+            pass  # E lies over c = oo
+        elif not a:
+            self.add(K, K.zero)
+        elif len(a) == len(b) and unipoly.scale(K, b, K.div(a[-1], b[-1])) == a:
+            self.add(K, K.div(a[-1], b[-1]))
+        else:  # dicritical: the critical points of A/B on E
+            au, bu = _on_axis(A1, 1), _on_axis(B1, 1)
+            ju = unipoly.sub(K, unipoly.mul(K, au, b), unipoly.mul(K, a, bu))
+            jv = unipoly.sub(K, unipoly.mul(K, unipoly.derivative(K, a), b),
+                             unipoly.mul(K, a, unipoly.derivative(K, b)))
+            if not ju and not jv:
+                raise _Unresolved
+            for h, _ in uni_factor(K, unipoly.gcd(K, ju, jv))[1]:
+                if unipoly.mod(K, b, h):  # B != 0 there
+                    L, r = self.root(K, h)
+                    emb = embedding(K, L)
+                    num, den = (unipoly.compose(L, [emb(c) for c in P], [r]) for P in (a, b))
+                    self.add(L, L.div(num[0], den[0]) if num else L.zero)
+            if b2[0] != K.zero and all(K.mul(a2[i], b2[0]) == K.mul(a2[0], b2[i]) for i in (1, 2)):
+                self.add(K, K.div(a2[0], b2[0]))
+        for h, _ in uni_factor(K, unipoly.gcd(K, a, b))[1]:  # base points on E, chart 1
+            L, r = self.root(K, h)
+            self.blow_up(*(_moved(P, embedding(K, L), L, r, self.budget + 1) for P in (A1, B1)))
+        if a2[0] == b2[0] == K.zero:  # a base point at the origin of chart 2
+            self.blow_up(*(MPoly(K, 2, {(i, i + j - m): c for (i, j), c in P.terms.items()})
+                           for P in (A, B)))
+
+
+def _moved(P: MPoly, emb, L, r, keep):
+    """P(u, v + r) over L, without the terms of degree above `keep` in u."""
+    rows = {}
+    for (i, j), c in P.terms.items():
+        if i <= keep:
+            row = rows.setdefault(i, [])
+            row.extend([L.zero] * (j + 1 - len(row)))
+            row[j] = emb(c)
+    return MPoly(L, 2, {(i, j): c for i, row in rows.items()
+                        for j, c in enumerate(unipoly.compose(L, row, [r, L.one]))})
+
+
+def _on_axis(P: MPoly, k):
+    """The coefficient of u^k in P(u, v), as a dense list in v."""
+    out = [P.dom.zero] * (P.deg_in(1) + 1)
+    for (i, j), c in P.terms.items():
+        if i == k:
+            out[j] = c
+    return unipoly.normalize(P.dom, out)
 
 
 class _Residues:

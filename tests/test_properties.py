@@ -1,6 +1,6 @@
 """Property tests (hypothesis) for bivariate factoring, field embeddings,
-functional decomposition and the degree and leading term that a polynomial
-keeps once computed.
+functional decomposition, the degree and leading term that a polynomial
+keeps once computed, and spectra of inputs singular at infinity.
 
 Examples are derandomized and bounded so the suite's running time stays
 fixed; hypothesis is a test-only dependency and the module is skipped
@@ -14,11 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from indecpoly import unipoly  # noqa: E402
+from indecpoly import spectrum, unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
 from indecpoly.decompose import (_extract_outer, compose, decompose_from_top,  # noqa: E402
                                  decompose_multi, decompose_uni_dense,
-                                 outer_degrees, top_form_root)
+                                 is_indecomposable_multi, outer_degrees, top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
@@ -377,3 +377,51 @@ def test_embedding_preserves_add_and_mul(case):
 def test_projection_after_embedding_is_identity(case):
     src, dst, a, _ = case
     assert projection(src, dst)(embedding(src, dst)(a)) == a
+
+
+SPECTRUM_FIELDS = [finite_field(3), finite_field(2, 2), finite_field(5)]
+
+
+@st.composite
+def singular_at_infinity(draw):
+    """(F, a, b, alpha, c): F of degree 3 or 4, indecomposable, with top form
+    w^2 * r and F_(d-1) = w * s for a binary form w of degree 1 or 2, so its
+    closure is singular at the zeros of w on z = 0, and spectral_values takes
+    the path through the charts at infinity; a, b, c and alpha != 0 in F_q."""
+    K = draw(st.sampled_from(SPECTRUM_FIELDS))
+    d = draw(st.integers(3, 4))
+
+    def element(nonzero=False):
+        return K.element(draw(st.integers(1 if nonzero else 0, K.q - 1)))
+
+    def form(k):
+        return MPoly(K, 2, {(i, k - i): element() for i in range(k + 1)})
+
+    w = form(draw(st.integers(1, d // 2)))
+    low = MPoly(K, 2, {e: element() for e in monomials_upto(2, d - 2)})
+    F = w * w * form(d - 2 * w.degree()) + w * form(d - 1 - w.degree()) + low
+    assume(F.degree() == d and not spectrum._smooth_at_infinity(F))
+    assume(is_indecomposable_multi(F) and spectrum._critical_candidates(F) is not None)
+    assume(spectrum._infinity_candidates(F) is not None)
+    return F, element(), element(), element(nonzero=True), element()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(singular_at_infinity())
+def test_spectrum_at_infinity_follows_translations_and_affine_maps(case):
+    F, a, b, alpha, c = case
+    K = F.dom
+    base = spectrum.spectral_values(F)
+    rep = base.to_json_dict()
+    moved = spectrum.spectral_values(F.shift_var(0, a).shift_var(1, b)).to_json_dict()
+    assert {**moved, "poly": rep["poly"]} == rep
+    # the spectrum of alpha F + c is alpha S + c: lambda has the minimal
+    # polynomial mu, alpha lambda + c the monic multiple of mu((T - c) / alpha)
+    image = spectrum.spectral_values(F.scale(alpha) + MPoly.const(K, 2, c))
+    inv = K.inv(alpha)
+    step = [K.neg(K.mul(c, inv)), inv]
+    assert (image.rho, image.spectrum_size()) == (rep["rho"], rep["spectrum_size"])
+    assert sorted((tuple(o.min_poly.to_dense()), o.multiplicity) for o in image.orbits) == sorted(
+        (tuple(unipoly.monic(K, unipoly.compose(K, o.min_poly.to_dense(), step))), o.multiplicity)
+        for o in base.orbits)

@@ -226,7 +226,8 @@ def _swept(F):
 
 
 def _critical_path_taken(F):
-    return spectrum._smooth_at_infinity(F) and spectrum._critical_candidates(F) is not None
+    return spectrum._critical_candidates(F) is not None \
+        and spectrum._infinity_candidates(F) is not None
 
 
 def _assert_paths_agree(polys):
@@ -295,10 +296,12 @@ def test_critical_values_match_sweep_on_sparse_cubics_and_quartics():
 def test_critical_values_fallbacks_one_per_reason():
     F2, F4 = finite_field(2), finite_field(2, 2)
     # closure singular at infinity at (1:0:0): the components y = 0 and
-    # x*y + 1 = 0 of F - 0 meet only there, so 0 is no critical value
+    # x*y + 1 = 0 of F - 0 meet only there, so 0 is no critical value; it is
+    # the value of phi on an exceptional curve over that point instead
     sing = parse_poly("x*y^2 + y", F3)
     assert not spectrum._smooth_at_infinity(sing)
     assert spectrum._critical_candidates(sing) == []
+    assert spectrum._infinity_candidates(sing) == [(F3.zero, F3.one)]
     # F_x = F_y = x^2 in characteristic 2: a shared component, and free of
     # y, so res_y(F_x, F_y) = 1 would miss the spectral value 1
     shared = parse_poly("x^3 + x^2*y + y^2", F4)
@@ -316,7 +319,7 @@ def test_critical_values_fallbacks_one_per_reason():
     reports = [spectral_values(F).to_json_dict() for F in (sing, shared, vanishing)]
     assert [[(o["representative"], o["multiplicity"]) for o in r["orbits"]] for r in reports] \
         == [[("0", 1)], [("1", 1)], [("0", 2)]]
-    assert _assert_paths_agree([sing, shared, vanishing]) == (1, 3)
+    assert _assert_paths_agree([sing, shared, vanishing]) == (2, 3)
 
 
 def test_critical_values_survive_a_vanishing_first_elimination():
@@ -430,3 +433,148 @@ def test_certified_critical_values_are_absolutely_irreducible():
                         assert tuple(o.min_poly.to_dense()) in factored, F.format()
                     spectral += len(swept.orbits)
     assert certified >= 100 and open_ >= 40 and spectral >= 15  # 117, 48 and 17
+
+
+# --------------------------------------------------------------------------
+# candidates at infinity: the base points of the pencil F - c z^d resolved
+# --------------------------------------------------------------------------
+
+def test_infinity_candidates_replace_the_sweep(monkeypatch):
+    F4 = finite_field(2, 2)
+    # x*(x*y - 1) has no affine critical point; at (0:1:0) the pencil is
+    # x^2 - x*z^2 - c*z^3, and its second exceptional curve lies over c = 0
+    hand = parse_poly("x^2*y - x", F5)
+    assert spectrum._critical_candidates(hand) == []
+    # the components y = 0 and x*y + 1 = 0 of F - 0 meet only at (1:0:0)
+    meet = parse_poly("x*y^2 + y", F3)
+    # the top form y^2 ((t + 1)*x^2 + x*y + (t + 1)*y^2) of this F_4 quartic
+    # has the double root (1:0:0); points infinitely near it lie over F_16
+    quartic = parse_poly("(t + 1)*x^2*y^2 + x*y^3 + (t + 1)*y^4 + t*x^2*y + x*y^2 + y^3"
+                         " + (t + 1)*x^2 + x*y + x + (t + 1)*y + t", F4)
+    fields = []
+    root = spectrum._Pencil.root
+
+    def recording(self, K, h):
+        L, r = root(self, K, h)
+        fields.append(L.q)
+        return L, r
+
+    monkeypatch.setattr(spectrum._Pencil, "root", recording)
+    assert [spectrum._infinity_candidates(F) for F in (hand, meet, quartic)] \
+        == [[(F5.zero, F5.one)], [(F3.zero, F3.one)], []]
+    assert 16 in fields
+    reports = [_swept(F).to_json_dict() for F in (hand, meet, quartic)]
+    assert [r["s_poly"] for r in reports] == ["x", "x", "1"]
+
+    def refuse(field, top):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(spectrum, "_sweep", refuse)
+    assert [spectral_values(F).to_json_dict() for F in (hand, meet, quartic)] == reports
+
+
+def test_pencil_reads_the_point_of_e_that_chart_one_misses():
+    u, v = MPoly.variable(F5, 2, 0), MPoly.variable(F5, 2, 1)
+    # A = u^2 + v^2 and B = v^2: on E, A/B is (1 + v^2)/v^2 in chart 1 and
+    # 1 + u^2 in chart 2, whose origin is a critical point with the value 1;
+    # the one critical point of chart 1, v = 0, has B = 0 and the value oo
+    pencil = spectrum._Pencil(F5, DEFAULT_GUARD, 25)
+    pencil.blow_up(u ** 2 + v ** 2, v ** 2)
+    assert pencil.values == {(F5.neg(1), F5.one)} and pencil.budget == 21
+    # the pencil of x^2*y - x at (0:1:0), with u = z and v = x, leaves a base
+    # point in chart 1; with u and v exchanged it lies at the origin of
+    # chart 2, and the curve over c = 0 is found either way
+    for A, B in ((v ** 2 - v * u ** 2, u ** 3), (u ** 2 - u * v ** 2, v ** 3)):
+        pencil = spectrum._Pencil(F5, DEFAULT_GUARD, 9)
+        pencil.blow_up(A, B)
+        assert pencil.values == {(F5.zero, F5.one)}
+
+
+def _singular_at_infinity_input(rng, field, d):
+    """A random F of degree d whose closure is singular at infinity: either
+    sparse and filtered, or with top form w^2 * r and F_(d-1) = w * s for a
+    random binary form w of degree 1 or 2, whose points are often not
+    F_q-rational."""
+    q = field.q
+    while True:
+        if rng.random() < 0.5:
+            F = MPoly(field, 2, {e: rng.randrange(q) for e in monomials_upto(2, d)
+                                 if rng.random() < 0.4})
+        else:
+            def form(k):
+                return MPoly(field, 2, {(i, k - i): rng.randrange(q) for i in range(k + 1)})
+            w = form(rng.choice([1, 2] if d >= 4 else [1]))
+            low = MPoly(field, 2, {e: rng.randrange(q) for e in monomials_upto(2, d - 2)})
+            F = w * w * form(d - 2 * w.degree()) + w * form(d - 1 - w.degree()) + low
+        if F.degree() == d and not spectrum._smooth_at_infinity(F) \
+                and is_indecomposable_multi(F):
+            return F
+
+
+def test_infinity_candidates_match_sweep_on_inputs_singular_at_infinity(monkeypatch):
+    # F_x and F_y with a common component fall back to the sweep; every
+    # other input takes the new path, whose report must equal the sweep's
+    rng = random.Random("spectrum-infinity")
+    cases = [(finite_field(2), d, 10) for d in (3, 4, 5, 6)] + [
+        (F3, 3, 10), (F3, 4, 10), (F3, 5, 6), (finite_field(2, 2), 3, 10),
+        (finite_field(2, 2), 4, 8), (F5, 3, 10), (F7, 3, 10)]
+    polys = [_singular_at_infinity_input(rng, field, d)
+             for field, d, count in cases for _ in range(count)]
+    fields = []
+    root = spectrum._Pencil.root
+
+    def recording(self, K, h):
+        L, r = root(self, K, h)
+        fields.append(L.q)
+        return L, r
+
+    monkeypatch.setattr(spectrum._Pencil, "root", recording)
+    extended = 0  # inputs whose charts leave the base field
+    for F in polys:
+        fields.clear()
+        spectrum._infinity_candidates(F)
+        extended += any(q > F.dom.q for q in fields)
+    critical, nonempty = _assert_paths_agree(polys)
+    assert len(polys) == 104 and critical >= 85 and nonempty >= 60 and extended >= 25  # 92, 71, 36
+
+
+def test_infinity_fallbacks_one_per_reason(monkeypatch):
+    F2 = finite_field(2)
+    # characteristic 2: the third curve over (0:1:0) is dicritical with
+    # phi = 1/v^2 on it, so both numerators of d(A/B) vanish along it
+    inseparable = parse_poly("x^2*y^4 + x^3*y + x^3 + x^2 + x", F2)
+    assert spectrum._critical_candidates(inseparable) is not None
+    assert spectrum._infinity_candidates(inseparable) is None
+    # the double point (1 : t : 0) of the top form (x^2 + x*y + y^2)^2 is
+    # over F_4 and its infinitely near points over F_16: the sweep visits
+    # 2 + 4 + 8 elements, so a guard of 14 admits it but not the charts
+    wide = parse_poly("x^4 + x^2*y^2 + y^4 + x^3 + x^2*y + x*y^2 + y^2 + x", F2)
+    assert spectrum._infinity_candidates(wide) == []
+    assert spectrum._infinity_candidates(wide, guard=15) is None
+    expected = [_swept(F).to_json_dict() for F in (inseparable, wide, wide)]
+    swept = []
+    sweep = spectrum._sweep
+
+    def counting(field, top):
+        swept.append(field)
+        return sweep(field, top)
+
+    monkeypatch.setattr(spectrum, "_sweep", counting)
+    assert [spectral_values(F, guard).to_json_dict() for F, guard in
+            ((inseparable, DEFAULT_GUARD), (wide, DEFAULT_GUARD), (wide, 14))] == expected
+    assert swept == [F2, F2]  # inseparable, and wide under the guard 14
+    # A and B with the common component v = 0 never resolve: every blow-up
+    # leaves a base point at the origin, until nine of multiplicity 1 have
+    # spent the budget d^2 = 9 and the tenth would exceed it
+    v = MPoly.variable(F3, 2, 1)
+    pencil = spectrum._Pencil(F3, DEFAULT_GUARD, 9)
+    blow_up, depth = spectrum._Pencil.blow_up, []
+
+    def counting(self, A, B):
+        depth.append(self.budget)
+        return blow_up(self, A, B)
+
+    monkeypatch.setattr(spectrum._Pencil, "blow_up", counting)
+    with pytest.raises(spectrum._Unresolved):
+        pencil.blow_up(v, v * (MPoly.variable(F3, 2, 0) + MPoly.const(F3, 2, 1)))
+    assert depth == [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]
