@@ -2,14 +2,16 @@
 
 Subcommands: spectrum, decompose, indec, pthpower, modp, census, enumerate,
 check-bounds, bd-lemma.  Reports are JSON by default (--format text for an
-aligned rendering); output is deterministic for a fixed argv.  Exit codes:
-0 success, 1 domain error, 2 usage error.  SPEC_GUARD overrides the
-enumeration guard.
+aligned rendering); output is deterministic for a fixed argv.  Help and
+usage errors are wrapped at 78 columns, the width argparse picks without a
+terminal, whatever COLUMNS or the terminal says.  Exit codes: 0 success,
+1 domain error, 2 usage error.  SPEC_GUARD overrides the enumeration guard.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ from .parsing import ParseError, parse_poly
 from .spectrum import SpectrumUnbounded, spectral_values
 
 PROG = "spec"
+HELP_FORMAT = functools.partial(argparse.HelpFormatter, width=78)
 JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend "
              "on it, and at most one worker process runs per usable CPU")
 
@@ -222,12 +225,13 @@ def build_parser(guard):
         prog=PROG,
         description="indecomposable polynomials over finite fields: spectra, "
         "decomposition, mod-p criteria, exact censuses",
+        formatter_class=HELP_FORMAT,
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, formatter_class=HELP_FORMAT)
         p.set_defaults(fn=fn)
         p.add_argument("--guard", type=int, default=guard)
         return p

@@ -38,7 +38,7 @@ from . import unipoly
 from .arith import divisors, factorint
 from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
-from .resultants import coeff_list, content, primitive_gcd
+from .resultants import coeff_table, content, primitive_gcd
 
 
 # --------------------------------------------------------------------------
@@ -242,11 +242,6 @@ def _merge_factor_lists(a, b):
 
 # -- helpers between MPoly and x-major dense form ---------------------------
 
-def _to_xy(F: MPoly):
-    """List over x-degree of dense y-coefficient lists."""
-    return [c.to_dense(1) for c in coeff_list(F, 0)]
-
-
 def _from_xy(field, cols):
     return MPoly(field, 2, {(i, j): c for i, col in enumerate(cols) for j, c in enumerate(col)})
 
@@ -344,7 +339,7 @@ def _factor_lift(S: MPoly, guard, depth=0):
         c0 = W.coeff((0, D))
         Wm = W.scale(field.inv(c0))
         # Wm is monic of degree D in y, so every fibre has degree D
-        for x0, fib in _squarefree_fibres(field, _to_xy(Wm), field.q):
+        for x0, fib in _squarefree_fibres(field, coeff_table(Wm, 0), field.q):
             out = []
             for P in _factor_lift_at(field, Wm, x0, fib, D, guard):
                 Q = P.shear(0, 1, field.neg(c))
@@ -369,7 +364,7 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
         )
     T = Wm.shift_var(0, x0) if x0 != field.zero else Wm
     K = D + 1
-    lifted = _multilift(field, _to_xy(T), local, K)
+    lifted = _multilift(field, coeff_table(T, 0), local, K)
     # subset recombination by trial division
     result = []
     pool = list(range(len(lifted)))
@@ -506,7 +501,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
         evidence = 0
         for transposed in (False, True):
             P = G.swap_vars(0, 1) if transposed else G
-            fibres = _squarefree_fibres(field, _to_xy(P), 64)
+            fibres = _squarefree_fibres(field, coeff_table(P, 0), 64)
             for good, (_x0, fib) in enumerate(fibres, 1):
                 _, fs = uni_factor(field, fib)
                 for g, _m in fs:

@@ -51,6 +51,12 @@ def coeff_list(f: MPoly, var) -> list[MPoly]:
     return [MPoly(f.dom, f.n, t) for t in out]
 
 
+def coeff_table(f: MPoly, var) -> list[list]:
+    """f in two variables as dense rows: row k lists the coefficients of
+    x_var^k in the other variable, ascending."""
+    return [c.to_dense(1 - var) for c in coeff_list(f, var)]
+
+
 def _det_bareiss(rows):
     """Determinant of a square matrix of MPoly entries, by Bareiss elimination
     on Kronecker-packed images.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 
 from . import unipoly
 from .arith import decimal, is_prime
@@ -36,7 +37,7 @@ from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynom
                         n_bar_factors, uni_factor, uni_roots)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
-from .resultants import coeff_list, primitive_gcd, resultant
+from .resultants import coeff_table, resultant
 
 
 class SpectrumUnbounded(ValueError):
@@ -324,33 +325,62 @@ class _Pencil:
 
 def _moved(P: MPoly, emb, L, r, keep):
     """P(u, v + r) over L, without the terms of degree above `keep` in u."""
-    rows = {}
-    for (i, j), c in P.terms.items():
-        if i <= keep:
-            row = rows.setdefault(i, [])
-            row.extend([L.zero] * (j + 1 - len(row)))
-            row[j] = emb(c)
-    return MPoly(L, 2, {(i, j): c for i, row in rows.items()
-                        for j, c in enumerate(unipoly.compose(L, row, [r, L.one]))})
+    return MPoly(L, 2, {(i, j): c for i, row in enumerate(coeff_table(P, 0)[:keep + 1])
+                        for j, c in enumerate(unipoly.compose(L, [*map(emb, row)], [r, L.one]))})
 
 
 def _on_axis(P: MPoly, k):
     """The coefficient of u^k in P(u, v), as a dense list in v."""
-    out = [P.dom.zero] * (P.deg_in(1) + 1)
-    for (i, j), c in P.terms.items():
-        if i == k:
-            out[j] = c
-    return unipoly.normalize(P.dom, out)
+    rows = coeff_table(P, 0)
+    return rows[k] if k < len(rows) else []
 
 
-class _Residues:
-    """The field F_q[x]/(b) for a monic irreducible b, with elements as
-    tuples of base-field coefficients, ascending and without trailing zeros,
-    with the operations that `unipoly.gcd` and `unipoly.mod` use."""
+class _Fibre:
+    """The fibre x = a of F_q[x][y], a the class of x in L = F_q[x]/(b), b
+    monic irreducible of degree e: `fibre` maps the rows coeff_table(P, 1)
+    to P(a, y) in L[y], over the field `dom`, and `coords` writes an element
+    of L in F_q-coordinates on the basis 1, x, ..., x^(e-1)."""
+
+    def values(self, rows, g):
+        """res_x(b, res_y(g, T - F)) in F_q[T] for the rows of F and a monic g
+        in L[y]: the product of T - F(a, beta) over the roots a of b and beta
+        of g, with the multiplicities of g, that is, the characteristic
+        polynomial of F on L[y]/(g).  Row (i, j) holds the F_q-coordinates of
+        x^i y^j (F mod g): the transpose of that multiplication matrix, with
+        the same polynomial."""
+        L, pad, out = self.dom, [self.dom.zero] * (len(g) - 1), []
+        h = unipoly.mod(L, self.fibre(rows), g)
+        for _ in pad:  # h = y^j (F mod g)
+            xh = h
+            for _ in range(self.e):  # xh = x^i y^j (F mod g)
+                out.append([c for u in (xh + pad)[:len(pad)] for c in self.coords(u)])
+                xh = [L.mul(u, self.x) for u in xh]
+            h = unipoly.mod(L, [L.zero] + h, g)
+        return _charpoly(self.base, out)
+
+
+class _Point(_Fibre):
+    """L = F_q for a linear b = x - a: x acts as a, and a fibre is the
+    Horner evaluation of each row at a."""
 
     def __init__(self, base, b):
-        self.base, self.b = base, b
-        self.zero, self.one = (), (base.one,)
+        self.base = self.dom = base
+        self.e, self.x, self.coords = 1, base.neg(b[0]), lambda u: (u,)
+
+    def fibre(self, rows):
+        dom, a = self.base, self.x
+        return unipoly.normalize(dom, [reduce(lambda v, c: dom.add(dom.mul(v, a), c),
+                                              reversed(r), dom.zero) for r in rows])
+
+
+class _Residues(_Fibre):
+    """L = F_q[x]/(b) for deg b >= 2, with elements as tuples of base-field
+    coefficients, ascending and without trailing zeros, and the operations
+    that `unipoly.gcd` and `unipoly.mod` use."""
+
+    def __init__(self, base, b):
+        self.base, self.b, self.e, self.dom = base, b, len(b) - 1, self
+        self.zero, self.one, self.x = (), (base.one,), (base.zero, base.one)
 
     def sub(self, u, v):
         return tuple(unipoly.sub(self.base, u, v))
@@ -361,26 +391,11 @@ class _Residues:
     def inv(self, u):
         return tuple(unipoly.xgcd(self.base, u, self.b)[1])
 
-    def fibre(self, P: MPoly):
-        """P(a, y) in L[y], a the class of x."""
-        return unipoly.normalize(self, [tuple(unipoly.mod(self.base, c.to_dense(0), self.b))
-                                        for c in coeff_list(P, 1)])
+    def coords(self, u):
+        return (u + (self.base.zero,) * self.e)[:self.e]
 
-    def values(self, F: MPoly, g):
-        """res_x(b, res_y(g, T - F)) in F_q[T] for a monic g in L[y]: the
-        product of T - F(a, beta) over the roots a of b and beta of g, with the
-        multiplicities of g, that is, the characteristic polynomial of F on
-        L[y]/(g).  Row (i, j) holds the F_q-coordinates of x^i y^j (F mod g):
-        the transpose of that multiplication matrix, with the same polynomial."""
-        dom, e, pad = self.base, len(self.b) - 1, [self.zero] * (len(g) - 1)
-        rows, h = [], unipoly.mod(self, self.fibre(F), g)
-        for _ in pad:  # h = y^j (F mod g)
-            xh = h
-            for _ in range(e):  # xh = x^i y^j (F mod g)
-                rows.append([c for u in (xh + pad)[:len(pad)] for c in (u + (dom.zero,) * e)[:e]])
-                xh = [self.mul(u, (dom.zero, dom.one)) for u in xh]
-            h = unipoly.mod(self, [self.zero] + h, g)
-        return _charpoly(dom, rows)
+    def fibre(self, rows):
+        return unipoly.normalize(self, [tuple(unipoly.mod(self.base, r, self.b)) for r in rows])
 
 
 def _charpoly(dom, M):
@@ -421,10 +436,17 @@ def _critical_candidates(F: MPoly):
     absolutely irreducible (see `spectral_values`) for a smooth closure at
     infinity.
 
-    For each monic irreducible factor b of B = res_y(F_x, F_y), a nonzero
-    polynomial that vanishes at the x of every common zero, and in the
-    field L = F_q[x]/(b) with a the class of x, the common y-roots of
-    F_x(a, y) and F_y(a, y) are those of their monic gcd g.  A drop of the
+    A shared component of positive degree in y is a common factor in
+    F_q(x)[y], which is what B = res_y(F_x, F_y) = 0 detects; one in F_q[x]
+    divides both y-contents, which B misses: x^3 + x^2 y + y^2 over F_4 has
+    F_x = F_y = x^2 and B = 1.  So B and the gcd of all x-coefficient rows
+    of F_x and F_y decide it, and no gcd in F_q[x, y] is taken.
+
+    For each monic irreducible factor b of B, a nonzero polynomial that
+    vanishes at the x of every common zero, and in the field
+    L = F_q[x]/(b) with a the class of x (`_Point`, F_q itself, for a
+    linear b; `_Residues` otherwise), the common y-roots of F_x(a, y) and
+    F_y(a, y) are those of their monic gcd g.  A drop of the
     y-degrees at a, which can make B(a) = 0 with no common root, only gives
     g = 1.  Then V_b = res_x(b, res_y(g, T - F)) vanishes exactly at the
     critical values over the conjugates of a, and the exponent e of mu in
@@ -436,20 +458,25 @@ def _critical_candidates(F: MPoly):
     mu is certified when e < deg(F) - 1 and mu does not divide V_bad."""
     dom, d = F.dom, F.degree()
     Fx, Fy = F.derivative(0), F.derivative(1)
-    if not primitive_gcd(Fx, Fy, 1).is_constant():
-        return None
+    # a nonzero constant F_x or F_y leaves no critical point; a zero one
+    # shares every component of the other
     if Fx.is_constant() or Fy.is_constant():
-        return []  # one of them never vanishes: no critical point
+        zero, other = (Fx, Fy) if Fx.is_zero() else (Fy, Fx)
+        return None if zero.is_zero() and not other.is_constant() else []
     hess = Fx.derivative(0) * Fy.derivative(1) - Fx.derivative(1) ** 2
+    B = resultant(Fx, Fy, 1).to_dense(0)
+    fx, fy, f, h = (coeff_table(P, 1) for P in (Fx, Fy, F, hess))
+    if not B or len(reduce(partial(unipoly.gcd, dom), filter(None, fx + fy))) > 1:
+        return None
     V = V_bad = [dom.one]
-    for b, _ in uni_factor(dom, resultant(Fx, Fy, 1).to_dense(0))[1]:
-        L = _Residues(dom, b)
-        g = unipoly.gcd(L, L.fibre(Fx), L.fibre(Fy))
+    for b, _ in uni_factor(dom, B)[1]:
+        L = (_Point if len(b) == 2 else _Residues)(dom, b)
+        g = unipoly.gcd(L.dom, L.fibre(fx), L.fibre(fy))
         if len(g) > 1:
-            V = unipoly.mul(dom, V, L.values(F, g))
-            bad = unipoly.gcd(L, g, L.fibre(hess))
+            V = unipoly.mul(dom, V, L.values(f, g))
+            bad = unipoly.gcd(L.dom, g, L.fibre(h))
             if len(bad) > 1:
-                V_bad = unipoly.mul(dom, V_bad, L.values(F, bad))
+                V_bad = unipoly.mul(dom, V_bad, L.values(f, bad))
     return [(mu, e < d - 1 and bool(unipoly.mod(dom, V_bad, mu)))
             for mu, e in uni_factor(dom, V)[1] if len(mu) <= d]  # deg mu <= d - 1
 

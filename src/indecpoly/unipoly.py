@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import random
 
-from .arith import factorint
-
 
 def normalize(dom, c: list) -> list:
     out = list(c)
@@ -153,24 +151,17 @@ def compose(dom, outer: list, inner: list) -> list:
 
 
 def is_irreducible_finite(field, f: list) -> bool:
-    """Irreducibility over a finite field via the Frobenius criterion:
-    x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for prime l | n."""
-    n = degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = field.q
-    x = [field.zero, field.one]
-    for ell in factorint(n):
-        h = pow_mod(field, x, q ** (n // ell), f)
-        g = sub(field, h, x)
-        if not g:
+    """Ben-Or's test, for any f, squarefree or not: f of degree n is
+    reducible exactly when it has an irreducible factor of some degree
+    i <= n/2, that is, when gcd(x^(q^i) - x, f) != 1.  x^(q^i) mod f comes
+    one q-th power at a time, and the test stops at the first such i."""
+    n, x = degree(f), [field.zero, field.one]
+    h = x
+    for _ in range(n // 2):
+        h = pow_mod(field, h, field.q, f)
+        if degree(gcd(field, sub(field, h, x), f)) > 0:
             return False
-        if degree(gcd(field, g, f)) > 0:
-            return False
-    h = pow_mod(field, x, q ** n, f)
-    return sub(field, h, x) == []
+    return n > 0
 
 
 def equal_degree_split(field, f: list, d: int) -> list:

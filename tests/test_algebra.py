@@ -1,6 +1,7 @@
 """Ring-level properties of the polynomial layer: dense univariate helpers,
 the sparse multivariate type, gcds, resultants and discriminants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from indecpoly import unipoly
 from indecpoly.fields import QQ, ZZ, PrimeField, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.factoring import uni_factor
-from indecpoly.resultants import _det_bareiss, discriminant, primitive_gcd, resultant
-from indecpoly.spectrum import _charpoly, _Residues
+from indecpoly.resultants import (_det_bareiss, coeff_table, discriminant, primitive_gcd,
+                                  resultant)
+from indecpoly.spectrum import _charpoly, _Point, _Residues
 
 
 def rand_dense(rng, field, d):
@@ -101,6 +103,17 @@ def test_poly_gcd_spec_examples():
     assert g == [4, 1]
 
 
+@pytest.mark.parametrize("field, top", [(finite_field(2), 6), (finite_field(3), 4),
+                                        (finite_field(2, 2), 3)], ids=repr)
+def test_ben_or_irreducibility_matches_factoring(field, top):
+    # every monic polynomial of degree at most `top`, squarefree or not
+    for n in range(top + 1):
+        for tail in itertools.product(range(field.q), repeat=n):
+            f = [field.element(c) for c in tail] + [field.one]
+            _, factors = uni_factor(field, f)
+            assert unipoly.is_irreducible_finite(field, f) == (factors == [(tuple(f), 1)]), f
+
+
 def test_resultant_vanishes_iff_common_factor():
     rng = random.Random(5)
     F = finite_field(7)
@@ -158,12 +171,11 @@ def _two_step_values(L, F, g):
     return resultant(MPoly.from_dense(dom, L.b, 3, 0), R, 0).to_dense(2)
 
 
-def test_residue_values_equal_the_two_step_resultant():
-    # fibres of seeded inputs in two variables over F_2, F_3, F_4 and F_5:
-    # every factor b of res_y(F_x, F_y) and one linear b, each with the
-    # critical gcd g, a random monic g of degree 1 or 2, and its square
+def _residue_corpus():
+    """(field, F, b, H) over seeded inputs F in two variables over F_2, F_3,
+    F_4 and F_5: every factor b of res_y(F_x, F_y) and one linear b, each
+    with a random monic H in L[y] of degree 1 or 2, L = F_q[x]/(b)."""
     rng = random.Random(18)
-    seen = set()
     for field in (finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)):
         y = MPoly.variable(field, 2, 1)
         for _ in range(6):
@@ -174,16 +186,57 @@ def test_residue_values_equal_the_two_step_resultant():
             B = resultant(Fx, Fy, 1).to_dense(0)
             bs = [b for b, _ in uni_factor(field, B)[1]] if B else []
             for b in bs + [[field.element(rng.randrange(field.q)), field.one]]:
-                L, k = _Residues(field, b), rng.randrange(1, 3)
-                H = y ** k + MPoly(field, 2, {(i, j): field.element(rng.randrange(field.q))
-                                              for i in range(len(b) - 1) for j in range(k)})
-                fx, fy = L.fibre(Fx), L.fibre(Fy)
-                crit = [unipoly.gcd(L, fx, fy)] if fx or fy else []
-                for g in [L.fibre(H), L.fibre(H * H)] + crit:
-                    if len(g) > 1:
-                        seen.add((len(b) - 1 == 1, len(g) - 1 == 1))
-                        assert L.values(F, g) == _two_step_values(L, F, g), (F.format(), b, g)
+                k = rng.randrange(1, 3)
+                yield field, F, b, y ** k + MPoly(field, 2, {
+                    (i, j): field.element(rng.randrange(field.q))
+                    for i in range(len(b) - 1) for j in range(k)})
+
+
+def test_residue_values_equal_the_two_step_resultant():
+    # each b of the corpus with the critical gcd g, the fibre of H and of H^2
+    seen = set()
+    for field, F, b, H in _residue_corpus():
+        L = _Residues(field, b)
+        fx, fy = (L.fibre(coeff_table(F.derivative(v), 1)) for v in (0, 1))
+        crit = [unipoly.gcd(L, fx, fy)] if fx or fy else []
+        for g in [L.fibre(coeff_table(P, 1)) for P in (H, H * H)] + crit:
+            if len(g) > 1:
+                seen.add((len(b) - 1 == 1, len(g) - 1 == 1))
+                assert L.values(coeff_table(F, 1), g) == _two_step_values(L, F, g), (F, b, g)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_linear_fibres_stay_in_the_base_field():
+    # every linear b of the corpus: the F_q path gives the g, V_b and bad of
+    # the residue field F_q[x]/(b), whose elements are 1-tuples or ()
+    counts = [0, 0]
+    for field, F, b, H in _residue_corpus():
+        if len(b) != 2:
+            continue
+        R, P = _Residues(field, b), _Point(field, b)
+        Fx, Fy = F.derivative(0), F.derivative(1)
+        hess = Fx.derivative(0) * Fy.derivative(1) - Fx.derivative(1) ** 2
+        f, fx, fy, h = (coeff_table(P, 1) for P in (F, Fx, Fy, hess))
+        if not (R.fibre(fx) or R.fibre(fy)):
+            continue
+
+        def flat(u):
+            return [c[0] if c else field.zero for c in u]
+
+        for rows in (f, fx, fy, h, coeff_table(H, 1)):
+            assert P.fibre(rows) == flat(R.fibre(rows))
+        g = unipoly.gcd(field, P.fibre(fx), P.fibre(fy))
+        gR = unipoly.gcd(R, R.fibre(fx), R.fibre(fy))
+        assert g == flat(gR), (F.format(), b)
+        if len(g) > 1:
+            counts[0] += 1
+            assert P.values(f, g) == R.values(f, gR), (F.format(), b)
+            bad, badR = unipoly.gcd(field, g, P.fibre(h)), unipoly.gcd(R, gR, R.fibre(h))
+            assert bad == flat(badR), (F.format(), b)
+            if len(bad) > 1:
+                counts[1] += 1
+                assert P.values(f, bad) == R.values(f, badR), (F.format(), b)
+    assert counts[0] >= 20 and counts[1] >= 5, counts  # 27 and 10 of 44 linear b
 
 
 def _laplace(m, dom, n):

@@ -69,6 +69,26 @@ def test_round_trip_print_parse():
 
 # -- subcommands -----------------------------------------------------------
 
+def test_cli_help_and_usage_errors_ignore_the_terminal_width(capsys, monkeypatch):
+    # argparse otherwise wraps at COLUMNS - 2; these run at 78 whatever it says
+    cases = (["--help"], ["census", "--help"], ["census", "--q", "2"], ["nosuch"])
+    seen = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts = []
+        for argv in cases:
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            out = capsys.readouterr()
+            texts.append((stop.value.code, out.out, out.err))
+        seen.append(texts)
+    assert seen[0] == seen[1]
+    assert [code for code, _, _ in seen[0]] == [0, 0, 2, 2]
+    usage = seen[0][2][2].splitlines()
+    assert usage[1].strip() == "[--method {closed,recursion,enumeration,all}] [--jobs JOBS]"
+    assert usage[-1] == "spec census: error: the following arguments are required: --d"
+
+
 def test_cli_spectrum(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--field", "3", "x*y")
     assert code == 0

@@ -57,6 +57,38 @@ def test_f4_modulus_is_the_unique_irreducible_quadratic():
     assert F4.modulus == (1, 1, 1)  # t^2 + t + 1
 
 
+# the moduli the first-irreducible search picked before it used Ben-Or's
+# test: every extension the `spectrum` benchmark set-up builds, and two
+# large ones, as {exponent: coefficient}
+PINNED_MODULI = {
+    (2, 2): {0: 1, 1: 1, 2: 1},
+    (2, 4): {0: 1, 1: 1, 4: 1},
+    (2, 6): {0: 1, 1: 1, 6: 1},
+    (2, 8): {0: 1, 1: 1, 3: 1, 4: 1, 8: 1},
+    (2, 12): {0: 1, 3: 1, 12: 1},
+    (3, 2): {0: 1, 2: 1},
+    (3, 3): {0: 1, 1: 2, 3: 1},
+    (3, 4): {0: 2, 1: 1, 4: 1},
+    (3, 6): {0: 2, 1: 1, 6: 1},
+    (3, 9): {0: 1, 2: 1, 3: 2, 9: 1},
+    (5, 2): {0: 2, 2: 1},
+    (5, 3): {0: 1, 1: 1, 3: 1},
+    (5, 4): {0: 2, 4: 1},
+    (5, 6): {0: 2, 1: 1, 6: 1},
+    (7, 2): {0: 1, 2: 1},
+    (7, 3): {0: 2, 3: 1},
+    (7, 4): {0: 1, 1: 1, 4: 1},
+    (2, 49): {0: 1, 4: 1, 5: 1, 6: 1, 49: 1},
+    (2, 98): {0: 1, 3: 1, 4: 1, 7: 1, 98: 1},
+}
+
+
+def test_default_moduli_pinned():
+    for (p, k), terms in PINNED_MODULI.items():
+        expected = tuple(terms.get(i, 0) for i in range(k + 1))
+        assert fields._default_modulus(finite_field(p), k) == expected, (p, k)
+
+
 def test_extension_arithmetic_axioms():
     for (p, k) in [(2, 2), (2, 3), (3, 2), (5, 2)]:
         F = finite_field(p, k)

@@ -11,7 +11,7 @@ from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import is_indecomposable_multi
 from indecpoly.factoring import absolutely_irreducible, n_bar_factors, uni_roots
 from indecpoly.fields import embedding
-from indecpoly.resultants import primitive_gcd, resultant
+from indecpoly.resultants import coeff_table, primitive_gcd, resultant
 from indecpoly.spectrum import (SpectrumUnbounded, conic_is_degenerate,
                                 quadratic_spectral_value, reduction_compatibility,
                                 spectral_values, stein_check)
@@ -322,6 +322,47 @@ def test_critical_values_fallbacks_one_per_reason():
     assert _assert_paths_agree([sing, shared, vanishing]) == (2, 3)
 
 
+def test_shared_components_follow_the_resultant_and_the_content_gcd():
+    # the rule of _critical_candidates against the gcd in F_q[x, y] on a
+    # seeded corpus: random sparse and dense F, F with F_x = 0 (only powers
+    # x^(p i)), u(x)^2 H + c with u monic in x alone, so F_x and F_y share
+    # only an x-factor unless H_y = 0, and G^2 H + c with G a line in y
+    rng = random.Random("shared-components")
+    kinds = {"fx0": 0, "x only": 0, "y part": 0, "coprime": 0}
+
+    def rand(field, d, sparse=False, step=1):
+        return MPoly(field, 2, {e: field.element(rng.randrange(field.q))
+                                for e in monomials_upto(2, d)
+                                if e[0] % step == 0 and (not sparse or rng.random() < 0.4)})
+
+    inputs = []
+    for field in (finite_field(2), F3, finite_field(2, 2), F5, F7):
+        X, Y = (MPoly.variable(field, 2, v) for v in (0, 1))
+        for d in range(2, 7):
+            for sparse in (False, True):
+                inputs += [rand(field, d, sparse, step) for step in (1, 1, 1, field.p)]
+            for k in (1, 2):
+                if 2 * k < d:
+                    u = X ** k + MPoly(field, 2, {(i, 0): field.element(rng.randrange(field.q))
+                                                  for i in range(k)})
+                    inputs.append(u * u * rand(field, d - 2 * k) + rand(field, 0))
+            G = Y + rand(field, 1, sparse=True)
+            inputs.append(G * G * rand(field, d - 2) + rand(field, 0))
+    checked = 0
+    for F in inputs:
+        Fx, Fy = F.derivative(0), F.derivative(1)
+        if Fx.is_zero() and Fy.is_zero():
+            continue  # F constant or a p-th power: no gcd to compare with
+        g = primitive_gcd(Fx, Fy, 1)
+        assert (spectrum._critical_candidates(F) is None) == (not g.is_constant()), F.format()
+        checked += 1
+        kinds["fx0" if Fx.is_zero() else "coprime" if g.is_constant()
+              else "x only" if g.deg_in(1) == 0 else "y part"] += 1
+    # 242 inputs: 54 with F_x = 0, 38 sharing only an x-factor, where B is
+    # nonzero and the content gcd alone decides, 24 sharing a y-component
+    assert checked >= 200 and min(kinds.values()) >= 20, (checked, kinds)
+
+
 def test_critical_values_survive_a_vanishing_first_elimination():
     # the y-leading coefficients of F - l and F_y vanish together at x = 0
     # and res_y(F_x, F_y) has the root 0, so res_y(F - l, F_y) vanishes on
@@ -333,7 +374,7 @@ def test_critical_values_survive_a_vanishing_first_elimination():
     A = resultant(F.lift_vars(3) - MPoly.variable(F5, 3, 2), Fy.lift_vars(3), 1)
     assert all(e[0] > 0 for e in A.terms)  # A(0, l) = 0 for every l
     L = spectrum._Residues(F5, [F5.zero, F5.one])
-    assert len(unipoly.gcd(L, L.fibre(Fx), L.fibre(Fy))) == 3
+    assert len(unipoly.gcd(L, L.fibre(coeff_table(Fx, 1)), L.fibre(coeff_table(Fy, 1)))) == 3
     assert spectrum._smooth_at_infinity(F)
     # both points on x = 0 have the value 4, so T + 1 has exponent 2 = d - 1
     assert spectrum._critical_candidates(F) == [((1, 1), False), ((3, 2, 1), True)]
@@ -365,11 +406,11 @@ def test_critical_points_match_sweep_on_special_fibres():
     F2, F4 = finite_field(2), finite_field(2, 2)
 
     def fibre(F, b, P):  # P(a, y) on the fibre of the root a of b
-        return spectrum._Residues(F.dom, b).fibre(P)
+        return spectrum._Residues(F.dom, b).fibre(coeff_table(P, 1))
 
     def gcd_at(F, b):
         L = spectrum._Residues(F.dom, b)
-        return unipoly.gcd(L, L.fibre(F.derivative(0)), L.fibre(F.derivative(1)))
+        return unipoly.gcd(L, *(L.fibre(coeff_table(F.derivative(v), 1)) for v in (0, 1)))
 
     x, x1 = [0, 1], [1, 1]
     # two nodes on x = 0, at y = 1 and y = -1, with the values 3 and 2
