@@ -10,7 +10,7 @@ from .decompose import (Decomposition, compose, decompose_multi, dickson,
                         is_indecomposable_multi, is_pth_power, normalize, poly_eth_root)
 from .factoring import (Factorization, absolutely_irreducible, bivar_factor,
                         bivar_irreducible, conjugate_split_count, n_bar_factors,
-                        squarefree_part, uni_factor, uni_roots)
+                        squarefree_part, uni_factor)
 from .fields import (GuardExceeded, QQ, ZZ, embedding, field_from_order,
                      finite_field, projection)
 from .modp import (CriterionChain, build_chain, content_primitive, criterion_holds,
@@ -18,6 +18,7 @@ from .modp import (CriterionChain, build_chain, content_primitive, criterion_hol
 from .mpoly import MPoly, format_poly
 from .parsing import ParseError, parse_poly
 from .resultants import discriminant, resultant
+from .unipoly import roots as uni_roots
 from .spectrum import (SpectralReport, SpectrumUnbounded, quadratic_spectral_value,
                        reduction_compatibility, spectral_values, stein_check)
 

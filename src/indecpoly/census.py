@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, floor, gcd
 
 from .arith import big_omega, decimal, divisors, factorint, prime_power
 from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
@@ -237,17 +237,9 @@ def count_uni(q, d) -> UniCount:
     lower_f = 2 * Fraction(q - 1, q) * q ** (ell + d // ell) * (
         1 - Fraction(2 * d, ell) / q ** (d // ell - d // ell ** 2 - ell + 1)
     )
-    lower = max(_ceil_frac(lower_f), 0)
-    upper = _floor_frac(upper_f)
+    lower = max(ceil(lower_f), 0)
+    upper = floor(upper_f)
     return UniCount(q, d, total, None, lower, upper, alpha, "bounds")
-
-
-def _ceil_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
-def _floor_frac(f: Fraction) -> int:
-    return f.numerator // f.denominator
 
 
 def trend_table(q, n, d_max):

@@ -228,7 +228,7 @@ def build_parser(guard):
         formatter_class=HELP_FORMAT,
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_, formatter_class=HELP_FORMAT)

@@ -36,7 +36,6 @@ from math import comb, gcd
 
 from . import unipoly
 from .arith import decimal, divisors, integer_nth_root
-from .factoring import _pth_root_mpoly, uni_roots
 from .fields import DEFAULT_GUARD, GuardExceeded
 from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
 
@@ -89,13 +88,13 @@ def normalize(u: MPoly, H: MPoly) -> Decomposition:
 # --------------------------------------------------------------------------
 
 def _coeff_eth_root(dom, c, e):
-    """Any z with z^e = c, or None. Over F_q found via root enumeration of
-    z^e - c; over the rationals via integer root extraction."""
+    """Any z with z^e = c, or None. Over F_q the smallest root of z^e - c;
+    over the rationals via integer root extraction."""
     if c == dom.one:
         return dom.one
     if dom.is_finite:
         f = [dom.neg(c)] + [dom.zero] * (e - 1) + [dom.one]
-        roots = uni_roots(dom, f)
+        roots = unipoly.roots(dom, f)
         return roots[0] if roots else None
     frac = Fraction(c)
     num = integer_nth_root(abs(frac.numerator), e)
@@ -118,7 +117,7 @@ def poly_eth_root(G: MPoly, e: int):
     dom = G.dom
     p = dom.char
     while p and e % p == 0:
-        G = _pth_root_mpoly(G)
+        G = G.pth_root()
         if G is None:
             return None
         e //= p
@@ -407,9 +406,7 @@ def is_pth_power(F: MPoly):
     None otherwise."""
     if not F.dom.is_finite:
         raise ValueError("p-th power detection needs a finite field")
-    if F.is_zero():
-        return F
-    return _pth_root_mpoly(F)
+    return F.pth_root()
 
 
 def dickson(field, m: int, a) -> MPoly:

@@ -2,8 +2,8 @@
 
 Univariate factorization is Cantor-Zassenhaus (squarefree split with p-th
 root peeling, distinct-degree, then the deterministic-seeded equal-degree
-splitter `unipoly.equal_degree_split`, which also finds the roots behind
-field embeddings), so identical inputs always produce identical outputs.
+splitter `unipoly.equal_degree_split`, which `unipoly.roots` shares), so
+identical inputs always produce identical outputs.
 
 Bivariate factorization is by lifting: make the input monic in y by a
 shear, factor a squarefree specialization, lift the factors x-adically past
@@ -35,8 +35,8 @@ from itertools import combinations
 from math import gcd
 
 from . import unipoly
-from .arith import divisors, factorint
-from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
+from .arith import factorint
+from .fields import DEFAULT_GUARD, ZECH_LIMIT, GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
 from .resultants import coeff_table, content, primitive_gcd
 
@@ -53,7 +53,7 @@ def uni_sqfree(field, f):
     fp = unipoly.derivative(field, f)
     if not fp:
         # f = h(x^p); over a perfect field h's coefficient roots give f = r^p
-        root = _pth_root_mpoly(MPoly.from_dense(field, f, 1)).to_dense()
+        root = [field.pth_root(c) for c in f[::field.p]]
         for g, m in uni_sqfree(field, root):
             out.append((g, m * field.p))
         return out
@@ -109,13 +109,6 @@ def uni_factor(field, f):
                 factors.append((tuple(piece), m))
     factors.sort(key=lambda t: (len(t[0]), t[0]))
     return unit, factors
-
-
-def uni_roots(field, f):
-    """Roots in the coefficient field, sorted by element index, no repeats."""
-    _, factors = uni_factor(field, f)
-    roots = [field.neg(g[0]) for g, _ in factors if len(g) == 2]
-    return sorted(set(roots))
 
 
 def squarefree_part(field, f):
@@ -253,17 +246,6 @@ def _xy_mul(field, A, B, K):
         for j, b in enumerate(B[: K - i]):
             out[i + j] = unipoly.add(field, out[i + j], unipoly.mul(field, a, b))
     return out
-
-
-def _pth_root_mpoly(F: MPoly):
-    field = F.dom
-    p = field.p
-    terms = {}
-    for e, c in F.terms.items():
-        if any(k % p for k in e):
-            return None
-        terms[tuple(k // p for k in e)] = field.pth_root(c)
-    return MPoly(field, F.n, terms)
 
 
 # -- the lifting engine ------------------------------------------------------
@@ -435,7 +417,7 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
             return _merge_factor_lists(
                 _factor_rec(cont, method, guard, depth), _factor_rec(rest, method, guard, depth)
             )
-    root = _pth_root_mpoly(F)
+    root = F.pth_root()
     if root is not None:
         inner = _factor_rec(root, method, guard, depth)
         return [(g, m * field.p) for g, m in inner]
@@ -494,10 +476,10 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
     if G.deg_in(0) == 0 or G.deg_in(1) == 0:
         # univariate: an irreducible of degree d splits into d conjugate roots
         return delta
-    cands = [r for r in divisors(delta) if r > 1]
     # screen: factor degrees of squarefree specializations are multiples of
-    # the orbit size, so a gcd of 1 proves absolute irreducibility
-    if field.q <= (1 << 16):
+    # the orbit size, which divides delta, so gcd(evidence, delta) = 1 proves
+    # absolute irreducibility; it runs where the field has tables
+    if field.q <= ZECH_LIMIT:
         evidence = 0
         for transposed in (False, True):
             P = G.swap_vars(0, 1) if transposed else G
@@ -510,10 +492,8 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
                     return 1
                 if good >= 4:
                     break
-        if evidence:
-            cands = [r for r in cands if evidence % r == 0]
-            if not cands:
-                return 1
+        if evidence and gcd(evidence, delta) == 1:
+            return 1
     # exact phase: split over prime-degree extensions, recurse on one factor
     r_total = 1
     cur = G

@@ -209,14 +209,9 @@ class ExtensionField(FiniteField):
             if not a:
                 return 0 if n else 1
             return self._exp[(log[a] * n) % (self.q - 1)]
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self._mul_basic(out, base)
-            n >>= 1
-            if n:
-                base = self._mul_basic(base, base)
-        return out
+        base = self.base
+        digits = unipoly.normalize(base, self._digits(a))
+        return self._number(unipoly.pow_mod(base, digits, n, list(self.modulus)))
 
     def format_element(self, a):
         digits = self._digits(a)
@@ -238,16 +233,20 @@ class ExtensionField(FiniteField):
         table on first use; None when q > ZECH_LIMIT.  The exp table is the
         power walk of the first element of order q - 1 (by index, from 2),
         found by testing g^((q - 1)/r) != 1 for each prime r dividing q - 1.
-        It multiplies only through unipoly over the prime field, so the
-        arithmetic that calls it is not re-entered."""
+        The walk takes at most q - 2 products and must close at q - 1
+        distinct powers; otherwise the modulus is reducible and it raises
+        ArithmeticError.  It multiplies only through unipoly over the prime
+        field, so the arithmetic that calls it is not re-entered."""
         if self._log is None and self.q <= ZECH_LIMIT:
             base, m, q1 = self.base, list(self.modulus), self.q - 1
             gd = next(gd for gd in map(self._digits, range(2, self.q))
                       if all(unipoly.pow_mod(base, gd, q1 // r, m) != [1] for r in factorint(q1)))
             power, exp = gd, [1]
-            while power != [1]:  # the powers of g, as digit lists
+            while power != [1] and len(exp) < q1:  # the powers of g, as digit lists
                 exp.append(self._number(power))
                 power = unipoly.mod(base, unipoly.mul(base, power, gd), m)
+            if power != [1] or len(exp) != q1:
+                raise ArithmeticError(f"modulus {self.modulus} of {self!r} is not irreducible")
             log = {a: n for n, a in enumerate(exp)}
             if self.p != 2:
                 # Z(n) = log(1 + g^n); adding 1 changes only the digit a0, and
@@ -297,14 +296,6 @@ def _default_modulus(base, k):
 _EMBED_CACHE: dict[tuple, object] = {}
 
 
-def _subfield_root(dst, coeffs):
-    """Deterministic smallest root in dst of a squarefree polynomial with
-    prime-subfield coefficients that splits completely in dst."""
-    f = unipoly.monic(dst, unipoly.normalize(dst, list(coeffs)))
-    roots = (dst.neg(g[0]) for g in unipoly.equal_degree_split(dst, f, 1))
-    return min(roots)
-
-
 def embedding(src: FiniteField, dst: FiniteField):
     """A ring embedding src -> dst as a callable; src.k must divide dst.k."""
     if src.p != dst.p or dst.k % src.k != 0:
@@ -317,7 +308,7 @@ def embedding(src: FiniteField, dst: FiniteField):
         # residues mod p are the same ints in every F_{p^K}
         fn = lambda a: a  # noqa: E731 - identity on the shared representation
     else:
-        root = _subfield_root(dst, src.modulus)
+        root = unipoly.roots(dst, list(src.modulus))[0]
         powers = [dst.pow(root, i) for i in range(src.k)]
 
         def fn(a, _powers=powers, _dst=dst, _digits=src._digits):

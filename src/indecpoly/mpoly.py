@@ -257,6 +257,17 @@ class MPoly:
     def map_coeffs(self, fn, dom2):
         return MPoly(dom2, self.n, {e: fn(c) for e, c in self.terms.items()})
 
+    def pth_root(self):
+        """The p-th root over F_q, or None unless every exponent is a multiple
+        of the characteristic p (the field is perfect: coefficients follow)."""
+        dom, p = self.dom, self.dom.p
+        terms = {}
+        for e, c in self.terms.items():
+            if any(k % p for k in e):
+                return None
+            terms[tuple(k // p for k in e)] = dom.pth_root(c)
+        return MPoly(dom, self.n, terms)
+
     def reduce_mod(self, field):
         """Coefficient-wise reduction of an integer polynomial into F_p^k."""
         return self.map_coeffs(field.from_int, field)

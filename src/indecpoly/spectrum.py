@@ -34,7 +34,7 @@ from . import unipoly
 from .arith import decimal, is_prime
 from .decompose import is_indecomposable_multi
 from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynomial,
-                        n_bar_factors, uni_factor, uni_roots)
+                        n_bar_factors, uni_factor)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
 from .resultants import coeff_table, resultant
@@ -163,7 +163,7 @@ def _first_root(field, h):
     would pick for its orbit."""
     K = finite_field(field.p, field.k * (len(h) - 1))
     emb = embedding(field, K)
-    return K, uni_roots(K, [emb(c) for c in h])[0]
+    return K, unipoly.roots(K, [emb(c) for c in h])[0]
 
 
 def _report(F: MPoly, candidates, guard) -> SpectralReport:

@@ -164,6 +164,19 @@ def is_irreducible_finite(field, f: list) -> bool:
     return n > 0
 
 
+def roots(field, f: list) -> list:
+    """The distinct roots of a nonzero f over a finite field, ascending: the
+    linear factors of g = gcd(f, x^q - x), split at degree 1."""
+    f = monic(field, normalize(field, f))
+    if not f:
+        raise ValueError("roots of the zero polynomial")
+    x = [field.zero, field.one]
+    g = gcd(field, sub(field, pow_mod(field, x, field.q, f), x), f)
+    if degree(g) < 1:
+        return []
+    return sorted(field.neg(h[0]) for h in equal_degree_split(field, g, 1))
+
+
 def equal_degree_split(field, f: list, d: int) -> list:
     """The monic irreducible factors of a monic squarefree f over a finite
     field, all of which have degree d (Cantor-Zassenhaus with a seeded

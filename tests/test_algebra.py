@@ -500,6 +500,8 @@ def test_exact_division_and_failure():
     c = prod + MPoly.const(F, 2, F.one)
     if not a.is_constant():
         assert c.exact_div(a) is None
+    # over the integers a coefficient that does not divide fails as well
+    assert MPoly(ZZ, 1, {(1,): 2}).exact_div(MPoly(ZZ, 1, {(1,): 3})) is None
 
 
 def test_squarefree_decomposition_univariate():

@@ -84,6 +84,8 @@ def test_cli_help_and_usage_errors_ignore_the_terminal_width(capsys, monkeypatch
         seen.append(texts)
     assert seen[0] == seen[1]
     assert [code for code, _, _ in seen[0]] == [0, 0, 2, 2]
+    help_lines = [line for _, out, _ in seen[0][:2] for line in out.splitlines()]
+    assert max(map(len, help_lines)) <= 78
     usage = seen[0][2][2].splitlines()
     assert usage[1].strip() == "[--method {closed,recursion,enumeration,all}] [--jobs JOBS]"
     assert usage[-1] == "spec census: error: the following arguments are required: --d"
@@ -211,6 +213,18 @@ def test_cli_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "census", "--q", "2", "--n", "2", "--d", "8",
+                             "--method", "closed")
+    assert code == 1 and out == "" and "no closed form" in err
+
+
+def test_cli_census_closed_one_variable_bounds(capsys):
+    # d = 8 has three prime factors: the sandwich bounds and their alpha
+    code, out, _ = run_cli(capsys, "census", "--q", "3", "--n", "1", "--d", "8",
+                           "--method", "closed")
+    assert code == 0
+    assert json.loads(out) == {"D_lower": "0", "D_upper": "3888", "N": "13122",
+                               "alpha": "2/27", "d": 8, "method": "bounds", "n": 1, "q": 3}
 
 
 def test_cli_deterministic_output(capsys):

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +164,9 @@ def test_eth_root():
     cube = t ** 3
     root = poly_eth_root(cube, 3)
     assert root is not None and root ** 3 == cube
+    assert poly_eth_root(parse_poly("-8*x^3", QQ), 3) == parse_poly("-2*x", QQ)
+    assert poly_eth_root(parse_poly("-4*x^2", QQ), 2) is None
+    assert poly_eth_root(parse_poly("2*x^2", QQ), 2) is None
 
 
 def test_eth_root_of_a_non_monic_input_over_a_prime_field():
@@ -277,6 +282,23 @@ def test_pth_power_examples():
     c = MPoly.const(F3, 2, F3.element(2))
     root = is_pth_power(c)
     assert root == MPoly.const(F3, 2, F3.pth_root(F3.element(2)))
+
+
+def test_decompose_imports_only_the_layers_below_factoring():
+    # decompose, and through it the census, runs without factoring
+    from indecpoly import decompose
+
+    tree = ast.parse(Path(decompose.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("indecpoly"):
+            imported.add(node.module.partition(".")[2] or "indecpoly")
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[2] or "indecpoly" for a in node.names
+                            if a.name.startswith("indecpoly"))
+    assert imported <= {"arith", "fields", "mpoly", "unipoly"}, imported
 
 
 def test_dickson_recurrence_values():

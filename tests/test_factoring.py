@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from indecpoly import unipoly
+from indecpoly import uni_roots, unipoly
 from indecpoly.fields import GuardExceeded, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.factoring import (DEFAULT_GUARD, _find_divisor_search, absolutely_irreducible,
                                  bivar_factor, bivar_irreducible, conjugate_split_count,
-                                 n_bar_factors, uni_factor, uni_roots)
+                                 n_bar_factors, uni_factor)
 from indecpoly.parsing import parse_poly
 
 
@@ -29,6 +29,8 @@ def test_uni_factor_examples():
     assert fs == [((1, 0, 1), 1)]
     unit, fs = uni_factor(F2, [0, 0, 0, 1])  # x^3
     assert fs == [((0, 1), 3)]
+    unit, fs = uni_factor(finite_field(2, 2), [3, 0, 0, 0, 1])  # x^4 + t^2 = (x + t^2)^4
+    assert fs == [((3, 1), 4)]
 
 
 def test_uni_factor_product_identity_randomized():
@@ -53,6 +55,20 @@ def test_uni_factor_product_identity_randomized():
 def test_uni_roots():
     assert uni_roots(F5, [4, 0, 1]) == [1, 4]
     assert uni_roots(F3, [1, 0, 1]) == []
+    assert uni_roots(F5, [3, 0, 0, 0, 0]) == []  # a nonzero constant
+    assert uni_roots(F5, [1, 4, 2, 0, 3, 0]) == [1, 2]  # 3 (x - 1)^3 (x - 2), trailing zero
+    with pytest.raises(ValueError):
+        uni_roots(F5, [0, 0])
+    # the linear factors of the factorization are the reference
+    rng = random.Random(25)
+    for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]:
+        F = finite_field(p, k)
+        for _ in range(20):
+            f = unipoly.normalize(F, [rng.randrange(F.q) for _ in range(rng.randrange(2, 10))])
+            if not f:
+                continue
+            _, fs = uni_factor(F, f)
+            assert uni_roots(F, f) == sorted(F.neg(g[0]) for g, _ in fs if len(g) == 2)
 
 
 def test_squarefree_part():
@@ -251,6 +267,29 @@ def test_extension_descent_multiplies_a_conjugate_orbit(monkeypatch):
     assert conjugate_split_count(F) == 2
     assert absolutely_irreducible(F) is False
     assert n_bar_factors(F) == 2
+
+
+def test_extension_descent_ends_in_the_divisor_search(monkeypatch):
+    # with no squarefree fibre at all the lift descends from F_q to F_q^2 and
+    # F_q^4, where the last resort is the divisor search
+    from indecpoly import factoring
+
+    searched = []
+    search = factoring._factor_search
+
+    def spy(S, guard):
+        searched.append(S.dom.q)
+        return search(S, guard)
+
+    polys = [parse_poly("(y^2 + x*y + 1)*(y + x)", F2), parse_poly("(y^2 + x)*(y + x + 1)", F3)]
+    want = [bivar_factor(F, method="search") for F in polys]
+    monkeypatch.setattr(factoring, "_squarefree_fibres", lambda field, cols, count: iter(()))
+    monkeypatch.setattr(factoring, "_factor_search", spy)
+    for F, fs in zip(polys, want):
+        fac = bivar_factor(F)
+        assert [(g.key(), m) for g, m in fac.factors] == [(g.key(), m) for g, m in fs.factors]
+        assert fac.unit == fs.unit and fac.expand() == F
+    assert sorted(set(searched)) == [16, 81]  # with its recursive calls
 
 
 def test_conjugate_split_count_matches_extension_factor_counts():

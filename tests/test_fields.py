@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from indecpoly import fields
@@ -116,6 +121,20 @@ def test_zech_tables_built_on_first_arithmetic(monkeypatch):
     t = F.element(3)
     assert F.mul(t, t) == F.element(9)
     assert len(F._exp) == F.q - 1 and len(F._log) == F.q - 1
+
+
+def test_a_reducible_modulus_raises_instead_of_walking_forever():
+    # with x^3 over F_2 the generator test passes g = t, whose powers reach 0
+    # and stay there; the walk is bounded, so the first product raises.  It
+    # runs in a child process, so a hang fails on the timeout
+    script = ("from indecpoly import fields\n"
+              "fields._default_modulus = lambda base, k: (0, 0, 0, 1)\n"
+              "fields.ExtensionField(2, 3).mul(2, 3)\n")
+    src = str(Path(fields.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=20, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode != 0
+    assert "ArithmeticError: modulus (0, 0, 0, 1) of GF(2^3) is not irreducible" in run.stderr
 
 
 def test_zech_tables_never_built_above_the_limit(monkeypatch):

@@ -9,7 +9,7 @@ from indecpoly.fields import DEFAULT_GUARD, QQ, ZZ, GuardExceeded, finite_field
 from indecpoly.parsing import parse_poly
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.decompose import is_indecomposable_multi
-from indecpoly.factoring import absolutely_irreducible, n_bar_factors, uni_roots
+from indecpoly.factoring import absolutely_irreducible, n_bar_factors
 from indecpoly.fields import embedding
 from indecpoly.resultants import coeff_table, primitive_gcd, resultant
 from indecpoly.spectrum import (SpectrumUnbounded, conic_is_degenerate,
@@ -462,7 +462,7 @@ def test_certified_critical_values_are_absolutely_irreducible():
                     if ok:
                         K = finite_field(field.p, field.k * (len(mu) - 1))
                         emb = embedding(field, K)
-                        lam = uni_roots(K, [emb(c) for c in mu])[0]
+                        lam = unipoly.roots(K, [emb(c) for c in mu])[0]
                         shifted = F.map_coeffs(emb, K) - MPoly.const(K, 2, lam)
                         assert absolutely_irreducible(shifted), (F.format(), mu)
                     certified += ok
