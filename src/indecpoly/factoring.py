@@ -22,10 +22,10 @@ under graded-lex, sorted), and the test suite pins them against each other.
 
 Absolute irreducibility and the count of irreducible factors over the
 algebraic closure reduce to conjugate-orbit sizes: an irreducible polynomial
-over F_q splits over the closure into r conjugate factors of equal degree
-with r dividing deg, and r is found by extension-field splitting, after a
-cheap screen (degrees of irreducible factors of smooth specializations are
-always multiples of r).
+over F_q splits over the closure into r conjugate factors of equal degree,
+and r divides deg and the degree of every smooth point.  A screen takes the
+gcd of the point degrees on a few squarefree fibres, at any q; the exact
+phase splits over F_{q^l} only for the primes l of gcd(evidence, deg).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import gcd
 
 from . import unipoly
 from .arith import factorint
-from .fields import DEFAULT_GUARD, ZECH_LIMIT, GuardExceeded, embedding, finite_field, projection
+from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
 from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
 from .resultants import coeff_table, content, primitive_gcd
 
@@ -476,45 +476,35 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
     if G.deg_in(0) == 0 or G.deg_in(1) == 0:
         # univariate: an irreducible of degree d splits into d conjugate roots
         return delta
-    # screen: factor degrees of squarefree specializations are multiples of
-    # the orbit size, which divides delta, so gcd(evidence, delta) = 1 proves
-    # absolute irreducibility; it runs where the field has tables
-    if field.q <= ZECH_LIMIT:
-        evidence = 0
-        for transposed in (False, True):
-            P = G.swap_vars(0, 1) if transposed else G
-            fibres = _squarefree_fibres(field, coeff_table(P, 0), 64)
-            for good, (_x0, fib) in enumerate(fibres, 1):
-                _, fs = uni_factor(field, fib)
-                for g, _m in fs:
-                    evidence = gcd(evidence, len(g) - 1)
-                if evidence == 1:
-                    return 1
-                if good >= 4:
-                    break
-        if evidence and gcd(evidence, delta) == 1:
-            return 1
-    # exact phase: split over prime-degree extensions, recurse on one factor
-    r_total = 1
-    cur = G
-    curfield = field
-    while True:
-        dc = cur.degree()
-        if dc == 1:
-            break
-        did = False
-        for ell in sorted(factorint(dc)):
-            E = finite_field(curfield.p, curfield.k * ell)
-            emb = embedding(curfield, E)
-            fac = _factor_rec(cur.map_coeffs(emb, E), "lift", guard)
-            if sum(m for _, m in fac) > 1:
-                fac = _sorted_factors(fac)
-                cur = fac[0][0]
-                curfield = E
-                r_total *= ell
-                did = True
+    # screen: a simple root of a squarefree fibre is a smooth point on just
+    # one of the r conjugate components, which Frobenius permutes
+    # transitively, so r divides the point's degree: r | evidence at any q
+    evidence = 0
+    for transposed in (False, True):
+        P = G.swap_vars(0, 1) if transposed else G
+        fibres = _squarefree_fibres(field, coeff_table(P, 0), 64)
+        for good, (_x0, fib) in enumerate(fibres, 1):
+            _, fs = uni_factor(field, fib)
+            for g, _m in fs:
+                evidence = gcd(evidence, len(g) - 1)
+            if evidence == 1:
+                return 1
+            if good >= 4:
                 break
-        if not did:
+    # exact phase: split over F_{q^l} for the primes l of gcd(evidence, dc),
+    # all of dc when no fibre was squarefree, and go on with one factor,
+    # whose r / l conjugate components divide evidence / l
+    r_total, cur = 1, G
+    while (dc := cur.degree()) > 1:
+        for ell in sorted(factorint(gcd(evidence, dc))):
+            E = finite_field(cur.dom.p, cur.dom.k * ell)
+            fac = _factor_rec(cur.map_coeffs(embedding(cur.dom, E), E), "lift", guard)
+            if sum(m for _, m in fac) > 1:
+                cur = _sorted_factors(fac)[0][0]
+                r_total *= ell
+                evidence //= ell
+                break
+        else:
             break
     return r_total
 

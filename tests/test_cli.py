@@ -307,8 +307,9 @@ def test_report_polynomials_reparse(capsys):
 
 
 def test_cli_spectrum_f7_quartic_with_f7_6_descent(capsys):
-    # conjugate_split_count factors this quartic over F_7^6 (above ZECH_LIMIT);
-    # the report is pinned, the running time is not
+    # the closure is smooth at infinity and the node certificate clears every
+    # critical value, so nothing is factored and no extension field is built;
+    # the name is older than that.  The report is pinned, the running time is not
     poly = ("3*x^4 + 5*x^3*y + 4*x*y^3 + 5*y^4 + x^3 + 5*x^2*y + 6*x*y^2"
             " + 6*y^3 + 2*x^2 + 2*x*y + 4*x")
     code, out, _ = run_cli(capsys, "spectrum", "--field", "7", poly)
@@ -320,6 +321,33 @@ def test_cli_spectrum_f7_quartic_with_f7_6_descent(capsys):
     assert payload["s_poly"] == "1"
     assert payload["spectrum_size"] == 0
     assert payload["stein_holds"] is True
+
+
+def test_cli_spectrum_f7_septic_screens_its_f7_6_candidate(capsys, monkeypatch):
+    # the closure is singular at infinity and one affine candidate has degree
+    # 6, so conjugate_split_count runs over F_7^6, a field without tables;
+    # the point-degree screen answers there without building an extension
+    from indecpoly import factoring
+
+    poly = "4*x^2*y^5 + 6*x^3*y^3 + x^4*y + 5*x^2*y^2 + 2*y^3 + 6*y^2 + 5*x"
+    seen = []
+    count = factoring.conjugate_split_count
+
+    def spy(G, guard):
+        seen.append(G.dom.q)
+        return count(G, guard)
+
+    monkeypatch.setattr(factoring, "conjugate_split_count", spy)
+    monkeypatch.setattr(factoring, "finite_field", lambda p, k=1: pytest.fail("field built"))
+    code, out, _ = run_cli(capsys, "spectrum", "--field", "7", poly)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["poly"] == poly
+    assert payload["orbits"] == []
+    assert payload["rho"] == 0
+    assert payload["s_poly"] == "1"
+    assert payload["spectrum_size"] == 0
+    assert 7 ** 6 in seen
 
 
 def test_cli_large_prime_field_order_is_recognised_without_trial_division(capsys):

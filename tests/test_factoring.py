@@ -4,7 +4,7 @@ import random
 import pytest
 
 from indecpoly import uni_roots, unipoly
-from indecpoly.fields import GuardExceeded, finite_field
+from indecpoly.fields import ZECH_LIMIT, GuardExceeded, finite_field, projection
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.factoring import (DEFAULT_GUARD, _find_divisor_search, absolutely_irreducible,
                                  bivar_factor, bivar_irreducible, conjugate_split_count,
@@ -317,6 +317,98 @@ def test_conjugate_split_count_matches_extension_factor_counts():
                 fe = bivar_factor(G.map_coeffs(emb, E))
                 best = max(best, len(fe.factors))
             assert conjugate_split_count(G) == best, G.format()
+
+
+def _gao_cubic(E, rng, const):
+    # the Newton polygon of x^3 + b*y^2 + c is the triangle (0,0), (3,0),
+    # (0,2), integrally indecomposable as gcd(3, 2) = 1 (Gao 2001), so any
+    # terms inside it keep the cubic absolutely irreducible
+    terms = {(3, 0): E.one, (0, 2): rng.randrange(1, E.q), (0, 0): const}
+    for e in [(1, 0), (2, 0), (0, 1), (1, 1)]:
+        terms[e] = rng.randrange(E.q)
+    return MPoly(E, 2, terms)
+
+
+def _orbit_norm(H, F):
+    # the product of the Frobenius orbit of H over E = F_{q^r}, projected to F
+    E = H.dom
+    G = conj = H
+    for _ in range(E.k // F.k - 1):
+        conj = conj.map_coeffs(lambda c: E.pow(c, F.q), E)
+        G = G * conj
+    proj = projection(F, E)
+    assert all(proj(c) is not None for c in G.terms.values())
+    return G.map_coeffs(proj, F)
+
+
+def _record_builds(monkeypatch):
+    # the fields factoring builds from here on, in order
+    from indecpoly import factoring
+
+    built = []
+    build = factoring.finite_field
+
+    def spy(p, k=1):
+        built.append((p, k))
+        return build(p, k)
+
+    monkeypatch.setattr(factoring, "finite_field", spy)
+    return built
+
+
+def test_conjugate_split_count_screens_above_the_table_limit(monkeypatch):
+    # the screen runs at any q: an absolutely irreducible cubic over F_65537
+    # has a fibre with a linear factor, so no extension field is built
+    from indecpoly import factoring
+
+    F = finite_field(65537)
+    assert F.q > ZECH_LIMIT
+    G = _gao_cubic(F, random.Random(1), F.one)
+
+    def no_extension(p, k=1):
+        raise AssertionError(f"exact phase entered: GF({p}^{k})")
+
+    monkeypatch.setattr(factoring, "finite_field", no_extension)
+    assert conjugate_split_count(G) == 1
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (7, 1), (2, 4), (65537, 1)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_conjugate_split_count_of_frobenius_orbit_norms(monkeypatch, p, k, r):
+    # oracle by construction: H is absolutely irreducible over F_{q^r} with a
+    # constant term outside F_q, so its r conjugates are distinct and their
+    # product G is irreducible over F_q with exactly r factors over the closure
+    F, E = finite_field(p, k), finite_field(p, k * r)
+    proj = projection(F, E)
+    const = F.one if r == 1 else next(e for e in range(E.q) if proj(e) is None)
+    G = _orbit_norm(_gao_cubic(E, random.Random(10 * p + k + r), const), F)
+    assert G.degree() == 3 * r
+    assert bivar_factor(G).total_multiplicity() == 1
+    built = _record_builds(monkeypatch)
+    assert conjugate_split_count(G) == r
+    # the point degrees here have gcd r: one split over F_{q^r}, whose factor
+    # of orbit size 1 is not tried again
+    assert built == ([] if r == 1 else [(p, k * r)])
+    assert n_bar_factors(G) == r
+
+
+@pytest.mark.parametrize("field, poly", [
+    (finite_field(7),
+     "x^6 + 3*x^5 + 4*x^4*y + 3*x^3*y^2 + 2*x^4 + 3*x^3*y + 3*x^2*y^2 + 3*x*y^3 + y^4"
+     " + 2*x^3 + x^2*y + 3*x*y^2 + 5*y^3 + 6*x^2 + 6*y^2 + 4*x + 6*y + 1"),
+    (finite_field(2, 2),
+     "x^6 + t*x^5 + (t + 1)*x^4*y + t*x^3*y^2 + x^4 + t*x^3*y + x^2*y^2 + x*y^3 + y^4"
+     " + x^2*y + t*x*y^2 + t*x^2 + t*y^2 + t*x + t"),
+], ids=["F7", "F4"])
+def test_conjugate_split_count_splits_only_over_primes_of_the_evidence(
+        monkeypatch, field, poly):
+    # orbit norms of cubics from F_{q^2}: the point degrees have gcd 2, so
+    # the exact phase splits over F_{q^2} only, and the cubic factor it
+    # keeps, of degree prime to 2, is never tried over F_{q^6}
+    G = parse_poly(poly, field)
+    built = _record_builds(monkeypatch)
+    assert conjugate_split_count(G) == 2
+    assert built == [(field.p, 2 * field.k)]
 
 
 def test_factor_over_larger_field_via_lift():
