@@ -113,3 +113,12 @@ def decimal(n: int) -> str:
     4300 digits on Python 3.11 and later; Decimal converts without that
     limit, and no process-wide setting changes."""
     return str(Decimal(n))
+
+
+def power_over(q: int, m: int, bound: int) -> str | None:
+    """q^m written out when it exceeds bound, else None, for q >= 2.  Once
+    m >= bound.bit_length(), q^m >= 2^m > bound is known unbuilt; it is then
+    written "q^m" unless m * q.bit_length() <= 64 keeps its decimal short."""
+    if m >= bound.bit_length() and m * q.bit_length() > 64:
+        return f"{q}^{m}"
+    return decimal(q ** m) if q ** m > bound else None

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd
 
-from .arith import big_omega, decimal, divisors, factorint, prime_power
+from .arith import big_omega, decimal, divisors, factorint, power_over, prime_power
 from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
@@ -280,10 +280,10 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    space = scan_space(q, n, d)
-    if space > guard:
-        raise GuardExceeded(f"scan space {decimal(space)} exceeds guard {guard}")
+    if size := power_over(q, comb(n + d, n), guard):
+        raise GuardExceeded(f"scan space {size} exceeds guard {guard}")
     field = field_from_order(q)
+    space = scan_space(q, n, d)
     lo, hi = (0, space) if part is None else part
     if not (0 <= lo <= hi <= space):
         raise ValueError("bad partition range")
@@ -375,12 +375,11 @@ def enumerate_census_parallel(q, n, d, jobs, guard=DEFAULT_GUARD) -> CensusRepor
 
     The scan is cut into `jobs` ranges, but the pool has no more workers
     than there are ranges or usable CPUs."""
+    if size := power_over(q, comb(n + d, n), guard):
+        raise GuardExceeded(f"scan space {size} exceeds guard {guard}")
     ranges = partition_ranges(q, n, d, jobs)
     if len(ranges) <= 1:
         return enumerate_census(q, n, d, guard=guard)
-    space = scan_space(q, n, d)
-    if space > guard:
-        raise GuardExceeded(f"scan space {decimal(space)} exceeds guard {guard}")
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(len(ranges), _usable_cpus())) as pool:

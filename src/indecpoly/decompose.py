@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import unipoly
-from .arith import decimal, divisors, integer_nth_root
+from .arith import decimal, divisors, integer_nth_root, power_over
 from .fields import DEFAULT_GUARD, GuardExceeded
 from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
 
@@ -246,11 +246,12 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
     dom = F.dom
     m = d // e
     pa = gcd(e, dom.char ** e) if dom.char else 1  # p^a, the p-part of e
-    free = [mono for mono in monomials_upto(F.n, m - 1)
-            if sum(mono) and pa * (m - sum(mono)) >= m]
-    if free and dom.q ** len(free) > guard:
-        raise GuardExceeded(f"inner enumeration of {len(free)} free monomials, size "
-                            f"{decimal(dom.q ** len(free))}, exceeds guard {guard}")
+    K = m - -(-m // pa)  # a free degree k >= 1 has p^a (m - k) >= m, so k <= K
+    nfree = comb(K + F.n, F.n) - 1
+    if nfree and (size := power_over(dom.q, nfree, guard)):
+        raise GuardExceeded(f"inner enumeration of {nfree} free monomials, size {size}, "
+                            f"exceeds guard {guard}")
+    free = monomials_upto(F.n, K)[:-1]  # the constant comes last
     if pa < m:  # otherwise the top form is the only forced component
         R = _extend_root(F.scale(dom.inv(F.leading()[1])), e // pa, H ** pa, d - m)
         H = None if R is None else poly_eth_root(R, pa)

@@ -1,9 +1,9 @@
 """Polynomial factorization and irreducibility over finite fields.
 
-Univariate factorization is Cantor-Zassenhaus (squarefree split with p-th
-root peeling, distinct-degree, then the deterministic-seeded equal-degree
-splitter `unipoly.equal_degree_split`, which `unipoly.roots` shares), so
-identical inputs always produce identical outputs.
+Univariate factorization is Cantor-Zassenhaus: the squarefree split with
+p-th root peeling, then unipoly's distinct-degree pieces and its
+deterministic-seeded equal-degree split, so identical inputs always produce
+identical outputs.
 
 Bivariate factorization is by lifting: make the input monic in y by a
 shear, factor a squarefree specialization, lift the factors x-adically past
@@ -24,14 +24,15 @@ Absolute irreducibility and the count of irreducible factors over the
 algebraic closure reduce to conjugate-orbit sizes: an irreducible polynomial
 over F_q splits over the closure into r conjugate factors of equal degree,
 and r divides deg and the degree of every smooth point.  A screen takes the
-gcd of the point degrees on a few squarefree fibres, at any q; the exact
-phase splits over F_{q^l} only for the primes l of gcd(evidence, deg).
+gcd of the point degrees on a few squarefree fibres, at any q, read off the
+degrees of their distinct-degree pieces; the exact phase splits over F_{q^l}
+only for the primes l of gcd(evidence, deg).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 from . import unipoly
@@ -74,27 +75,6 @@ def uni_sqfree(field, f):
     return out
 
 
-def _distinct_degree(field, f):
-    """[(product of irreducibles of degree d, d)] for monic squarefree f."""
-    out = []
-    q = field.q
-    x = [field.zero, field.one]
-    h = list(x)
-    d = 0
-    rest = list(f)
-    while unipoly.degree(rest) >= 2 * (d + 1):
-        d += 1
-        h = unipoly.pow_mod(field, h, q, rest)
-        g = unipoly.gcd(field, unipoly.sub(field, h, x), rest)
-        if unipoly.degree(g) > 0:
-            out.append((g, d))
-            rest = unipoly.divmod_poly(field, rest, g)[0]
-            h = unipoly.mod(field, h, rest)
-    if unipoly.degree(rest) > 0:
-        out.append((rest, unipoly.degree(rest)))
-    return out
-
-
 def uni_factor(field, f):
     """(unit, [(monic factor, multiplicity)]) with a canonical sorted order."""
     f = unipoly.normalize(field, list(f))
@@ -102,13 +82,10 @@ def uni_factor(field, f):
         raise ValueError("cannot factor the zero polynomial")
     unit = f[-1]
     fm = unipoly.monic(field, f)
-    factors = []
-    for g, m in uni_sqfree(field, fm):
-        for h, d in _distinct_degree(field, g):
-            for piece in unipoly.equal_degree_split(field, h, d):
-                factors.append((tuple(piece), m))
-    factors.sort(key=lambda t: (len(t[0]), t[0]))
-    return unit, factors
+    factors = [(tuple(piece), m) for g, m in uni_sqfree(field, fm)
+               for h, d in unipoly.distinct_degree(field, g)
+               for piece in unipoly.equal_degree_split(field, h, d)]
+    return unit, sorted(factors, key=lambda t: (len(t[0]), t[0]))
 
 
 def squarefree_part(field, f):
@@ -482,15 +459,11 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
     evidence = 0
     for transposed in (False, True):
         P = G.swap_vars(0, 1) if transposed else G
-        fibres = _squarefree_fibres(field, coeff_table(P, 0), 64)
-        for good, (_x0, fib) in enumerate(fibres, 1):
-            _, fs = uni_factor(field, fib)
-            for g, _m in fs:
-                evidence = gcd(evidence, len(g) - 1)
-            if evidence == 1:
-                return 1
-            if good >= 4:
-                break
+        for _x0, fib in islice(_squarefree_fibres(field, coeff_table(P, 0), 64), 4):
+            for _g, d in unipoly.distinct_degree(field, fib):
+                evidence = gcd(evidence, d)
+                if evidence == 1:
+                    return 1
     # exact phase: split over F_{q^l} for the primes l of gcd(evidence, dc),
     # all of dc when no fibre was squarefree, and go on with one factor,
     # whose r / l conjugate components divide evidence / l

@@ -124,6 +124,9 @@ def spectral_values(F: MPoly, guard=DEFAULT_GUARD) -> SpectralReport:
         raise ValueError("the sweep runs over finite fields")
     d = F.degree()
     top = max(1, d - 1)
+    if top >= guard.bit_length():  # q^top >= 2^top > guard: no need to sum
+        raise GuardExceeded(f"spectral sweep over at least {field.q}^{top} elements "
+                            f"exceeds guard {guard}")
     sweep = sum(field.q ** m for m in range(1, top + 1))
     if sweep > guard:
         raise GuardExceeded(f"spectral sweep over {decimal(sweep)} elements exceeds guard {guard}")

@@ -150,18 +150,32 @@ def compose(dom, outer: list, inner: list) -> list:
     return acc
 
 
+def distinct_degree(field, f: list):
+    """Yield (the product of the monic irreducible factors of degree d, d)
+    for f over a finite field, d ascending, each d from x^(q^d) mod the rest
+    of f; a rest with no factor of degree up to half its own is irreducible
+    and comes last, at its own degree.  The pieces of a squarefree monic f
+    multiply back to f; for any f the first has the least factor degree."""
+    x = [field.zero, field.one]
+    h, d, rest = x, 0, f
+    while degree(rest) >= 2 * (d + 1):
+        d += 1
+        h = pow_mod(field, h, field.q, rest)
+        g = gcd(field, sub(field, h, x), rest)
+        if degree(g) > 0:
+            yield g, d
+            rest = divmod_poly(field, rest, g)[0]
+            h = mod(field, h, rest)
+    if degree(rest) > 0:
+        yield rest, degree(rest)
+
+
 def is_irreducible_finite(field, f: list) -> bool:
-    """Ben-Or's test, for any f, squarefree or not: f of degree n is
-    reducible exactly when it has an irreducible factor of some degree
-    i <= n/2, that is, when gcd(x^(q^i) - x, f) != 1.  x^(q^i) mod f comes
-    one q-th power at a time, and the test stops at the first such i."""
-    n, x = degree(f), [field.zero, field.one]
-    h = x
-    for _ in range(n // 2):
-        h = pow_mod(field, h, field.q, f)
-        if degree(gcd(field, sub(field, h, x), f)) > 0:
-            return False
-    return n > 0
+    """Ben-Or's test, for any f, squarefree or not: f of degree n > 0 is
+    irreducible exactly when no irreducible factor has degree <= n/2, that
+    is, when the first piece of distinct_degree(f) has degree n."""
+    n = degree(f)
+    return n > 0 and next(distinct_degree(field, f))[1] == n
 
 
 def roots(field, f: list) -> list:

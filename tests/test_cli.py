@@ -477,6 +477,33 @@ def test_cli_checks_the_counts_against_the_guard_before_work(capsys, monkeypatch
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, spied, message", [
+    (("enumerate", "--q", "3", "--n", "2", "--d", "2000"),
+     ("census.scan_space", "census.partition_ranges"),
+     "scan space 3^2003001 exceeds guard 16777216"),
+    (("census", "--q", "3", "--n", "2", "--d", "2000", "--method", "enumeration"),
+     ("census.scan_space", "census.partition_ranges"),
+     "scan space 3^2003001 exceeds guard 16777216"),
+    (("spectrum", "--field", "3", "x^60000 + y"), ("spectrum.sum",),
+     "spectral sweep over at least 3^59999 elements exceeds guard 16777216"),
+    (("indec", "--field", "2", "x^4000 + y"), ("decompose.monomials_upto",),
+     "inner enumeration of 501500 free monomials, size 2^501500, exceeds guard 16777216"),
+])
+def test_cli_checks_scans_sweeps_and_inner_spaces_against_the_guard_before_work(
+        capsys, monkeypatch, argv, spied, message):
+    # a space of M >= guard.bit_length() base-q digits exceeds the guard, so
+    # q^M, the sum over the sweep and the free monomials are never built
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    for name in spied:
+        monkeypatch.setattr(f"indecpoly.{name}", lambda *a, name=name: pytest.fail(f"{name} ran"),
+                            raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_count_guard_keeps_the_earlier_input_errors(capsys):
     # comb(202, 2) = 20,301 digits fit the default guard; a guard below it
     # reports after the prime-power check, and a d_max below 8 keeps its error

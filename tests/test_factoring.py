@@ -71,6 +71,72 @@ def test_uni_roots():
             assert uni_roots(F, f) == sorted(F.neg(g[0]) for g, _ in fs if len(g) == 2)
 
 
+def _irreducibles(F, top):
+    # the monic irreducibles of degree 1..top, low coefficient first, by
+    # trial division by the irreducibles of at most half the degree
+    found = []
+    for k in range(1, top + 1):
+        for tail in itertools.product(range(F.q), repeat=k):
+            f = [F.element(c) for c in tail] + [F.one]
+            if all(unipoly.mod(F, f, g) for g in found if 2 * (len(g) - 1) <= k):
+                found.append(f)
+    return found
+
+
+FIELDS_AND_TOPS = [((2, 1), 6), ((3, 1), 4), ((2, 2), 4), ((3, 2), 3)]
+
+
+@pytest.mark.parametrize("pk, top", FIELDS_AND_TOPS, ids=["F2", "F3", "F4", "F9"])
+def test_distinct_degree_pieces_match_trial_division(pk, top):
+    # squarefree f built from distinct irreducibles: the pieces are their
+    # products by degree, ascending, so they multiply back to f and every
+    # factor of a piece (g, d) has degree d; uni_factor reads the same pieces
+    F = finite_field(*pk)
+    irr = _irreducibles(F, top)
+    rng = random.Random(f"distinct_degree:{pk}")
+    for _ in range(40):
+        f, by_degree = [F.one], {}
+        chosen = rng.sample(irr, rng.randrange(1, 6))
+        for g in chosen:
+            f = unipoly.mul(F, f, g)
+            by_degree[len(g) - 1] = unipoly.mul(F, by_degree.get(len(g) - 1, [F.one]), g)
+        want = [(by_degree[d], d) for d in sorted(by_degree)]
+        assert list(unipoly.distinct_degree(F, f)) == want
+        assert sorted(uni_factor(F, f)[1]) == sorted((tuple(g), 1) for g in chosen)
+
+
+@pytest.mark.parametrize("pk, top", FIELDS_AND_TOPS, ids=["F2", "F3", "F4", "F9"])
+def test_ben_or_on_non_squarefree_input_matches_trial_division(pk, top):
+    # g^2, (x - a)^2 h and g g' with deg g = deg g' against trial division by
+    # every irreducible of at most half the degree; for g g' the first
+    # distinct-degree piece is all of f, at half its degree
+    F = finite_field(*pk)
+    irr = _irreducibles(F, top)
+    rng = random.Random(f"ben_or:{pk}")
+    cases = rng.sample(irr, 10)
+    for _ in range(15):
+        g, h = rng.sample(irr, 2)
+        lin = [F.neg(F.element(rng.randrange(F.q))), F.one]
+        same = [e for e in irr if len(e) == len(g) and e != g] or [g]
+        cases += [unipoly.mul(F, g, g), unipoly.mul(F, unipoly.mul(F, lin, lin), h),
+                  unipoly.mul(F, g, rng.choice(same))]
+    want = [all(unipoly.mod(F, f, e) for e in irr if 2 * (len(e) - 1) <= len(f) - 1)
+            for f in cases]
+    assert want == [True] * 10 + [False] * 45
+    assert [unipoly.is_irreducible_finite(F, f) for f in cases] == want
+
+
+def test_ben_or_reads_only_the_first_piece(monkeypatch):
+    # x times an irreducible sextic over F_2: the first piece, at d = 1,
+    # decides, after one q-th power and none of the five further steps
+    f = unipoly.mul(F2, [0, 1], [1, 1, 0, 0, 0, 0, 1])
+    calls = []
+    pow_mod = unipoly.pow_mod
+    monkeypatch.setattr(unipoly, "pow_mod", lambda *a: calls.append(a) or pow_mod(*a))
+    assert not unipoly.is_irreducible_finite(F2, f)
+    assert len(calls) == 1
+
+
 def test_squarefree_part():
     from indecpoly.factoring import squarefree_part
 
@@ -409,6 +475,24 @@ def test_conjugate_split_count_splits_only_over_primes_of_the_evidence(
     built = _record_builds(monkeypatch)
     assert conjugate_split_count(G) == 2
     assert built == [(field.p, 2 * field.k)]
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_conjugate_split_count_screen_runs_no_equal_degree_split(monkeypatch, r):
+    # the screen reads point degrees off the distinct-degree pieces of its
+    # fibres: no equal-degree split runs before the exact phase builds a field
+    from indecpoly import factoring
+
+    F, E = finite_field(7), finite_field(7, r)
+    const = F.one if r == 1 else next(e for e in range(E.q) if projection(F, E)(e) is None)
+    G = _orbit_norm(_gao_cubic(E, random.Random(70 + r), const), F)
+    events = []
+    split, build = unipoly.equal_degree_split, factoring.finite_field
+    monkeypatch.setattr(unipoly, "equal_degree_split",
+                        lambda *a: events.append("split") or split(*a))
+    monkeypatch.setattr(factoring, "finite_field", lambda *a: events.append(a) or build(*a))
+    assert conjugate_split_count(G) == r
+    assert events[:1] == ([] if r == 1 else [(7, 2)])
 
 
 def test_factor_over_larger_field_via_lift():
