@@ -22,7 +22,9 @@ Three routes that must agree:
   and a block where no split survives is counted indecomposable in one
   addition, without building its polynomials.  In a block that survives,
   each polynomial goes to decompose.decompose_from_top with the root H of
-  each surviving split, which is thus taken once per block.
+  each surviving split, which is thus taken once per block; where H is the
+  only forced component, the powers of each candidate inner are built once
+  per block as well.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -292,6 +294,14 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
 
 
 def _scan(field, n, d, lo, hi, guard):
+    """(decomposable, indecomposable) counts of the monic indices in [lo, hi),
+    each verdict counted q - 1 times, block by block of monic top forms.
+
+    For n >= 2 every split a block's top admits keeps one list for the
+    block, handed to decompose_from_top with each of its polynomials: where
+    the top form is the only forced component (p^a >= m), the candidate
+    inners are the same for the whole block, so the powers of each are built
+    on first use and reused; the list is dropped when the block ends."""
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -317,14 +327,14 @@ def _scan(field, n, d, lo, hi, guard):
             for mono in reversed(tops):  # the first top monomial is the slowest digit
                 rest, top[mono] = divmod(rest, q)
             T = MPoly(field, n, top)
-            live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
+            live = [(e, H, []) for e in splits if (H := top_form_root(T, e)) is not None]
             if not live:  # no split survives the top: the whole block is indecomposable
                 ind += (q - 1) * (stop - start)
                 continue
             for digits in suffixes:
                 P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
-                for e, H in live:
-                    if decompose_from_top(P, e, H, guard) is not None:
+                for e, H, powers in live:
+                    if decompose_from_top(P, e, H, guard, powers) is not None:
                         hits += 1
                         break
         dec += (q - 1) * hits

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from . import unipoly
-from .arith import decimal, divisors, integer_nth_root, power_over
+from .arith import divisors, integer_nth_root, power_over
 from .fields import DEFAULT_GUARD, GuardExceeded
 from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
 
@@ -161,14 +161,21 @@ def _extend_root(G: MPoly, e: int, R: MPoly, floor: int):
 # multivariate decomposition (n >= 2; also valid over the rationals)
 # --------------------------------------------------------------------------
 
+def _inner_powers(H: MPoly, e: int) -> list:
+    """[1, H, ..., H^e], with no product by the constant 1."""
+    powers = [MPoly.const(H.dom, H.n, H.dom.one), H]
+    for _ in range(e - 1):
+        powers.append(powers[-1] * H)
+    return powers
+
+
 def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
-    """Outer coefficient list with F = sum u_i H^i and deg u = e, or None."""
+    """Outer coefficient list with F = sum u_i H^i and deg u = e, or None;
+    powers, when given, is _inner_powers(H, e)."""
     dom = F.dom
     m = H.degree()
-    if powers is None:  # [1, H, ..., H^e], with no product by the constant 1
-        powers = [MPoly.const(dom, F.n, dom.one), H]
-        for _ in range(e - 1):
-            powers.append(powers[-1] * H)
+    if powers is None:
+        powers = _inner_powers(H, e)
     u = [None] * (e + 1)
     lead_H = H.leading()[0]
     r = F
@@ -230,7 +237,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     return dec
 
 
-def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
+def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=None):
     """The normalized decomposition of F with outer degree e, or None, given
     H = top_form_root(F, e) (not None), the top form of every inner
     polynomial.  A caller that already holds H for the top form of F, as the
@@ -241,6 +248,13 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
     down to that degree: its p^a-th root is the sum of the forced components
     H_k, p^a (m - k) < m.  The free monomials go in iter_completions order;
     the first inner polynomial with an outer one (_extract_outer) wins.
+
+    When p^a >= m the top form is the only forced component, so the j-th
+    candidate inner is the same for every F with this top form and split.
+    There a caller may pass a list `powers` that it keeps across those F:
+    entry j is _inner_powers of the j-th candidate, appended on its first
+    use, at most q^(free count) entries.  When p^a < m the candidates depend
+    on F and the list is neither read nor written.
     """
     d = F.degree()
     dom = F.dom
@@ -257,8 +271,11 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
         H = None if R is None else poly_eth_root(R, pa)
         if H is None:
             return None
-    for inner in iter_completions(dom, F.n, H.terms, free) if free else [H]:
-        u = _extract_outer(F, inner, e)
+        powers = None  # these candidates depend on F, so no list kept across F fits them
+    for j, inner in enumerate(iter_completions(dom, F.n, H.terms, free) if free else [H]):
+        if powers is not None and j == len(powers):
+            powers.append(_inner_powers(inner, e))
+        u = _extract_outer(F, inner, e, None if powers is None else powers[j])
         if u is not None:
             return Decomposition(MPoly.from_dense(dom, u, 1), inner)
     return None
@@ -379,10 +396,10 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     while p and e % p == 0:
         a, e = a + 1, e // p
     nfree = s - 1 - (s - 1) // p ** a
-    if nfree and dom.q ** nfree > guard:
+    if nfree and (nfree >= guard.bit_length() or dom.q ** nfree > guard):  # q^nfree >= 2^nfree
         raise GuardExceeded(
             f"inner enumeration of {nfree} free coefficients, size "
-            f"{decimal(dom.q ** nfree)}, exceeds guard {guard}"
+            f"{power_over(dom.q, nfree, guard)}, exceeds guard {guard}"
         )
     fm = unipoly.monic(dom, f)
     top = _forced_inner_top(dom, fm, s, a, e)

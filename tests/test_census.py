@@ -247,21 +247,23 @@ def _reference_prefix(q, n, d):
     for digits in itertools.product(range(q), repeat=len(monos)):
         a, b = dec[-1], ind[-1]
         if any(digits[:ntop]):
-            if n == 1:
-                f = list(reversed(digits))
-                hit = any(decompose_uni_dense(field, f, r) is not None
-                          for r in outer_degrees(1, d))
-            else:
-                P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
-                hit = any(decompose_multi(P, e) is not None
-                          for e in divisors(d) if e >= 2)
-            if hit:
+            if _reference_hit(field, n, d, monos, digits):
                 a += 1
             else:
                 b += 1
         dec.append(a)
         ind.append(b)
     return dec, ind
+
+
+def _reference_hit(field, n, d, monos, digits):
+    """The reference verdict on the polynomial of exact degree d with the
+    coefficient digits `digits` on `monos`."""
+    if n == 1:
+        f = list(reversed(digits))
+        return any(decompose_uni_dense(field, f, r) is not None for r in outer_degrees(1, d))
+    P = MPoly(field, n, {e: c for e, c in zip(monos, digits) if c})
+    return any(decompose_multi(P, e) is not None for e in divisors(d) if e >= 2)
 
 
 def _top_block(q, n, d):
@@ -395,6 +397,87 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
     for n, d, lo, hi in [(2, 2, t * block, (t + 1) * block), (1, 4, 2 * 3 ** 4, 3 ** 5)]:
         rep = enumerate_census(3, n, d, part=(lo, hi))
         assert (rep.total, rep.decomposable, rep.indecomposable) == (0, 0, 0)
+
+
+def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
+    # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
+    # each.  No split is forced: e = 2 tries the inners x^2 + a x + b y under
+    # the top x^4 (4 candidates), e = 4 the inner x (1 candidate).  Outside
+    # the screen, the only products are the powers [1, H, ..., H^e], e - 1
+    # per candidate, built once in each slice's part of a live block
+    q, n, d = 2, 2, 4
+    candidates = {2: 4, 4: 1}
+    block, ntop = _top_block(q, n, d)
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    products = {"all": 0, "screen": 0}
+    mul, root = MPoly.__mul__, census.top_form_root
+
+    def counted_mul(self, other):
+        products["all"] += 1
+        return mul(self, other)
+
+    def counted_root(T, e):
+        before = products["all"]
+        H = root(T, e)
+        products["screen"] += products["all"] - before
+        return H
+
+    monkeypatch.setattr(MPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(census, "top_form_root", counted_root)
+    want, dec = 0, 0
+    for lo, hi in partition_ranges(q, n, d, 128):
+        t = lo // block
+        if t == 0:  # the zero top; over F_2 every other top is monic
+            continue
+        T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
+        want += sum(candidates[e] * (e - 1) for e in (2, 4) if root(T, e) is not None)
+        dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
+    assert dec == count_recursive(q, n, d).decomposable == 136
+    assert products["all"] - products["screen"] == want == 4 * (7 * 4 + 3 * 3)
+
+
+def _digits(i, q, k):
+    """The k base-q digits of the index i, the slowest first."""
+    out = []
+    for _ in range(k):
+        i, r = divmod(i, q)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def test_forced_split_slices_match_the_reference_loop(monkeypatch):
+    # over F_3 the top x^4 has the square root x^2 and the fourth root x.
+    # The split e = 2 has p^a = 1 < m = 2, so its inner's linear part depends
+    # on F: its list stays empty while e = 4 keeps one entry.  The space is
+    # 3^15, too large for _reference_prefix, so the reference loop runs over
+    # each slice only: the first has no cubic part, the second the cubic
+    # part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2
+    q, n, d = 3, 2, 4
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    block, ntop = _top_block(q, n, d)
+    t = q ** (ntop - 1)
+    seen = []
+    engine = census.decompose_from_top
+
+    def spy(F, e, H, guard, powers):
+        seen.append((e, powers))
+        return engine(F, e, H, guard, powers)
+
+    monkeypatch.setattr(census, "decompose_from_top", spy)
+    for offset in (0, 2 * q ** 9 + 2 * q ** 8):
+        lo = t * block + offset
+        hi = lo + q ** 6
+        hits = sum(_reference_hit(field, n, d, monos, _digits(i, q, len(monos)))
+                   for i in range(lo, hi))
+        rep = enumerate_census(q, n, d, part=(lo, hi))
+        assert hits > 0
+        assert (rep.decomposable, rep.indecomposable) == ((q - 1) * hits,
+                                                          (q - 1) * (hi - lo - hits))
+    assert {e for e, _ in seen} == {2, 4}
+    assert all(powers == [] for e, powers in seen if e == 2)
+    assert all(len(powers) == 1 for e, powers in seen if e == 4)
 
 
 # D(q, 1, d) taken from the unreduced scan, before the scan counted each

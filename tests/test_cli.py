@@ -504,6 +504,19 @@ def test_cli_checks_scans_sweeps_and_inner_spaces_against_the_guard_before_work(
     assert err == f"error: {message}\n"
 
 
+def test_cli_dense_decomposer_refuses_before_building_its_space(capsys, monkeypatch):
+    # x^6000000 over F_2 at r = 2 leaves 1,500,000 inner coefficients free:
+    # 2^1500000 is named, never built nor written out in decimal
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    monkeypatch.setattr("indecpoly.decompose._forced_inner_top",
+                        lambda *a: pytest.fail("_forced_inner_top ran"))
+    code, out, err = run_cli(capsys, "decompose", "--field", "2", "x^6000000")
+    assert code == 1 and out == ""
+    assert err == ("error: inner enumeration of 1500000 free coefficients, size 2^1500000, "
+                   "exceeds guard 16777216\n")
+    assert len(err) < 200
+
+
 def test_cli_count_guard_keeps_the_earlier_input_errors(capsys):
     # comb(202, 2) = 20,301 digits fit the default guard; a guard below it
     # reports after the prime-power check, and a d_max below 8 keeps its error
