@@ -22,9 +22,10 @@ degree k with p^a (m - k) < m, as the p^a-th root of an e'-th root taken one
 term at a time (over homogeneous components in decompose_from_top, as a series
 at infinity in _forced_inner_top), or rejects the input.  The others are
 free: the guard bounds q^(free count) before they are enumerated, and there
-are none when the split is tame.  The outer polynomial is recovered by
-repeated division, so a returned pair recomposes to the input by
-construction.
+are none when the split is tame.  The outer polynomial is peeled off from
+the top degree down, u_i H^i subtracted in place from a copy of the input
+(by repeated division in one variable), so a returned pair recomposes to
+the input by construction.
 """
 
 from __future__ import annotations
@@ -171,30 +172,35 @@ def _inner_powers(H: MPoly, e: int) -> list:
 
 def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
     """Outer coefficient list with F = sum u_i H^i and deg u = e, or None;
-    powers, when given, is _inner_powers(H, e)."""
+    powers, when given, is _inner_powers(H, e).
+
+    One copy of the terms of F is peeled in place; no polynomial is built.
+    At the top degree k = i deg(H) of the rest, u_i is read at i lead(H), the
+    leading term of H^i, and u_i H^i is subtracted term by term, which cancels
+    that term.  A monomial above i lead(H) of degree k is no term of H^i and
+    stays, so the next step sees degree k again, finds no term at i lead(H)
+    and returns None, as a graded-lex leading-term check would."""
     dom = F.dom
+    zero, sub, mul = dom.zero, dom.sub, dom.mul
     m = H.degree()
     if powers is None:
         powers = _inner_powers(H, e)
-    u = [None] * (e + 1)
+    u = [zero] * (e + 1)
     lead_H = H.leading()[0]
-    r = F
-    while not r.is_zero():
-        k = r.degree()
-        if k % m:
+    r = dict(F.terms)
+    while r:
+        i, rest = divmod(max(map(sum, r)), m)
+        top = tuple(i * a for a in lead_H)
+        if rest or i > e or top not in r:
             return None
-        i = k // m
-        if i > e or u[i] is not None:
-            return None
-        re, rc = r.leading()
-        if re != tuple(i * a for a in lead_H):
-            return None
-        ui = dom.div(rc, dom.pow(H.leading()[1], i))
-        u[i] = ui
-        r = r - powers[i].scale(ui)
-    if u[e] is None:
-        return None
-    return [c if c is not None else dom.zero for c in u]
+        ui = u[i] = dom.div(r[top], powers[i].terms[top])
+        for mono, c in powers[i].terms.items():
+            s = sub(r.get(mono, zero), mul(c, ui))
+            if s == zero:
+                del r[mono]
+            else:
+                r[mono] = s
+    return None if u[e] == zero else u
 
 
 def top_form_root(F: MPoly, e: int):
@@ -252,9 +258,10 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     When p^a >= m the top form is the only forced component, so the j-th
     candidate inner is the same for every F with this top form and split.
     There a caller may pass a list `powers` that it keeps across those F:
-    entry j is _inner_powers of the j-th candidate, appended on its first
-    use, at most q^(free count) entries.  When p^a < m the candidates depend
-    on F and the list is neither read nor written.
+    entry j, _inner_powers of the j-th candidate, is read back, and only the
+    candidates past its end are built and appended, at most q^(free count)
+    entries.  When p^a < m the candidates depend on F and the list is
+    neither read nor written.
     """
     d = F.degree()
     dom = F.dom
@@ -272,12 +279,19 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
         if H is None:
             return None
         powers = None  # these candidates depend on F, so no list kept across F fits them
-    for j, inner in enumerate(iter_completions(dom, F.n, H.terms, free) if free else [H]):
-        if powers is not None and j == len(powers):
-            powers.append(_inner_powers(inner, e))
-        u = _extract_outer(F, inner, e, None if powers is None else powers[j])
+    for j in range(dom.q ** nfree if nfree else 1):  # iter_completions order
+        if powers is not None and j < len(powers):
+            pows = powers[j]
+        else:
+            terms, rest = dict(H.terms), j  # j's digits on the free monomials, the last fastest
+            for mono in reversed(free):
+                rest, terms[mono] = divmod(rest, dom.q)  # each element is its own index
+            pows = _inner_powers(MPoly(dom, F.n, terms), e)
+            if powers is not None:
+                powers.append(pows)
+        u = _extract_outer(F, pows[1], e, pows)
         if u is not None:
-            return Decomposition(MPoly.from_dense(dom, u, 1), inner)
+            return Decomposition(MPoly.from_dense(dom, u, 1), pows[1])
     return None
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib.util
 import itertools
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from indecpoly import census
+from indecpoly import census, decompose
 from indecpoly.arith import divisors
 from indecpoly.decompose import decompose_multi, decompose_uni_dense, outer_degrees
 from indecpoly.fields import GuardExceeded, field_from_order
@@ -16,7 +17,7 @@ from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_smal
                               count_recursive, count_total, count_uni, enumerate_census,
                               enumerate_census_parallel, merge_reports, partition_ranges,
                               scan_space, trend_table)
-from indecpoly.mpoly import MPoly, monomials_upto
+from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
 
 
 def test_count_total_values():
@@ -435,6 +436,59 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
     assert products["all"] - products["screen"] == want == 4 * (7 * 4 + 3 * 3)
+
+
+def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
+    # the same 128 slices of (2, 2, 4).  Inside the engine, outside the powers
+    # [1, H, ..., H^e], the only two-variable polynomials built are candidate
+    # inners, each once per slice and live split: later polynomials read it
+    # back from the block's list, and the peel builds no polynomial at all
+    q, n, d = 2, 2, 4
+    block, ntop = _top_block(q, n, d)
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    state = {"engine": False, "powers": False}
+    built = []
+    init, engine, inner_powers = MPoly.__init__, census.decompose_from_top, decompose._inner_powers
+
+    def spy_init(self, dom, nvars, terms=None):
+        init(self, dom, nvars, terms)
+        if state["engine"] and not state["powers"] and nvars == 2:
+            built.append(self)
+
+    def spy_engine(*args):
+        state["engine"] = True
+        try:
+            return engine(*args)
+        finally:
+            state["engine"] = False
+
+    def spy_powers(H, e):
+        state["powers"] = True
+        try:
+            return inner_powers(H, e)
+        finally:
+            state["powers"] = False
+
+    monkeypatch.setattr(MPoly, "__init__", spy_init)
+    monkeypatch.setattr(census, "decompose_from_top", spy_engine)
+    monkeypatch.setattr(decompose, "_inner_powers", spy_powers)
+    slices = 0
+    for lo, hi in partition_ranges(q, n, d, 128):
+        t = lo // block
+        if t == 0:  # the zero top; over F_2 every other top is monic
+            continue
+        T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
+        want = []
+        for e in (2, 4):
+            if (H := census.top_form_root(T, e)) is not None:
+                free = [(1, 0), (0, 1)] if e == 2 else []
+                want += iter_completions(field, n, H.terms, free)
+        del built[:]
+        enumerate_census(q, n, d, part=(lo, hi))
+        assert collections.Counter(built) == collections.Counter(want), (lo, hi)
+        slices += bool(want)
+    assert slices == 4 * 7  # the tops with a fourth root have a square root too
 
 
 def _digits(i, q, k):

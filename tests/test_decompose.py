@@ -620,3 +620,101 @@ def test_decompose_from_top_ignores_the_list_on_a_forced_split():
     dec = decompose_from_top(F, 2, root, powers=powers)
     assert dec == decompose_from_top(F, 2, root) and dec is not None and dec.recompose() == F
     assert powers == []
+
+
+def _reference_extract_outer(F, H, e, powers=None):
+    """The peel that rebuilds the rest as a polynomial at every step and
+    checks its graded-lex leading term: the reference for _extract_outer."""
+    dom = F.dom
+    m = H.degree()
+    if powers is None:
+        powers = _inner_powers(H, e)
+    u = [None] * (e + 1)
+    lead_H = H.leading()[0]
+    r = F
+    while not r.is_zero():
+        k = r.degree()
+        if k % m:
+            return None
+        i = k // m
+        if i > e or u[i] is not None:
+            return None
+        re, rc = r.leading()
+        if re != tuple(i * a for a in lead_H):
+            return None
+        ui = dom.div(rc, dom.pow(H.leading()[1], i))
+        u[i] = ui
+        r = r - powers[i].scale(ui)
+    if u[e] is None:
+        return None
+    return [c if c is not None else dom.zero for c in u]
+
+
+def _peel_corpus():
+    """(F, H, e, outer coefficients or None): composites u(H) with zero u_i,
+    the same composites perturbed below the top degree, and H of any leading
+    coefficient, over F_2, F_3, F_4, F_5, F_9 and QQ in one to three
+    variables; the answers are the reference peel's."""
+    rng = random.Random(29)
+    out = []
+    for dom in (F2, F3, finite_field(2, 2), F5, finite_field(3, 2), QQ):
+        if dom is QQ:
+            def draw():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        else:
+            def draw(dom=dom):
+                return dom.element(rng.randrange(dom.q))
+        for n in (1, 2, 3):
+            for _ in range(12):
+                m, e = rng.choice([(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3)])
+                H = _random_poly(rng, dom, n, m, draw)
+                if H.degree() != m:
+                    continue
+                coeffs = [draw() if rng.random() < 0.6 else dom.zero for _ in range(e)]
+                u = MPoly.from_dense(dom, coeffs + [draw()], 1)
+                if u.degree() != e:
+                    continue
+                G = compose(u, H)
+                for F in (G, G + _random_poly(rng, dom, n, m * e - 1, draw)):
+                    out.append((F, H, e, _reference_extract_outer(F, H, e)))
+    return out
+
+
+def test_extract_outer_matches_the_rebuilding_reference():
+    cases = {"composite": 0, "zero u_i": 0, "none": 0, "lc": 0}
+    for F, H, e, want in _peel_corpus():
+        assert _extract_outer(F, H, e) == want, (F.format(), H.format(), e)
+        assert _extract_outer(F, H, e, _inner_powers(H, e)) == want, (F.format(), H.format(), e)
+        cases["none" if want is None else "composite"] += 1
+        cases["zero u_i"] += want is not None and F.dom.zero in want
+        cases["lc"] += H.leading()[1] != H.dom.one
+    assert cases["composite"] >= 140 and cases["zero u_i"] >= 50, cases
+    assert cases["none"] >= 100 and cases["lc"] >= 150, cases
+    # a monomial above i lead(H) of the same degree i m survives the step that
+    # reads u_i at i lead(H); the next step meets degree i m again
+    for dom, n in [(F3, 2), (QQ, 3)]:
+        H = MPoly(dom, n, {(1, 1) + (0,) * (n - 2): dom.one, (1,) + (0,) * (n - 1): dom.one})
+        x2 = MPoly(dom, n, {(2,) + (0,) * (n - 1): dom.one})  # above x y, degree 2
+        F = H * H + H + x2
+        assert _reference_extract_outer(F, H, 2) is None
+        assert _extract_outer(F, H, 2) is None
+        assert _extract_outer(F, H, 2, _inner_powers(H, 2)) is None
+        assert _extract_outer(F - x2, H, 2) == [dom.zero, dom.one, dom.one]
+
+
+def test_extract_outer_with_its_powers_builds_no_polynomial(monkeypatch):
+    # the peel subtracts in place from one dict of terms: given the powers, it
+    # constructs no MPoly, whether or not the input is a composite
+    cases = [(F, H, e, _inner_powers(H, e), want) for F, H, e, want in _peel_corpus()[::5]]
+    built = []
+    init = MPoly.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MPoly, "__init__", spy_init)
+    assert {want is None for *_, want in cases} == {True, False}
+    for F, H, e, powers, want in cases:
+        assert _extract_outer(F, H, e, powers) == want
+    assert built == []
