@@ -22,9 +22,11 @@ Three routes that must agree:
   and a block where no split survives is counted indecomposable in one
   addition, without building its polynomials.  In a block that survives,
   each polynomial goes to decompose.decompose_from_top with the root H of
-  each surviving split, which is thus taken once per block; where H is the
-  only forced component, the powers of each candidate inner are built once
-  per block as well.
+  each surviving split, which is thus taken once per block, and there a
+  split whose outer degree does not divide every partial degree of the
+  polynomial is rejected before any other work; where H is the only forced
+  component, the powers of each candidate inner are built once per block as
+  well.
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -301,7 +303,11 @@ def _scan(field, n, d, lo, hi, guard):
     block, handed to decompose_from_top with each of its polynomials: where
     the top form is the only forced component (p^a >= m), the candidate
     inners are the same for the whole block, so the powers of each are built
-    on first use and reused; the list is dropped when the block ends."""
+    on first use and reused; the list is dropped when the block ends.  A
+    polynomial whose partial degrees the split's e does not all divide is
+    answered there before any candidate, so a list is filled only at the
+    splits that some polynomial of the block passes that way.  A slice's
+    first tuple of low digits is decoded from its start (_digit_tuples)."""
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -313,10 +319,9 @@ def _scan(field, n, d, lo, hi, guard):
     for t in itertools.chain.from_iterable(  # the tops whose first nonzero digit is 1
             range(max(tops_lo, q ** k), min(tops_hi, 2 * q ** k)) for k in range(ntop)):
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)
-        suffixes = itertools.islice(itertools.product(range(q), repeat=len(lows)), start, stop)
         hits = 0
         if n == 1:  # the one top x^d: the dense engine at every split
-            for digits in suffixes:
+            for digits in _digit_tuples(q, len(lows), start, stop):
                 f = [*reversed(digits), 1]  # constant first
                 for r in splits:
                     if decompose_uni_dense(field, f, r, guard) is not None:
@@ -331,7 +336,7 @@ def _scan(field, n, d, lo, hi, guard):
             if not live:  # no split survives the top: the whole block is indecomposable
                 ind += (q - 1) * (stop - start)
                 continue
-            for digits in suffixes:
+            for digits in _digit_tuples(q, len(lows), start, stop):
                 P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
                 for e, H, powers in live:
                     if decompose_from_top(P, e, H, guard, powers) is not None:
@@ -340,6 +345,24 @@ def _scan(field, n, d, lo, hi, guard):
         dec += (q - 1) * hits
         ind += (q - 1) * (stop - start - hits)
     return dec, ind
+
+
+def _digit_tuples(q, k, start, stop):
+    """The k >= 1 base-q digits, slowest first, of each index in [start,
+    stop), 0 <= start < q^k, in order, with no step through the indices
+    below start.  With j0 the position of the last nonzero digit of start (0
+    when there is none), they are the tuples that agree with start above j0
+    and are at least its digit there, then for each j < j0 those that agree
+    with start above j and exceed it at j."""
+    digits, rest = [], start
+    for _ in range(k):
+        rest, r = divmod(rest, q)
+        digits.append((r,))
+    digits.reverse()
+    j0 = max((j for j in range(k) if digits[j][0]), default=0)
+    runs = [itertools.product(*digits[:j], range(digits[j][0] + (j < j0), q),
+                              *[range(q)] * (k - 1 - j)) for j in reversed(range(j0 + 1))]
+    return itertools.islice(itertools.chain(*runs), stop - start)
 
 
 def merge_reports(reports) -> CensusReport:

@@ -17,15 +17,17 @@ the free coefficients, the highest-degree one varying slowest.
 
 One rule for every split, in both arities: with outer degree e = p^a e'
 (p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
-inner degree m = d/e, the top of the input forces the inner coefficients of
-degree k with p^a (m - k) < m, as the p^a-th root of an e'-th root taken one
-term at a time (over homogeneous components in decompose_from_top, as a series
-at infinity in _forced_inner_top), or rejects the input.  The others are
-free: the guard bounds q^(free count) before they are enumerated, and there
-are none when the split is tame.  The outer polynomial is peeled off from
-the top degree down, u_i H^i subtracted in place from a copy of the input
-(by repeated division in one variable), so a returned pair recomposes to
-the input by construction.
+inner degree m = d/e, a split is rejected first when e does not divide the
+degree in every variable (_partial_degrees_admit: deg_v u(H) = e deg_v H,
+which in one variable is e | d and always holds).  Then the top of the input
+forces the inner coefficients of degree k with p^a (m - k) < m, as the p^a-th
+root of an e'-th root taken one term at a time (over homogeneous components
+in decompose_from_top, as a series at infinity in _forced_inner_top), or
+rejects the input.  The others are free: the guard bounds q^(free count)
+before they are enumerated, and there are none when the split is tame.  The
+outer polynomial is peeled off from the top degree down, u_i H^i subtracted
+in place from a copy of the input (by repeated division in one variable), so
+a returned pair recomposes to the input by construction.
 """
 
 from __future__ import annotations
@@ -140,22 +142,46 @@ def _extend_root(G: MPoly, e: int, R: MPoly, floor: int):
 
     Each new term is the leading term of G - R^e divided by e lead(R)^(e-1),
     the leading term of what it adds to R^e, and must be a monomial strictly
-    below every term of R.  Glex is a well-order, so the loop stops."""
+    below every term of R.  Glex is a well-order, so the loop stops.  The rest
+    G - R^e and the powers R^k, k < e, are kept as dicts and updated per added
+    term t by (R + t)^k = sum_i C(k, i) R^(k-i) t^i, which divides by no index,
+    so no power of R is taken again."""
     dom = G.dom
+    zero, add, mul = dom.zero, dom.add, dom.mul
     root_lead, z = R.leading()
-    ez_inv = dom.inv(dom.mul(dom.from_int(e), dom.pow(z, e - 1)))
+    ez_inv = dom.inv(mul(dom.from_int(e), dom.pow(z, e - 1)))
     last_key = min(map(glex_key, R.terms))
-    while True:
-        rem = G - R ** e
-        if rem.degree() <= floor:
-            return R
-        re, rc = rem.leading()
+    powers = _inner_powers(R, e)
+    rest = dict((G - powers[e]).terms)
+    pw = [dict(P.terms) for P in powers[:max(e, 2)]]  # R^0 .. R^(e-1), and R itself
+    binom = [[dom.from_int(comb(k, i)) for i in range(k + 1)] for k in range(e + 1)]
+
+    def add_times_t(target, src, i, b):  # target += b t^i src in place, t = c x^te
+        bt = mul(b, dom.pow(c, i))
+        if bt == zero:
+            return
+        shift = tuple(i * a for a in te)
+        for mono, v in src.items():
+            mono = tuple(map(int.__add__, mono, shift))
+            s = add(target.get(mono, zero), mul(v, bt))
+            if s == zero:
+                del target[mono]
+            else:
+                target[mono] = s
+
+    while rest and sum(re := max(rest, key=glex_key)) > floor:
         te = tuple(a - (e - 1) * b for a, b in zip(re, root_lead))
         key = glex_key(te)
         if any(k < 0 for k in te) or key >= last_key:
             return None
         last_key = key
-        R = R + MPoly(dom, G.n, {te: dom.mul(rc, ez_inv)})
+        c = mul(rest[re], ez_inv)
+        for i in range(1, e + 1):  # rest -= (R + t)^e - R^e, from the old powers
+            add_times_t(rest, pw[e - i], i, dom.neg(binom[e][i]))
+        for k in range(len(pw) - 1, 0, -1):  # highest first: each reads only lower, older powers
+            for i in range(1, k + 1):
+                add_times_t(pw[k], pw[k - i], i, binom[k][i])
+    return MPoly(dom, G.n, pw[1])
 
 
 # --------------------------------------------------------------------------
@@ -220,20 +246,32 @@ def top_form_root(F: MPoly, e: int):
     return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
 
 
+def _partial_degrees_admit(F: MPoly, e: int) -> bool:
+    """Whether e divides deg_v F in every variable v.  Every F = u(H) with
+    deg u = e has deg_v F = e deg_v H, since lc_v(H)^e != 0 over an integral
+    domain, so a split that fails this has no decomposition.  It reads the
+    exponents only; in one variable it always holds for a split of deg F."""
+    return not any(max(exps) % e for exps in zip(*F.terms))
+
+
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None, in any
     number of variables; ValueError unless e is in outer_degrees(F.n, deg F).
-    In several variables the root of the top form (top_form_root) goes on to
-    decompose_from_top; in one variable decompose_uni_dense answers, and its
-    pair is checked to recompose to F."""
-    if F.n >= 2:
-        H = top_form_root(F, e)
-        return None if H is None else decompose_from_top(F, e, H, guard)
+    In several variables a split that passes _partial_degrees_admit has its
+    top form's root taken (top_form_root) and goes on to decompose_from_top;
+    in one variable decompose_uni_dense answers, and its pair is checked to
+    recompose to F."""
     if F.is_zero() or F.is_constant():
         raise ValueError("cannot decompose a constant")
     d = F.degree()
-    if e not in outer_degrees(1, d):
-        raise ValueError(f"invalid degree split: need e >= 2 and {d}/e >= 2")
+    if e < 2 or d % e or (F.n == 1 and e == d):  # e not in outer_degrees(F.n, d)
+        raise ValueError(f"outer degree {e} must be >= 2 and divide {d}" if F.n >= 2
+                         else f"invalid degree split: need e >= 2 and {d}/e >= 2")
+    if F.n >= 2:
+        if not _partial_degrees_admit(F, e):
+            return None
+        H = top_form_root(F, e)
+        return None if H is None else decompose_from_top(F, e, H, guard)
     res = decompose_uni_dense(F.dom, F.to_dense(), e, guard)
     if res is None:
         return None
@@ -249,6 +287,9 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     polynomial.  A caller that already holds H for the top form of F, as the
     census does for a whole block of polynomials, passes it here.
 
+    A split that fails _partial_degrees_admit(F, e) is answered None first,
+    before the guard, any root, candidate or peel: the partial degrees differ
+    between polynomials of one top form, so the caller's H cannot settle it.
     Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
     degree d - m.  So extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F)
     down to that degree: its p^a-th root is the sum of the forced components
@@ -263,6 +304,8 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     entries.  When p^a < m the candidates depend on F and the list is
     neither read nor written.
     """
+    if not _partial_degrees_admit(F, e):
+        return None
     d = F.degree()
     dom = F.dom
     m = d // e

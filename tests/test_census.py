@@ -400,12 +400,41 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
         assert (rep.total, rep.decomposable, rep.indecomposable) == (0, 0, 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _splits_past_the_screen(q, n, d, lo, hi):
+    """The splits e of the top block holding the slice [lo, hi) at which some
+    polynomial of the slice reaches decompose_from_top and passes the
+    partial-degree screen: e divides deg_v P in every variable v, read here
+    from the exponents.  The scan tries a top's live splits in order and stops
+    at the first decomposition, so a later split is reached only by the
+    polynomials that no earlier one decomposes."""
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    block, ntop = _top_block(q, n, d)
+    T = MPoly(field, n, {mono: c for mono, c in zip(monos, _digits(lo // block, q, ntop)) if c})
+    live = [e for e in outer_degrees(n, d) if census.top_form_root(T, e) is not None]
+    passed = set()
+    for i in range(lo, hi):
+        P = MPoly(field, n, {mono: c for mono, c in zip(monos, _digits(i, q, len(monos))) if c})
+        for e in live:
+            if all(P.deg_in(v) % e == 0 for v in range(n)):
+                passed.add(e)
+            if decompose_multi(P, e) is not None:
+                break
+        if len(passed) == len(live):
+            break
+    return tuple(sorted(passed))
+
+
 def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
     # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
     # each.  No split is forced: e = 2 tries the inners x^2 + a x + b y under
     # the top x^4 (4 candidates), e = 4 the inner x (1 candidate).  Outside
-    # the screen, the only products are the powers [1, H, ..., H^e], e - 1
-    # per candidate, built once in each slice's part of a live block
+    # the top-form screen, the only products are the powers [1, H, ..., H^e],
+    # e - 1 per candidate, built once in each slice's part of a live block,
+    # at the splits some polynomial of the slice takes past the
+    # partial-degree screen: 22 slices at e = 2 and 7 at e = 4 of the 28 and
+    # 12 whose top has the root
     q, n, d = 2, 2, 4
     candidates = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
@@ -424,29 +453,37 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
         products["screen"] += products["all"] - before
         return H
 
+    # the zero top is skipped; over F_2 every other top is monic
+    slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
+    passed = {s: _splits_past_the_screen(q, n, d, *s) for s in slices}  # before the spies
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
     monkeypatch.setattr(census, "top_form_root", counted_root)
     want, dec = 0, 0
-    for lo, hi in partition_ranges(q, n, d, 128):
+    for lo, hi in slices:
         t = lo // block
-        if t == 0:  # the zero top; over F_2 every other top is monic
-            continue
         T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
-        want += sum(candidates[e] * (e - 1) for e in (2, 4) if root(T, e) is not None)
+        assert set(passed[lo, hi]) <= {e for e in (2, 4) if root(T, e) is not None}
+        want += sum(candidates[e] * (e - 1) for e in passed[lo, hi])
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
-    assert products["all"] - products["screen"] == want == 4 * (7 * 4 + 3 * 3)
+    assert [sum(e in p for p in passed.values()) for e in (2, 4)] == [22, 7]
+    assert products["all"] - products["screen"] == want == 22 * 4 * 1 + 7 * 1 * 3
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
     # the same 128 slices of (2, 2, 4).  Inside the engine, outside the powers
     # [1, H, ..., H^e], the only two-variable polynomials built are candidate
     # inners, each once per slice and live split: later polynomials read it
-    # back from the block's list, and the peel builds no polynomial at all
+    # back from the block's list, and the peel builds no polynomial at all.
+    # A split that no polynomial of the slice takes past the partial-degree
+    # screen builds none
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
     field = field_from_order(q)
     monos = monomials_upto(n, d)
+    # the zero top is skipped; over F_2 every other top is monic
+    slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
+    passed = {s: _splits_past_the_screen(q, n, d, *s) for s in slices}  # before the spies
     state = {"engine": False, "powers": False}
     built = []
     init, engine, inner_powers = MPoly.__init__, census.decompose_from_top, decompose._inner_powers
@@ -473,22 +510,34 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
     monkeypatch.setattr(MPoly, "__init__", spy_init)
     monkeypatch.setattr(census, "decompose_from_top", spy_engine)
     monkeypatch.setattr(decompose, "_inner_powers", spy_powers)
-    slices = 0
-    for lo, hi in partition_ranges(q, n, d, 128):
+    busy = 0
+    for lo, hi in slices:
         t = lo // block
-        if t == 0:  # the zero top; over F_2 every other top is monic
-            continue
         T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
         want = []
-        for e in (2, 4):
-            if (H := census.top_form_root(T, e)) is not None:
-                free = [(1, 0), (0, 1)] if e == 2 else []
-                want += iter_completions(field, n, H.terms, free)
+        for e in passed[lo, hi]:
+            H = census.top_form_root(T, e)
+            free = [(1, 0), (0, 1)] if e == 2 else []
+            want += iter_completions(field, n, H.terms, free)
         del built[:]
         enumerate_census(q, n, d, part=(lo, hi))
         assert collections.Counter(built) == collections.Counter(want), (lo, hi)
-        slices += bool(want)
-    assert slices == 4 * 7  # the tops with a fourth root have a square root too
+        busy += bool(want)
+    assert busy == 22  # of the 28 slices whose top has a square root
+
+
+def test_scan_slices_start_at_their_decoded_digits():
+    # a slice's first tuple is decoded from its start, not reached by stepping
+    # through every tuple before it: the last two of 3^30 come at once
+    rng = random.Random(34)
+    for _ in range(500):
+        q, k = rng.choice([2, 3, 4, 5]), rng.randint(1, 5)
+        lo = rng.randrange(q ** k)
+        hi = rng.randint(lo, q ** k)
+        assert list(census._digit_tuples(q, k, lo, hi)) == list(
+            itertools.islice(itertools.product(range(q), repeat=k), lo, hi)), (q, k, lo, hi)
+    assert list(census._digit_tuples(3, 30, 3 ** 30 - 2, 3 ** 30)) == [
+        (2,) * 29 + (1,), (2,) * 30]
 
 
 def _digits(i, q, k):
@@ -503,10 +552,12 @@ def _digits(i, q, k):
 def test_forced_split_slices_match_the_reference_loop(monkeypatch):
     # over F_3 the top x^4 has the square root x^2 and the fourth root x.
     # The split e = 2 has p^a = 1 < m = 2, so its inner's linear part depends
-    # on F: its list stays empty while e = 4 keeps one entry.  The space is
-    # 3^15, too large for _reference_prefix, so the reference loop runs over
-    # each slice only: the first has no cubic part, the second the cubic
-    # part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2
+    # on F: its list stays empty while e = 4 keeps one entry, in a slice where
+    # some polynomial takes e = 4 past the partial-degree screen.  The space
+    # is 3^15, too large for _reference_prefix, so the reference loop runs
+    # over each slice only: the first has no cubic part, the second the cubic
+    # part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2, so deg_y is 1 or 2 there and
+    # e = 4 is screened out of every polynomial
     q, n, d = 3, 2, 4
     field = field_from_order(q)
     monos = monomials_upto(n, d)
@@ -520,18 +571,22 @@ def test_forced_split_slices_match_the_reference_loop(monkeypatch):
         return engine(F, e, H, guard, powers)
 
     monkeypatch.setattr(census, "decompose_from_top", spy)
+    kept = []
     for offset in (0, 2 * q ** 9 + 2 * q ** 8):
         lo = t * block + offset
         hi = lo + q ** 6
         hits = sum(_reference_hit(field, n, d, monos, _digits(i, q, len(monos)))
                    for i in range(lo, hi))
+        del seen[:]
         rep = enumerate_census(q, n, d, part=(lo, hi))
         assert hits > 0
         assert (rep.decomposable, rep.indecomposable) == ((q - 1) * hits,
                                                           (q - 1) * (hi - lo - hits))
-    assert {e for e, _ in seen} == {2, 4}
-    assert all(powers == [] for e, powers in seen if e == 2)
-    assert all(len(powers) == 1 for e, powers in seen if e == 4)
+        assert {e for e, _ in seen} == {2, 4}
+        assert all(powers == [] for e, powers in seen if e == 2)
+        kept.append({len(powers) for e, powers in seen if e == 4})
+        assert kept[-1] == {int(4 in _splits_past_the_screen(q, n, d, lo, hi))}
+    assert kept == [{1}, {0}]
 
 
 # D(q, 1, d) taken from the unreduced scan, before the scan counted each

@@ -486,7 +486,7 @@ def test_cli_checks_the_counts_against_the_guard_before_work(capsys, monkeypatch
      "scan space 3^2003001 exceeds guard 16777216"),
     (("spectrum", "--field", "3", "x^60000 + y"), ("spectrum.sum",),
      "spectral sweep over at least 3^59999 elements exceeds guard 16777216"),
-    (("indec", "--field", "2", "x^4000 + y"), ("decompose.monomials_upto",),
+    (("indec", "--field", "2", "x^4000 + y^2"), ("decompose.monomials_upto",),
      "inner enumeration of 501500 free monomials, size 2^501500, exceeds guard 16777216"),
 ])
 def test_cli_checks_scans_sweeps_and_inner_spaces_against_the_guard_before_work(
@@ -502,6 +502,18 @@ def test_cli_checks_scans_sweeps_and_inner_spaces_against_the_guard_before_work(
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_cli_indec_answers_by_partial_degrees_without_the_guard(capsys, monkeypatch):
+    # deg_y = 1 is divisible by no outer degree, so every split of x^4000 + y
+    # is ruled out before its 2^501500 inner candidates are named
+    monkeypatch.delenv("SPEC_GUARD", raising=False)
+    monkeypatch.setattr("indecpoly.decompose.top_form_root",
+                        lambda *a: pytest.fail("top_form_root ran"))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "indec", "--field", "2", "x^4000 + y")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["indecomposable"] is True
 
 
 def test_cli_dense_decomposer_refuses_before_building_its_space(capsys, monkeypatch):

@@ -12,10 +12,13 @@ from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
 from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
 from indecpoly.parsing import parse_poly
-from indecpoly.decompose import (Decomposition, _extract_outer, _inner_powers, compose,
-                                 decompose_from_top, decompose_multi, decompose_uni_dense,
-                                 dickson, is_indecomposable_multi, is_pth_power,
-                                 iter_normalized_inner, normalize, poly_eth_root, top_form_root)
+from indecpoly import decompose
+from indecpoly.decompose import (Decomposition, _extend_root, _extract_outer, _inner_powers,
+                                 _partial_degrees_admit, compose, decompose_from_top,
+                                 decompose_multi, decompose_uni_dense, dickson,
+                                 is_indecomposable_multi, is_pth_power, iter_normalized_inner,
+                                 normalize, outer_degrees, poly_eth_root, top_form_root)
+from indecpoly.mpoly import glex_key
 
 F2, F3, F5, F7 = finite_field(2), finite_field(3), finite_field(5), finite_field(7)
 
@@ -718,3 +721,175 @@ def test_extract_outer_with_its_powers_builds_no_polynomial(monkeypatch):
     for F, H, e, powers, want in cases:
         assert _extract_outer(F, H, e, powers) == want
     assert built == []
+
+
+def _reference_extend_root(G, e, R, floor):
+    """The root extension that takes G - R^e again after every added term:
+    the reference for _extend_root."""
+    dom = G.dom
+    root_lead, z = R.leading()
+    ez_inv = dom.inv(dom.mul(dom.from_int(e), dom.pow(z, e - 1)))
+    last_key = min(map(glex_key, R.terms))
+    while True:
+        rem = G - R ** e
+        if rem.degree() <= floor:
+            return R
+        re, rc = rem.leading()
+        te = tuple(a - (e - 1) * b for a, b in zip(re, root_lead))
+        key = glex_key(te)
+        if any(k < 0 for k in te) or key >= last_key:
+            return None
+        last_key = key
+        R = R + MPoly(dom, G.n, {te: dom.mul(rc, ez_inv)})
+
+
+def _root_corpus():
+    """(G, e, R, floor): R^e and R^e perturbed, for a random R, starting from
+    the leading term of R with a floor of -1 or a random one, or from the top
+    form of R with the floor e deg R - deg R, as the forced inner of
+    decompose_from_top starts; over F_2, F_3, F_4, F_5, F_7 and QQ at
+    e = 1, 2, 3, 5 with p not dividing e."""
+    rng = random.Random(30)
+    out = []
+    for dom in (F2, F3, finite_field(2, 2), F5, F7, QQ):
+        if dom is QQ:
+            def draw():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        else:
+            def draw(dom=dom):
+                return dom.element(rng.randrange(dom.q))
+        for e in (1, 2, 3, 5):
+            if dom.char and e % dom.char == 0:
+                continue
+            for n in (1, 2, 3):
+                for _ in range(4):
+                    R = _random_poly(rng, dom, n, rng.choice([1, 2, 3]), draw)
+                    if R.is_constant():
+                        continue
+                    d = e * R.degree()
+                    lead = MPoly(dom, n, dict([R.leading()]))
+                    for G in (R ** e, R ** e + _random_poly(rng, dom, n, d - 1, draw)):
+                        for floor in (-1, rng.randrange(d)):
+                            out.append((G, e, lead, floor))
+                        out.append((G, e, R.leading_form(), d - R.degree()))
+    return out
+
+
+def test_extend_root_matches_the_recomputing_reference():
+    cases = {"root": 0, "none": 0, "floor": 0}
+    for G, e, R, floor in _root_corpus():
+        want = _reference_extend_root(G, e, R, floor)
+        assert _extend_root(G, e, R, floor) == want, (G.format(), e, R.format(), floor)
+        cases["none" if want is None else "root"] += 1
+        cases["floor"] += want is not None and floor >= 0
+    assert cases["root"] >= 150 and cases["none"] >= 50 and cases["floor"] >= 50, cases
+
+
+def test_eth_root_matches_the_recomputing_reference(monkeypatch):
+    # poly_eth_root takes the p-th roots first, then extends the e'-th root
+    # term by term: e = 2, 3, 5 over F_2 ... F_7 and QQ, wild and tame
+    rng = random.Random(31)
+    inputs = []
+    for dom in (F2, F3, finite_field(2, 2), F5, F7, QQ):
+        if dom is QQ:
+            def draw():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        else:
+            def draw(dom=dom):
+                return dom.element(rng.randrange(dom.q))
+        for e in (2, 3, 5):
+            for n in (1, 2, 3):
+                for _ in range(3):
+                    R = _random_poly(rng, dom, n, rng.choice([1, 2]), draw)
+                    if R.is_constant():
+                        continue
+                    G = R.monic() ** e
+                    inputs += [(G, e), (G + _random_poly(rng, dom, n, G.degree() - 1, draw), e)]
+    got = [poly_eth_root(G, e) for G, e in inputs]
+    monkeypatch.setattr(decompose, "_extend_root", _reference_extend_root)
+    want = [poly_eth_root(G, e) for G, e in inputs]
+    assert got == want
+    assert sum(r is not None for r in want) >= 100 and sum(r is None for r in want) >= 50
+
+
+def test_extend_root_takes_no_power_of_the_root(monkeypatch):
+    # a dense degree-6 R over F_7 (28 terms): the cube root is extended term
+    # by term from the leading term t0, and the only products are t0^2, t0^3
+    rng = random.Random(32)
+    R = MPoly(F7, 2, {mono: F7.element(rng.randrange(1, 7)) for mono in monomials_upto(2, 6)})
+    R = R.monic()
+    G = R ** 3
+    products = []
+    mul = MPoly.__mul__
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted_mul)
+    assert poly_eth_root(G, 3) == R
+    assert len(products) == 2
+
+
+# The partial-degree screen: deg_v u(H) = e deg_v H in every variable, so a
+# split whose e does not divide every deg_v F has no decomposition
+
+def _screen_corpus():
+    """(F, e): composites u(H) with deg u = e, and the same perturbed below the
+    top degree (e None), over F_2, F_3, F_4, F_5, F_9 and QQ in two and three
+    variables."""
+    rng = random.Random(33)
+    out = []
+    for dom in (F2, F3, finite_field(2, 2), F5, finite_field(3, 2), QQ):
+        if dom is QQ:
+            def draw():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        else:
+            def draw(dom=dom):
+                return dom.element(rng.randrange(dom.q))
+        for n in (2, 3):
+            for _ in range(10):
+                m, e = rng.choice([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+                H = _random_poly(rng, dom, n, m, draw)
+                u = MPoly.from_dense(dom, [draw() for _ in range(e)] + [draw()], 1)
+                if H.degree() != m or u.degree() != e:
+                    continue
+                G = compose(u, H)
+                out += [(G, e), (G + _random_poly(rng, dom, n, m * e - 1, draw), None)]
+    return out
+
+
+def _forced_split_slices():
+    """The polynomials of the two (3, 2, 4) census slices of
+    test_forced_split_slices_match_the_reference_loop: x^4, no cubic part or
+    2 x^3 + 2 x^2 y, and every quadratic part."""
+    quadratic = [mono for mono in monomials_upto(2, 2)]
+    for cubic in ({}, {(3, 0): 2, (2, 1): 2}):
+        for coeffs in itertools.product(range(3), repeat=len(quadratic)):
+            yield MPoly(F3, 2, {(4, 0): 1, **cubic, **dict(zip(quadratic, coeffs))})
+
+
+def test_partial_degree_screen_keeps_every_answer(monkeypatch):
+    # with the screen patched off, decompose_multi and decompose_from_top
+    # answer the same at every split, and no composite is screened out at its
+    # own outer degree
+    corpus = [(F, e) for F, built in _screen_corpus() for e in outer_degrees(F.n, F.degree())]
+    corpus += [(F, e) for F in _forced_split_slices() for e in (2, 4)]
+
+    def answers():
+        out = []
+        for F, e in corpus:
+            H = top_form_root(F, e)
+            out.append((decompose_multi(F, e), None if H is None else decompose_from_top(F, e, H)))
+        return out
+
+    screened = [not _partial_degrees_admit(F, e) for F, e in corpus]
+    got = answers()
+    monkeypatch.setattr(decompose, "_partial_degrees_admit", lambda F, e: True)
+    assert answers() == got
+    assert all(a is None and b is None for (a, b), out in zip(got, screened) if out)
+    assert sum(a is not None for a, _ in got) >= 130 and sum(screened) >= 2000
+    for F, built in _screen_corpus():
+        if built is not None:
+            assert _partial_degrees_admit(F, built), (F.format(), built)
+            assert decompose_multi(F, built) is not None

@@ -7,6 +7,8 @@ fixed; hypothesis is a test-only dependency and the module is skipped
 without it.
 """
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -16,9 +18,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from indecpoly import spectrum, unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
-from indecpoly.decompose import (_extract_outer, compose, decompose_from_top,  # noqa: E402
-                                 decompose_multi, decompose_uni_dense,
-                                 is_indecomposable_multi, outer_degrees, top_form_root)
+from indecpoly.decompose import (_extract_outer, _partial_degrees_admit,  # noqa: E402
+                                 compose, decompose_from_top, decompose_multi,
+                                 decompose_uni_dense, is_indecomposable_multi,
+                                 outer_degrees, top_form_root)
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
@@ -169,6 +172,37 @@ def test_top_form_root_screens_every_split(G):
             assert decompose_from_top(G, e, root) == dec
         if dec is not None:
             assert dec.inner.leading_form() == root
+
+
+@st.composite
+def sparse_compositions(draw):
+    """(u, H): a random u of degree 2 to 5 and a random sparse nonconstant H
+    of degree 1 to 3 in two or three variables, over F_2, F_3, F_4, F_5, F_9
+    or QQ, so that some variables are missing from H or of low degree."""
+    F = draw(st.sampled_from(DECOMPOSE_FIELDS + [finite_field(3, 2), QQ]))
+    nvars = draw(st.sampled_from((2, 3)))
+    if F is QQ:
+        coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    else:
+        coeff = st.integers(0, F.q - 1).map(F.element)
+    e = draw(st.integers(2, 5))
+    u = MPoly.from_dense(F, draw(st.lists(coeff, min_size=e + 1, max_size=e + 1)), 1)
+    monos = monomials_upto(nvars, draw(st.integers(1, 3 if nvars == 2 else 2)))
+    H = MPoly(F, nvars, draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=5)))
+    assume(u.degree() == e and not H.is_constant())
+    return u, H
+
+
+@SETTINGS
+@given(sparse_compositions())
+def test_partial_degrees_of_a_composite_are_its_outer_degree_times_the_inner(case):
+    # lc_v(H)^e != 0 over an integral domain, so deg_v u(H) = e deg_v H in
+    # every variable v, which is what the partial-degree screen relies on
+    u, H = case
+    e = u.degree()
+    G = compose(u, H)
+    assert [G.deg_in(v) for v in range(G.n)] == [e * H.deg_in(v) for v in range(H.n)]
+    assert _partial_degrees_admit(G, e)
 
 
 # one variable, wild and tame: shapes r s <= 16 whose every split has few
