@@ -20,10 +20,10 @@ from math import comb, gcd
 
 from . import census as census_mod
 from . import modp as modp_mod
-from .arith import decimal, prime_power
+from .arith import decimal, power_over, prime_power
 from .decompose import decompose_multi, is_indecomposable_multi, is_pth_power, outer_degrees
 from .fields import DEFAULT_GUARD, GuardExceeded, ZZ, finite_field
-from .mpoly import MPoly, default_var_names
+from .mpoly import default_var_names
 from .parsing import ParseError, parse_poly
 from .spectrum import SpectrumUnbounded, spectral_values
 
@@ -36,7 +36,7 @@ JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend
 def _parse_field(text, guard):
     # F_{p^k}, k >= 2, searches up to p^k moduli: check k, then p^k, against the guard first
     p, k = map(int, text.split("^", 1)) if "^" in text else prime_power(int(text))
-    if k >= 2 and (k >= guard.bit_length() or p ** k > guard):
+    if k >= 2 and power_over(p, k, guard):
         raise GuardExceeded(f"field order {p}^{k} exceeds guard {guard}")
     return finite_field(p, k)
 

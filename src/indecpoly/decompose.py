@@ -453,10 +453,9 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     while p and e % p == 0:
         a, e = a + 1, e // p
     nfree = s - 1 - (s - 1) // p ** a
-    if nfree and (nfree >= guard.bit_length() or dom.q ** nfree > guard):  # q^nfree >= 2^nfree
+    if nfree and (size := power_over(dom.q, nfree, guard)):
         raise GuardExceeded(
-            f"inner enumeration of {nfree} free coefficients, size "
-            f"{power_over(dom.q, nfree, guard)}, exceeds guard {guard}"
+            f"inner enumeration of {nfree} free coefficients, size {size}, exceeds guard {guard}"
         )
     fm = unipoly.monic(dom, f)
     top = _forced_inner_top(dom, fm, s, a, e)

@@ -5,20 +5,15 @@ p-th root peeling, then unipoly's distinct-degree pieces and its
 deterministic-seeded equal-degree split, so identical inputs always produce
 identical outputs.
 
-Bivariate factorization is by lifting: make the input monic in y by a
-shear, factor a squarefree specialization, lift the factors x-adically past
-the total degree one x-coefficient at a time, and recombine subsets by trial
-division.  Shears are tried lazily, and the first one with a squarefree
-fibre is used.  When no shear has one (a field too small for the degree),
-the input is factored over F_{q^2} and the factors descend as Frobenius
-orbit products.
-
-An exhaustive divisor search over the monic candidates of total degree up to
-half the input, in canonical graded-lex order and skipping every candidate
-whose leading form does not divide the input's, is the reference engine
-(`method="search"`) and the last resort of a descent two extensions deep.
-It guards itself against blowup.  Both normalize factors the same way (monic
-under graded-lex, sorted), and the test suite pins them against each other.
+Bivariate factorization is by lifting, the only engine: make the input monic
+in y by a shear, factor a squarefree specialization, lift the factors
+x-adically past the total degree one x-coefficient at a time, and recombine
+subsets by trial division.  Shears are tried lazily, and the first one with
+a squarefree fibre is used.  When no shear has one (a field too small for
+the degree), the input is factored over F_{q^2} and the factors descend as
+Frobenius orbit products; the descent goes on, within the guard, until a
+field is large enough.  Factors are monic under graded-lex and sorted; the
+test suite pins them against an exhaustive divisor search.
 
 Absolute irreducibility and the count of irreducible factors over the
 algebraic closure reduce to conjugate-orbit sizes: an irreducible polynomial
@@ -36,9 +31,9 @@ from itertools import combinations, islice
 from math import gcd
 
 from . import unipoly
-from .arith import factorint
+from .arith import factorint, power_over
 from .fields import DEFAULT_GUARD, GuardExceeded, embedding, finite_field, projection
-from .mpoly import MPoly, count_monomials, iter_completions, monomials_upto
+from .mpoly import MPoly
 from .resultants import coeff_table, content, primitive_gcd
 
 
@@ -152,52 +147,6 @@ def _sorted_factors(factors):
     return sorted(factors, key=keyfn)
 
 
-def search_space_size(q, d):
-    """Candidate count of the exhaustive divisor search up to degree d//2."""
-    total = 0
-    for delta in range(1, d // 2 + 1):
-        below = count_monomials(2, delta) - 1
-        total += (delta + 1) * q ** below
-    return total
-
-
-def _find_divisor_search(F: MPoly, guard):
-    """Smallest (canonical order) nonconstant proper monic divisor, or None.
-
-    Candidates of degree delta run by leading monomial descending, then by
-    coefficient index with the highest monomial slowest, so the top-degree
-    form T of a candidate varies slowest.  A divisor's T divides the leading
-    form of F (total degree grades an integral domain), so every completion
-    of any other T is skipped without changing the order of the rest."""
-    field = F.dom
-    d = F.degree()
-    if search_space_size(field.q, d) > guard:
-        raise GuardExceeded(
-            f"divisor search space for degree {d} over GF({field.q}) exceeds guard {guard}"
-        )
-    top_F = F.leading_form()
-    for delta in range(1, d // 2 + 1):
-        monos = monomials_upto(2, delta)
-        top, lower = monos[: delta + 1], monos[delta + 1 :]
-        for lead_pos, lead in enumerate(top):
-            for T in iter_completions(field, 2, {lead: field.one}, top[lead_pos + 1 :]):
-                if top_F.exact_div(T) is None:
-                    continue
-                for cand in iter_completions(field, 2, T.terms, lower):
-                    quo = F.exact_div(cand)
-                    if quo is not None:
-                        return cand, quo
-    return None
-
-
-def _factor_search(F: MPoly, guard):
-    found = _find_divisor_search(F, guard)
-    if found is None:
-        return [(F.monic(), 1)]
-    g, h = found
-    return _merge_factor_lists(_factor_search(g, guard), _factor_search(h, guard))
-
-
 def _merge_factor_lists(a, b):
     out = {}
     order = []
@@ -288,7 +237,7 @@ def _squarefree_fibres(field, cols, count):
             yield x0, fib
 
 
-def _factor_lift(S: MPoly, guard, depth=0):
+def _factor_lift(S: MPoly, guard):
     """Factor a squarefree primitive S (deg >= 1 in both variables) by lifting."""
     field = S.dom
     D = S.degree()
@@ -306,7 +255,7 @@ def _factor_lift(S: MPoly, guard, depth=0):
                     Q = Q.swap_vars(0, 1)
                 out.append((Q.monic(), 1))
             return out
-    return _factor_by_extension(S, guard, depth)
+    return _factor_by_extension(S, guard)
 
 
 def _factor_lift_at(field, Wm, x0, fib, D, guard):
@@ -351,16 +300,22 @@ def _factor_lift_at(field, Wm, x0, fib, D, guard):
     return result
 
 
-def _factor_by_extension(S: MPoly, guard, depth):
+def _factor_by_extension(S: MPoly, guard):
     """Factor over F_{q^2} and descend by Frobenius orbit products: S is
-    squarefree, so each factor occurs once and each orbit product is F_q-rational."""
+    squarefree, so each factor occurs once and each orbit product is F_q-rational.
+
+    The descent squares q until some fibre is squarefree, and it always ends:
+    _factor_rec hands _factor_lift a squarefree S in which every factor has a
+    nonzero y-derivative.  So all but finitely many shears are monic and
+    separable in y.  Their disc_y is a nonzero polynomial in x of degree at
+    most D(2D - 1), so once q passes that degree, some fibre is squarefree.
+    An F_{q^2} of more than `guard` elements is refused before it is built."""
     field = S.dom
-    if depth >= 2:
-        # last resort: the reference engine, within its own guard
-        return _factor_search(S, guard)
+    if size := power_over(field.q, 2, guard):
+        raise GuardExceeded(f"extension GF({field.q}^2) of order {size} exceeds guard {guard}")
     E = finite_field(field.p, field.k * 2)
     proj = projection(field, E)
-    parts = _factor_rec(S.map_coeffs(embedding(field, E), E), "lift", guard, depth + 1)
+    parts = _factor_rec(S.map_coeffs(embedding(field, E), E), guard)
     frob = lambda g: g.map_coeffs(lambda a: E.pow(a, field.q), E)  # noqa: E731
     remaining = [g for g, _ in parts]
     out = []
@@ -378,7 +333,7 @@ def _factor_by_extension(S: MPoly, guard, depth):
 
 # -- full recursive factorization --------------------------------------------
 
-def _factor_rec(F: MPoly, method, guard, depth=0):
+def _factor_rec(F: MPoly, guard):
     field = F.dom
     if F.is_constant():
         return []
@@ -392,35 +347,32 @@ def _factor_rec(F: MPoly, method, guard, depth=0):
         if not cont.is_constant():
             rest = F.exact_div(cont)
             return _merge_factor_lists(
-                _factor_rec(cont, method, guard, depth), _factor_rec(rest, method, guard, depth)
-            )
+                _factor_rec(cont, guard), _factor_rec(rest, guard))
     root = F.pth_root()
     if root is not None:
-        inner = _factor_rec(root, method, guard, depth)
+        inner = _factor_rec(root, guard)
         return [(g, m * field.p) for g, m in inner]
     Fy = F.derivative(1)
     Fx = F.derivative(0)
     if Fy.is_zero() and Fx.is_zero():  # pragma: no cover - handled by p-th root
         raise ArithmeticError("unreachable: constant derivative pair")
     if Fy.is_zero():
-        flipped = _factor_rec(F.swap_vars(0, 1), method, guard, depth)
+        flipped = _factor_rec(F.swap_vars(0, 1), guard)
         return [(g.swap_vars(0, 1).monic(), m) for g, m in flipped]
     G = primitive_gcd(F, Fy, 1)
     S = F.exact_div(G).monic()
     # deg_y G <= deg_y F_y < deg_y F, so S is nonconstant
-    parts = _factor_search(S, guard) if method == "search" else _factor_lift(S, guard, depth)
+    parts = _factor_lift(S, guard)
     if G.is_constant():
         return parts
-    return _merge_factor_lists(parts, _factor_rec(G, method, guard, depth))
+    return _merge_factor_lists(parts, _factor_rec(G, guard))
 
 
-def bivar_factor(F: MPoly, method="lift", guard=DEFAULT_GUARD) -> Factorization:
-    """Complete factorization over the coefficient field.
-
-    method: "lift" (the engine, with extension descent when no shear has a
-    squarefree fibre) or "search" (the exhaustive reference engine).  Every
-    factor is graded-lex monic and that order respects products, so the unit
-    is the leading coefficient of F.
+def bivar_factor(F: MPoly, guard=DEFAULT_GUARD) -> Factorization:
+    """Complete factorization over the coefficient field, by lifting, with
+    extension descent when no shear has a squarefree fibre.  Every factor is
+    graded-lex monic and that order respects products, so the unit is the
+    leading coefficient of F.
     """
     if F.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -429,18 +381,16 @@ def bivar_factor(F: MPoly, method="lift", guard=DEFAULT_GUARD) -> Factorization:
         raise ValueError("bivariate factorization expects two variables")
     if F.is_constant():
         return Factorization(field, F.constant_term(), [])
-    if method not in ("search", "lift"):
-        raise ValueError(f"unknown method {method!r}")
-    return Factorization(field, F.leading()[1], _sorted_factors(_factor_rec(F, method, guard)))
+    return Factorization(field, F.leading()[1], _sorted_factors(_factor_rec(F, guard)))
 
 
-def bivar_irreducible(F: MPoly, method="lift", guard=DEFAULT_GUARD) -> bool:
+def bivar_irreducible(F: MPoly, guard=DEFAULT_GUARD) -> bool:
     """No factorization G*H with both parts nonconstant over the base field."""
     if F.is_constant():
         raise ValueError("irreducibility is undefined for constants")
     if F.degree() == 1:
         return True
-    fac = bivar_factor(F, method=method, guard=guard)
+    fac = bivar_factor(F, guard=guard)
     return fac.total_multiplicity() == 1
 
 
@@ -471,7 +421,7 @@ def conjugate_split_count(G: MPoly, guard=DEFAULT_GUARD) -> int:
     while (dc := cur.degree()) > 1:
         for ell in sorted(factorint(gcd(evidence, dc))):
             E = finite_field(cur.dom.p, cur.dom.k * ell)
-            fac = _factor_rec(cur.map_coeffs(embedding(cur.dom, E), E), "lift", guard)
+            fac = _factor_rec(cur.map_coeffs(embedding(cur.dom, E), E), guard)
             if sum(m for _, m in fac) > 1:
                 cur = _sorted_factors(fac)[0][0]
                 r_total *= ell

@@ -16,7 +16,6 @@ the element with that index (see fields), never reduced mod p.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 
 def glex_key(e):
@@ -379,11 +378,6 @@ def monomials_upto(n, d):
     # rec enumerates each total-degree block with x-first descending, which
     # matches graded-lex descending within the block
     return out
-
-
-def count_monomials(n, d):
-    """Number of exponent tuples with total degree <= d."""
-    return comb(n + d, n)
 
 
 def iter_completions(dom, n, fixed, monos):

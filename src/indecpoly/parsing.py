@@ -15,9 +15,7 @@ Errors carry the source offset.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .fields import QQ, ZZ
 from .mpoly import MPoly
 
 

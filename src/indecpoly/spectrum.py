@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import partial, reduce
 
 from . import unipoly
-from .arith import decimal, is_prime
+from .arith import decimal, is_prime, power_over
 from .decompose import is_indecomposable_multi
 from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynomial,
                         n_bar_factors, uni_factor)
@@ -269,7 +269,7 @@ class _Pencil:
 
     def root(self, K, h):
         """`_first_root(K, h)` within the guard."""
-        if K.q ** (len(h) - 1) > self.guard:
+        if power_over(K.q, len(h) - 1, self.guard):
             raise _Unresolved
         return _first_root(K, h)
 
@@ -496,12 +496,10 @@ def stein_check(report: SpectralReport) -> bool:
 # --------------------------------------------------------------------------
 
 def _quad_coeffs(F: MPoly):
-    a = {}
-    for (i, j), c in F.terms.items():
-        if i + j > 2:
-            raise ValueError("polynomial has degree > 2")
-        a[(i, j)] = c
-    return a
+    """(a00, a10, a01, a20, a11, a02), the coefficients of a degree-2 F."""
+    if F.degree() > 2:
+        raise ValueError("polynomial has degree > 2")
+    return tuple(F.coeff(e) for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
 
 def quadratic_spectral_value(F: MPoly):
@@ -517,17 +515,10 @@ def quadratic_spectral_value(F: MPoly):
         raise ValueError("characteristic 2 is not covered by the closed form")
     if not (dom.is_finite or dom.key() == ("qq",)):
         raise ValueError("unsupported coefficient domain")
-    a = _quad_coeffs(F)
-    z = dom.zero
-    a00 = a.get((0, 0), z)
-    a10 = a.get((1, 0), z)
-    a01 = a.get((0, 1), z)
-    a20 = a.get((2, 0), z)
-    a11 = a.get((1, 1), z)
-    a02 = a.get((0, 2), z)
+    a00, a10, a01, a20, a11, a02 = _quad_coeffs(F)
     four = dom.from_int(4)
     denom = dom.sub(dom.mul(four, dom.mul(a02, a20)), dom.mul(a11, a11))
-    if denom == z:
+    if denom == dom.zero:
         raise ValueError("degenerate quadratic: the closed-form denominator vanishes")
     num = dom.add(
         dom.mul(a02, dom.mul(a10, a10)),
@@ -543,15 +534,9 @@ def conic_is_degenerate(F: MPoly, lam) -> bool:
     | a11    2*a02 a01 |
     | a10    a01   2*(a00 - lam) |"""
     dom = F.dom
-    a = _quad_coeffs(F)
-    z = dom.zero
+    a00, a10, a01, a20, a11, a02 = _quad_coeffs(F)
+    a00 = dom.sub(a00, lam)
     two = dom.from_int(2)
-    a00 = dom.sub(a.get((0, 0), z), lam)
-    a10 = a.get((1, 0), z)
-    a01 = a.get((0, 1), z)
-    a20 = a.get((2, 0), z)
-    a11 = a.get((1, 1), z)
-    a02 = a.get((0, 2), z)
     m = [
         [dom.mul(two, a20), a11, a10],
         [a11, dom.mul(two, a02), a01],
@@ -564,7 +549,7 @@ def conic_is_degenerate(F: MPoly, lam) -> bool:
         ),
         dom.mul(m[0][1], dom.sub(dom.mul(m[1][0], m[2][2]), dom.mul(m[1][2], m[2][0]))),
     )
-    return det == z
+    return det == dom.zero
 
 
 def reduction_compatibility(F: MPoly, p: int, guard=DEFAULT_GUARD) -> bool:

@@ -6,10 +6,11 @@ import pytest
 from indecpoly import uni_roots, unipoly
 from indecpoly.fields import ZECH_LIMIT, GuardExceeded, finite_field, projection
 from indecpoly.mpoly import MPoly, monomials_upto
-from indecpoly.factoring import (DEFAULT_GUARD, _find_divisor_search, absolutely_irreducible,
-                                 bivar_factor, bivar_irreducible, conjugate_split_count,
-                                 n_bar_factors, uni_factor)
+from indecpoly.factoring import (absolutely_irreducible, bivar_factor, bivar_irreducible,
+                                 conjugate_split_count, n_bar_factors, uni_factor)
 from indecpoly.parsing import parse_poly
+
+from divisor_search import find_divisor, search_factor
 
 
 def P(field, terms):
@@ -57,6 +58,8 @@ def test_uni_roots():
     assert uni_roots(F3, [1, 0, 1]) == []
     assert uni_roots(F5, [3, 0, 0, 0, 0]) == []  # a nonzero constant
     assert uni_roots(F5, [1, 4, 2, 0, 3, 0]) == [1, 2]  # 3 (x - 1)^3 (x - 2), trailing zero
+    assert uni_roots(F5, [0, 0, 1]) == [0]  # x^2, a repeated root
+    assert uni_roots(F5, [2, 3]) == [1]  # 3x + 2, degree 1
     with pytest.raises(ValueError):
         uni_roots(F5, [0, 0])
     # the linear factors of the factorization are the reference
@@ -187,7 +190,7 @@ def test_absolute_irreducibility_matches_extension_sweep():
                 E = finite_field(p, e)
                 emb = embedding(F, E)
                 GE = G.map_coeffs(emb, E)
-                if not bivar_irreducible(GE, method="search"):
+                if search_factor(GE).total_multiplicity() != 1:
                     sweep = False
                     break
             assert absolutely_irreducible(G) == sweep
@@ -269,15 +272,15 @@ def test_engines_agree_and_products_reconstruct():
             if G.is_zero() or G.is_constant():
                 continue
             done += 1
-            fs = bivar_factor(G, method="search")
-            fl = bivar_factor(G, method="lift")
+            fs = search_factor(G)
+            fl = bivar_factor(G)
             assert fs.unit == fl.unit
             assert [(g.key(), m) for g, m in fs.factors] == [
                 (g.key(), m) for g, m in fl.factors
             ]
             assert fs.expand() == G
             for g, _m in fs.factors:
-                assert bivar_irreducible(g, method="search")
+                assert search_factor(g).total_multiplicity() == 1
 
 
 def test_conjugate_split_count_pure_univariate_factor():
@@ -298,8 +301,8 @@ def test_lift_engine_no_shear_direction_uses_extension_descent():
         (x * (x + y) + one) * (y + one),
         x * x * y + x * y * y + one,
     ]:
-        fs = bivar_factor(G, method="search")
-        fl = bivar_factor(G, method="lift")
+        fs = search_factor(G)
+        fl = bivar_factor(G)
         assert [(g.key(), m) for g, m in fs.factors] == [(g.key(), m) for g, m in fl.factors]
         assert fl.expand() == G
 
@@ -315,14 +318,14 @@ def test_extension_descent_multiplies_a_conjugate_orbit(monkeypatch):
     entered = []
     descend = factoring._factor_by_extension
 
-    def spy(S, guard, depth):
-        entered.append((S.format(), depth))
-        return descend(S, guard, depth)
+    def spy(S, guard):
+        entered.append((S.format(), S.dom.q))
+        return descend(S, guard)
 
     monkeypatch.setattr(factoring, "_factor_by_extension", spy)
-    fl = bivar_factor(F, method="lift")
-    assert entered == [(F.format(), 0)]
-    fs = bivar_factor(F, method="search")
+    fl = bivar_factor(F)
+    assert entered == [(F.format(), 2)]
+    fs = search_factor(F)
     assert [(g.key(), m) for g, m in fl.factors] == [(g.key(), m) for g, m in fs.factors]
     assert [(g.format(), m) for g, m in fl.factors] == [(F.format(), 1)]
     fe = bivar_factor(F.map_coeffs(embedding(F2, F4), F4))
@@ -335,27 +338,46 @@ def test_extension_descent_multiplies_a_conjugate_orbit(monkeypatch):
     assert n_bar_factors(F) == 2
 
 
-def test_extension_descent_ends_in_the_divisor_search(monkeypatch):
-    # with no squarefree fibre at all the lift descends from F_q to F_q^2 and
-    # F_q^4, where the last resort is the divisor search
+def test_extension_descent_refuses_an_extension_above_the_guard(monkeypatch):
+    # with no squarefree fibre at all the lift squares q until F_{q^2} would
+    # have more than `guard` elements, and refuses it before building it
     from indecpoly import factoring
 
-    searched = []
-    search = factoring._factor_search
-
-    def spy(S, guard):
-        searched.append(S.dom.q)
-        return search(S, guard)
-
-    polys = [parse_poly("(y^2 + x*y + 1)*(y + x)", F2), parse_poly("(y^2 + x)*(y + x + 1)", F3)]
-    want = [bivar_factor(F, method="search") for F in polys]
     monkeypatch.setattr(factoring, "_squarefree_fibres", lambda field, cols, count: iter(()))
-    monkeypatch.setattr(factoring, "_factor_search", spy)
-    for F, fs in zip(polys, want):
-        fac = bivar_factor(F)
-        assert [(g.key(), m) for g, m in fac.factors] == [(g.key(), m) for g, m in fs.factors]
-        assert fac.unit == fs.unit and fac.expand() == F
-    assert sorted(set(searched)) == [16, 81]  # with its recursive calls
+    built = _record_builds(monkeypatch, limit=300)
+    for F, message, fields in [
+        (parse_poly("(y^2 + x*y + 1)*(y + x)", F2),
+         r"extension GF\(256\^2\) of order 65536 exceeds guard 300", [(2, 2), (2, 4), (2, 8)]),
+        (parse_poly("(y^2 + x)*(y + x + 1)", F3),
+         r"extension GF\(81\^2\) of order 6561 exceeds guard 300", [(3, 2), (3, 4)]),
+    ]:
+        del built[:]
+        with pytest.raises(GuardExceeded, match=message):
+            bivar_factor(F, guard=300)
+        assert built == fields
+
+
+@pytest.mark.parametrize("poly, field, lowest, fields", [
+    ("(y^2 + x*y + 1)*(y + x)", F2, 16, [(2, 2), (2, 4)]),
+    ("(y^2 + x)*(y + x + 1)", F3, 81, [(3, 2), (3, 4)]),
+    ("(y^3 + x*y + 1)*(y^3 + x^2 + y + 1)", F2, 256, [(2, 2), (2, 4), (2, 8)]),
+], ids=["F2-cubic", "F3-cubic", "F2-sextic"])
+def test_extension_descent_goes_on_until_a_fibre_is_squarefree(monkeypatch, poly, field,
+                                                               lowest, fields):
+    # with no squarefree fibre below F_lowest, the lift descends until it
+    # reaches that field and lifts there; the sextic goes three extensions deep
+    from indecpoly import factoring
+
+    F = parse_poly(poly, field)
+    want = search_factor(F)
+    fibres = factoring._squarefree_fibres
+    monkeypatch.setattr(factoring, "_squarefree_fibres", lambda K, cols, count: (
+        fibres(K, cols, count) if K.q >= lowest else iter(())))
+    built = _record_builds(monkeypatch)
+    fac = bivar_factor(F)
+    assert [(g.key(), m) for g, m in fac.factors] == [(g.key(), m) for g, m in want.factors]
+    assert fac.unit == want.unit and fac.expand() == F and len(fac.factors) == 2
+    assert built == fields
 
 
 def test_conjugate_split_count_matches_extension_factor_counts():
@@ -407,14 +429,16 @@ def _orbit_norm(H, F):
     return G.map_coeffs(proj, F)
 
 
-def _record_builds(monkeypatch):
-    # the fields factoring builds from here on, in order
+def _record_builds(monkeypatch, limit=None):
+    # the fields factoring builds from here on, in order; one of more than
+    # `limit` elements fails at once instead of being built
     from indecpoly import factoring
 
     built = []
     build = factoring.finite_field
 
     def spy(p, k=1):
+        assert limit is None or p ** k <= limit, f"GF({p}^{k}) built"
         built.append((p, k))
         return build(p, k)
 
@@ -496,7 +520,8 @@ def test_conjugate_split_count_screen_runs_no_equal_degree_split(monkeypatch, r)
 
 
 def test_factor_over_larger_field_via_lift():
-    # forces the lifting engine: search space over F_27 is above the cutoff
+    # x^2 + y^2 over F_3 stays irreducible over the odd extension F_27 and
+    # splits over F_9
     F27 = finite_field(3, 3)
     from indecpoly.fields import embedding
 
@@ -516,8 +541,8 @@ def test_divisor_search_returns_canonically_first_divisor():
     # candidates run by leading monomial descending, then by coefficient
     # index, so x + 1 comes before x + y and x before y
     x, y, one = P(F2, {(1, 0): 1}), P(F2, {(0, 1): 1}), P(F2, {(0, 0): 1})
-    assert _find_divisor_search((x + one) * (x + y), DEFAULT_GUARD)[0] == x + one
-    assert _find_divisor_search(x * y, DEFAULT_GUARD)[0] == x
+    assert find_divisor((x + one) * (x + y))[0] == x + one
+    assert find_divisor(x * y)[0] == x
 
 
 def _unpruned_divisor_search(F):
@@ -571,7 +596,7 @@ def test_divisor_search_matches_unpruned_reference(p, k, degrees):
             else:
                 G = _random_bivariate(rng, F, d)
             want = _unpruned_divisor_search(G)
-            got = _find_divisor_search(G, DEFAULT_GUARD)
+            got = find_divisor(G)
             if want is None:
                 assert got is None
             else:
@@ -585,8 +610,8 @@ def test_lift_recombination_checks_the_guard():
     # recombination could try 2^4 subsets
     F = parse_poly("y^4 - x", F5)
     with pytest.raises(GuardExceeded, match="lift recombination space 16 .* guard 8"):
-        bivar_factor(F, method="lift", guard=8)
-    fac = bivar_factor(F, method="lift")
+        bivar_factor(F, guard=8)
+    fac = bivar_factor(F)
     assert [(g.format(), m) for g, m in fac.factors] == [("y^4 + 4*x", 1)]
 
 
@@ -616,7 +641,7 @@ def test_lift_recombines_pairs_of_local_factors(monkeypatch):
                 L = const(rng.randrange(F.q)) * x + const(rng.randrange(F.q)) * y \
                     + const(rng.randrange(F.q))
                 Q = (y - const(r1)) * (y - const(r2)) + x * L
-                if Q.degree() == 2 and bivar_irreducible(Q, method="search"):
+                if Q.degree() == 2 and search_factor(Q).total_multiplicity() == 1:
                     return Q
 
         paired = 0
@@ -624,8 +649,8 @@ def test_lift_recombines_pairs_of_local_factors(monkeypatch):
             r = rng.sample(range(F.q), 5)
             G = split_quadratic(r[0], r[1]) * split_quadratic(r[2], r[3]) * (y + x - const(r[4]))
             del sizes[:]
-            fl = bivar_factor(G, method="lift")
-            fs = bivar_factor(G, method="search")
+            fl = bivar_factor(G)
+            fs = search_factor(G)
             assert [(g.key(), m) for g, m in fl.factors] == [(g.key(), m) for g, m in fs.factors]
             assert fl.expand() == G and len(fl.factors) == 3
             # pairs are tried again only after one was accepted
@@ -634,19 +659,17 @@ def test_lift_recombines_pairs_of_local_factors(monkeypatch):
 
 
 def test_default_factoring_never_runs_the_divisor_search(monkeypatch):
-    # F_5 is small enough that the lift finds a squarefree fibre, so the
-    # search (the depth-2 last resort of the extension descent) is never hit
+    # the divisor search lives in the tests only, and F_5 is large enough
+    # that the lift finds a squarefree fibre without descending
     from indecpoly import factoring
 
     polys = [parse_poly("y^3 + x^2 + x*y + 1", F5), parse_poly("(y^2 + x)*(y + x + 1)", F5)]
-    want = [bivar_factor(F, method="search") for F in polys]
-    with pytest.raises(ValueError, match="unknown method 'auto'"):
-        bivar_factor(polys[0], method="auto")
+    want = [search_factor(F) for F in polys]
 
     def refuse(S, guard):
-        raise AssertionError(f"divisor search called on {S.format()}")
+        raise AssertionError(f"extension descent entered on {S.format()}")
 
-    monkeypatch.setattr(factoring, "_factor_search", refuse)
+    monkeypatch.setattr(factoring, "_factor_by_extension", refuse)
     for F, fs in zip(polys, want):
         fac = bivar_factor(F)
         assert [(g.key(), m) for g, m in fac.factors] == [(g.key(), m) for g, m in fs.factors]

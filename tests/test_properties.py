@@ -27,6 +27,8 @@ from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E4
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
 from indecpoly.parsing import parse_poly  # noqa: E402
 
+from divisor_search import search_factor  # noqa: E402
+
 FACTOR_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
 DECOMPOSE_FIELDS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5)]
 FIELD_PAIRS = [(2, 1, 2), (2, 1, 3), (2, 2, 4), (2, 2, 6), (2, 3, 6), (3, 1, 2),
@@ -389,8 +391,8 @@ def test_decompose_uni_recomposes_to_the_input(case):
 @SETTINGS
 @given(bivariates())
 def test_bivar_factor_expands_back_and_engines_agree(G):
-    search = bivar_factor(G, method="search")
-    lift = bivar_factor(G, method="lift")
+    search = search_factor(G)
+    lift = bivar_factor(G)
     assert search.expand() == G
     assert lift.expand() == G
     assert search.unit == lift.unit

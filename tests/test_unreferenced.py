@@ -7,6 +7,9 @@ only when it is referenced from its own module (outside its definition), is
 imported from that module, or occurs as <module alias>.<name>, so a function
 that shares its name with a used method (or with a function of another
 module) does not pass unnoticed.
+
+Every module-level import of a package module other than __init__.py is
+used as a name in that module.
 """
 
 import ast
@@ -101,3 +104,22 @@ def test_every_definition_is_referenced():
             if not _outside(node, refs.get(node.name, []), path):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py re-exports what it imports, so it is left out
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
