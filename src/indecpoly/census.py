@@ -26,15 +26,20 @@ Three routes that must agree:
   split whose outer degree does not divide every partial degree of the
   polynomial is rejected before any other work; where H is the only forced
   component, the powers of each candidate inner are built once per block as
-  well.
+  well.  There F = u(H) exactly when F + c = (u + c)(H), with the same
+  inner, and the constant term is the fastest digit of the scan index: so
+  each run of q consecutive indices is one set {F + c}, and only its index
+  with constant term 0 is classified (von zur Gathen, "Counting decomposable
+  multivariate polynomials", AAECC 2011, uses this normalization).
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
 whose partial reports merge by addition (merge_reports), which is also how
 the command line front end's process pool combines its workers' reports.
-A slice reports the orbits whose representative lies in it, q - 1
-polynomials each, so a slice of non-representative indices reports 0; the
-merged counts of a cover of the index space are exact.
+A slice reports q - 1 times the verdicts at the monic indices it holds, so a
+slice of non-representative indices reports 0; in n >= 2 a run's verdict
+counts for each of its indices in the slice, wherever its constant-0 index
+lies.  The merged counts of a cover of the index space are exact.
 """
 
 from __future__ import annotations
@@ -277,10 +282,12 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     scan (_scan) walks the monic top blocks in every arity.  In one
     variable each polynomial goes to decompose.decompose_uni_dense.  For
     n >= 2 each monic top form is screened once per slice by
-    decompose.top_form_root, and each polynomial under it goes to
-    decompose.decompose_from_top with the root of each split its top
-    admits; a top that admits none adds q - 1 times its whole overlap with
-    the slice to the indecomposables.
+    decompose.top_form_root, and each polynomial under it with constant
+    term 0 goes to decompose.decompose_from_top with the root of each split
+    its top admits; its verdict holds for every constant, so it counts for
+    the indices of its run {F + c} inside the slice.  A top that admits no
+    split adds q - 1 times its whole overlap with the slice to the
+    indecomposables.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -299,7 +306,12 @@ def _scan(field, n, d, lo, hi, guard):
     """(decomposable, indecomposable) counts of the monic indices in [lo, hi),
     each verdict counted q - 1 times, block by block of monic top forms.
 
-    For n >= 2 every split a block's top admits keeps one list for the
+    For n >= 2 a block's indices fall into runs of q, r q + [0, q), that
+    differ only in the constant term, the fastest digit.  Only the run's
+    first index, constant term 0, is classified, and its verdict counts for
+    each index of the run inside [start, stop), so a run cut by the slice
+    counts in part, and one whose first index lies before lo is still
+    classified.  Every split a block's top admits keeps one list for the
     block, handed to decompose_from_top with each of its polynomials: where
     the top form is the only forced component (p^a >= m), the candidate
     inners are the same for the whole block, so the powers of each are built
@@ -307,7 +319,8 @@ def _scan(field, n, d, lo, hi, guard):
     polynomial whose partial degrees the split's e does not all divide is
     answered there before any candidate, so a list is filled only at the
     splits that some polynomial of the block passes that way.  A slice's
-    first tuple of low digits is decoded from its start (_digit_tuples)."""
+    first tuple of low digits, or of runs in n >= 2, is decoded from its
+    start (_digit_tuples)."""
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -336,11 +349,13 @@ def _scan(field, n, d, lo, hi, guard):
             if not live:  # no split survives the top: the whole block is indecomposable
                 ind += (q - 1) * (stop - start)
                 continue
-            for digits in _digit_tuples(q, len(lows), start, stop):
-                P = MPoly(field, n, {**top, **dict(zip(lows, digits))})
+            first = start // q  # the run r holds the indices r q + [0, q), the constants
+            for r, digits in enumerate(_digit_tuples(q, len(lows) - 1, first, -(-stop // q)),
+                                       first):
+                P = MPoly(field, n, {**top, **dict(zip(lows, digits))})  # constant term 0
                 for e, H, powers in live:
                     if decompose_from_top(P, e, H, guard, powers) is not None:
-                        hits += 1
+                        hits += min(stop, r * q + q) - max(start, r * q)
                         break
         dec += (q - 1) * hits
         ind += (q - 1) * (stop - start - hits)

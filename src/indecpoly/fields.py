@@ -281,7 +281,19 @@ def field_from_order(q) -> FiniteField:
 
 
 def _default_modulus(base, k):
-    for tail in itertools.product(range(base.p), repeat=k):
+    """The first monic irreducible t^k + a_{k-1} t^(k-1) + ... + a_0 over F_p,
+    k >= 2, in the order of (a_{k-1}, ..., a_0).  The first p candidates are
+    the binomials t^k + a_0, decided at once by the irreducible-binomial
+    criterion (Lidl and Niederreiter, Finite Fields, Theorem 3.75): t^k - a,
+    a != 0, is irreducible exactly when every prime r of k divides p - 1 and
+    a is no r-th power, a^((p - 1)/r) != 1, and p = 1 mod 4 when 4 | k.  The
+    others take one Ben-Or test each."""
+    p, primes = base.p, factorint(k)
+    if all((p - 1) % r == 0 for r in primes) and (k % 4 or p % 4 == 1):
+        for a0 in range(1, p):
+            if all(pow(p - a0, (p - 1) // r, p) != 1 for r in primes):
+                return (a0,) + (0,) * (k - 1) + (1,)
+    for tail in itertools.islice(itertools.product(range(p), repeat=k), p, None):
         # tail is (a_{k-1}, ..., a_0); candidates ascend in that order
         cand = list(reversed(tail)) + [1]
         if unipoly.is_irreducible_finite(base, cand):

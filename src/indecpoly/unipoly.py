@@ -180,12 +180,14 @@ def is_irreducible_finite(field, f: list) -> bool:
 
 def roots(field, f: list) -> list:
     """The distinct roots of a nonzero f over a finite field, ascending: the
-    first distinct-degree piece, gcd(f, x^q - x), split when it is linear."""
+    d = 1 step of distinct_degree alone, g = gcd(f, x^q - x), split into its
+    linear factors; one q-th power mod f, whether f has a root or not."""
     f = monic(field, normalize(field, f))
     if not f:
         raise ValueError("roots of the zero polynomial")
-    g, d = next(distinct_degree(field, f), (None, 0))
-    if d != 1:
+    x = [field.zero, field.one]
+    g = gcd(field, sub(field, pow_mod(field, x, field.q, f), x), f)
+    if degree(g) < 1:
         return []
     return sorted(field.neg(h[0]) for h in equal_degree_split(field, g, 1))
 

@@ -370,6 +370,37 @@ if given is not None:
         _assert_cover_exact(3, 2, 2, [0, lo, hi, 3 ** 6])
 
 
+@pytest.mark.parametrize("q,n,d", [(3, 2, 2), (2, 2, 4)])
+def test_one_index_slices_of_a_live_block_are_exact(q, n, d):
+    # the scan classifies the constant-0 index of each run of q indices and
+    # counts its verdict for the indices of the run inside the slice: a slice
+    # of one index reports the verdict of its run, whether the run's
+    # representative lies in the slice or before its start
+    block, ntop = _top_block(q, n, d)
+    live = q ** (ntop - 1)  # the top x^d: it has an e-th root for every e
+    for i in range(live * block, (live + 1) * block):
+        _assert_slice_exact(q, n, d, i, i + 1)
+
+
+def test_multi_scan_classifies_only_constant_free_polynomials(monkeypatch):
+    # F = u(H) exactly when F + c = (u + c)(H): in n >= 2 the engine sees
+    # one polynomial per run {F + c}, the one with constant term 0
+    seen = []
+    engine = census.decompose_from_top
+
+    def spy(F, *args):
+        seen.append(F.constant_term())
+        return engine(F, *args)
+
+    monkeypatch.setattr(census, "decompose_from_top", spy)
+    for q, n, d in [(3, 2, 2), (2, 2, 4), (2, 3, 2)]:
+        del seen[:]
+        rep = enumerate_census(q, n, d)
+        dec, ind = _reference_prefix(q, n, d)
+        assert (rep.decomposable, rep.indecomposable) == (dec[-1], ind[-1])
+        assert seen and not any(seen), (q, n, d)
+
+
 def test_screened_top_block_builds_no_polynomial(monkeypatch):
     # the top x y over F_3 has no square root, so its whole block counts as
     # indecomposable, q - 1 times over, without a single call of the engine

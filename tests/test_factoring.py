@@ -74,6 +74,21 @@ def test_uni_roots():
             assert uni_roots(F, f) == sorted(F.neg(g[0]) for g, _ in fs if len(g) == 2)
 
 
+def test_uni_roots_takes_one_qth_power_without_a_root(monkeypatch):
+    # x^600 = 1 on F_5^*, so x^600 - 2 has no root: roots decides that from
+    # gcd(f, x^q - x) alone and takes no x^(q^d) for d >= 2
+    calls = []
+    pow_mod = unipoly.pow_mod
+
+    def spy(dom, a, e, m):
+        calls.append(e)
+        return pow_mod(dom, a, e, m)
+
+    monkeypatch.setattr(unipoly, "pow_mod", spy)
+    assert uni_roots(F5, [3] + [0] * 599 + [1]) == []
+    assert calls == [5]
+
+
 def _irreducibles(F, top):
     # the monic irreducibles of degree 1..top, low coefficient first, by
     # trial division by the irreducibles of at most half the degree

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from indecpoly import fields
+from indecpoly import fields, unipoly
+from indecpoly.arith import primes_upto
 from indecpoly.fields import (ZECH_LIMIT, GuardExceeded, QQ, ZZ, embedding, field_from_order,
                               finite_field, projection)
 
@@ -92,6 +94,27 @@ def test_default_moduli_pinned():
     for (p, k), terms in PINNED_MODULI.items():
         expected = tuple(terms.get(i, 0) for i in range(k + 1))
         assert fields._default_modulus(finite_field(p), k) == expected, (p, k)
+
+
+def _ben_or_modulus(p, k):
+    """The first monic irreducible of degree k over F_p, one Ben-Or test per
+    candidate in the order of (a_{k-1}, ..., a_0)."""
+    for tail in itertools.product(range(p), repeat=k):
+        cand = list(reversed(tail)) + [1]
+        if unipoly.is_irreducible_finite(finite_field(p), cand):
+            return tuple(cand)
+
+
+def test_default_modulus_matches_one_ben_or_test_per_candidate():
+    # the binomials t^k + a_0 come first and are decided by the binomial
+    # criterion without a Ben-Or test; the modulus found must not change
+    for p in primes_upto(59):
+        for k in range(2, 7):
+            assert fields._default_modulus(finite_field(p), k) == _ben_or_modulus(p, k), (p, k)
+    # every element of F_65537 is a cube: the criterion rejects all 65,536
+    # binomials t^3 + a_0 at once, and t^3 + t + 4 is the first trinomial
+    # (Ben-Or reference not run: it takes seconds there)
+    assert fields._default_modulus(finite_field(65537), 3) == (4, 1, 0, 1)
 
 
 def test_extension_arithmetic_axioms():

@@ -289,6 +289,29 @@ def test_scaling_keeps_every_split_verdict(case):
 
 
 @st.composite
+def shifted_inputs(draw):
+    """(F, G, c): a G drawn as in scaled_inputs, in 1, 2 or 3 variables, and
+    a random c, 0 included."""
+    F, G, _ = draw(st.sampled_from((1, 2, 3)).flatmap(scaled_inputs))
+    return F, G, F.element(draw(st.integers(0, F.q - 1)))
+
+
+# in n >= 2 the census classifies one polynomial per run {F + c}, so adding
+# a constant must keep the verdict of every split and the inner found
+@SETTINGS
+@given(shifted_inputs())
+def test_constant_shift_keeps_every_split_verdict(case):
+    F, G, c = case
+    C = MPoly.const(F, G.n, c)
+    for e in outer_degrees(G.n, G.degree()):
+        dec, shifted = decompose_multi(G, e), decompose_multi(G + C, e)
+        assert (dec is None) == (shifted is None)
+        if dec is not None:
+            assert shifted.inner == dec.inner
+            assert shifted.outer == dec.outer + MPoly.const(F, 1, c)
+
+
+@st.composite
 def outer_inner_pairs(draw):
     """(F, u, H): u of degree 2..5 with any lower coefficients, zero among
     them, and a normalized H in two variables, sometimes a monomial."""
