@@ -23,8 +23,8 @@ Three routes that must agree:
   addition, without building its polynomials.  In a block that survives,
   each polynomial goes to decompose.decompose_from_top with the root H of
   each surviving split, which is thus taken once per block, and there a
-  split whose outer degree does not divide every partial degree of the
-  polynomial is rejected before any other work; where H is the only forced
+  split that the polynomial's exponents rule out (decompose._exponents_admit)
+  is rejected before any other work; where H is the only forced
   component, the powers of each candidate inner are built once per block as
   well.  There F = u(H) exactly when F + c = (u + c)(H), with the same
   inner, and the constant term is the fastest digit of the scan index: so
@@ -316,7 +316,7 @@ def _scan(field, n, d, lo, hi, guard):
     the top form is the only forced component (p^a >= m), the candidate
     inners are the same for the whole block, so the powers of each are built
     on first use and reused; the list is dropped when the block ends.  A
-    polynomial whose partial degrees the split's e does not all divide is
+    polynomial whose exponents rule the split out (_exponents_admit) is
     answered there before any candidate, so a list is filled only at the
     splits that some polynomial of the block passes that way.  A slice's
     first tuple of low digits, or of runs in n >= 2, is decoded from its

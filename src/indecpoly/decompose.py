@@ -17,9 +17,10 @@ the free coefficients, the highest-degree one varying slowest.
 
 One rule for every split, in both arities: with outer degree e = p^a e'
 (p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
-inner degree m = d/e, a split is rejected first when e does not divide the
-degree in every variable (_partial_degrees_admit: deg_v u(H) = e deg_v H,
-which in one variable is e | d and always holds).  Then the top of the input
+inner degree m = d/e, a split is rejected first by the exponents of the
+input (_exponents_admit): e divides every deg_v u(H) = e deg_v H, and p^a
+every exponent above degree d - m, where u(H) agrees with u_e (H^(p^a))^e'
+(in one variable _forced_inner_top checks this).  Then the top of the input
 forces the inner coefficients of degree k with p^a (m - k) < m, as the p^a-th
 root of an e'-th root taken one term at a time (over homogeneous components
 in decompose_from_top, as a series at infinity in _forced_inner_top), or
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from . import unipoly
 from .arith import divisors, integer_nth_root, power_over
@@ -246,18 +247,27 @@ def top_form_root(F: MPoly, e: int):
     return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
 
 
-def _partial_degrees_admit(F: MPoly, e: int) -> bool:
-    """Whether e divides deg_v F in every variable v.  Every F = u(H) with
-    deg u = e has deg_v F = e deg_v H, since lc_v(H)^e != 0 over an integral
-    domain, so a split that fails this has no decomposition.  It reads the
-    exponents only; in one variable it always holds for a split of deg F."""
-    return not any(max(exps) % e for exps in zip(*F.terms))
+def _p_part(p: int, e: int) -> int:
+    """p^a, the largest power of the characteristic p dividing e; 1 when p = 0."""
+    return p * _p_part(p, e // p) if p and e % p == 0 else 1
+
+
+def _exponents_admit(F: MPoly, e: int) -> bool:
+    """Whether the exponents of F admit F = u(H) with deg u = e: e divides
+    every deg_v F = e deg_v H (lc_v(H)^e != 0 over a domain), and with
+    e = p^a e' and m = deg F / e, p^a divides every exponent of each term of
+    degree above deg F - m, where F agrees with u_e H^e = u_e (H^(p^a))^e', a
+    polynomial in the p^a-th powers of the variables (vacuous if p^a = 1)."""
+    if any(max(exps) % e for exps in zip(*F.terms)):
+        return False
+    pa, low = _p_part(F.dom.char, e), F.degree() - F.degree() // e
+    return pa == 1 or not any(a % pa for k in F.terms if sum(k) > low for a in k)
 
 
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None, in any
     number of variables; ValueError unless e is in outer_degrees(F.n, deg F).
-    In several variables a split that passes _partial_degrees_admit has its
+    In several variables a split that passes _exponents_admit has its
     top form's root taken (top_form_root) and goes on to decompose_from_top;
     in one variable decompose_uni_dense answers, and its pair is checked to
     recompose to F."""
@@ -268,7 +278,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
         raise ValueError(f"outer degree {e} must be >= 2 and divide {d}" if F.n >= 2
                          else f"invalid degree split: need e >= 2 and {d}/e >= 2")
     if F.n >= 2:
-        if not _partial_degrees_admit(F, e):
+        if not _exponents_admit(F, e):
             return None
         H = top_form_root(F, e)
         return None if H is None else decompose_from_top(F, e, H, guard)
@@ -287,8 +297,8 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     polynomial.  A caller that already holds H for the top form of F, as the
     census does for a whole block of polynomials, passes it here.
 
-    A split that fails _partial_degrees_admit(F, e) is answered None first,
-    before the guard, any root, candidate or peel: the partial degrees differ
+    A split that fails _exponents_admit(F, e) is answered None first,
+    before the guard, any root, candidate or peel: the exponents differ
     between polynomials of one top form, so the caller's H cannot settle it.
     Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
     degree d - m.  So extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F)
@@ -304,12 +314,12 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     entries.  When p^a < m the candidates depend on F and the list is
     neither read nor written.
     """
-    if not _partial_degrees_admit(F, e):
+    if not _exponents_admit(F, e):
         return None
     d = F.degree()
     dom = F.dom
     m = d // e
-    pa = gcd(e, dom.char ** e) if dom.char else 1  # p^a, the p-part of e
+    pa = _p_part(dom.char, e)
     K = m - -(-m // pa)  # a free degree k >= 1 has p^a (m - k) >= m, so k <= K
     nfree = comb(K + F.n, F.n) - 1
     if nfree and (size := power_over(dom.q, nfree, guard)):

@@ -435,10 +435,9 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
 def _splits_past_the_screen(q, n, d, lo, hi):
     """The splits e of the top block holding the slice [lo, hi) at which some
     polynomial of the slice reaches decompose_from_top and passes the
-    partial-degree screen: e divides deg_v P in every variable v, read here
-    from the exponents.  The scan tries a top's live splits in order and stops
-    at the first decomposition, so a later split is reached only by the
-    polynomials that no earlier one decomposes."""
+    exponent screen, decompose._exponents_admit.  The scan tries a top's live
+    splits in order and stops at the first decomposition, so a later split is
+    reached only by the polynomials that no earlier one decomposes."""
     field = field_from_order(q)
     monos = monomials_upto(n, d)
     block, ntop = _top_block(q, n, d)
@@ -448,7 +447,7 @@ def _splits_past_the_screen(q, n, d, lo, hi):
     for i in range(lo, hi):
         P = MPoly(field, n, {mono: c for mono, c in zip(monos, _digits(i, q, len(monos))) if c})
         for e in live:
-            if all(P.deg_in(v) % e == 0 for v in range(n)):
+            if decompose._exponents_admit(P, e):
                 passed.add(e)
             if decompose_multi(P, e) is not None:
                 break
@@ -463,9 +462,11 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
     # the top x^4 (4 candidates), e = 4 the inner x (1 candidate).  Outside
     # the top-form screen, the only products are the powers [1, H, ..., H^e],
     # e - 1 per candidate, built once in each slice's part of a live block,
-    # at the splits some polynomial of the slice takes past the
-    # partial-degree screen: 22 slices at e = 2 and 7 at e = 4 of the 28 and
-    # 12 whose top has the root
+    # at the splits some polynomial of the slice takes past the exponent
+    # screen: 7 slices at e = 2 and 7 at e = 4 of the 28 and 12 whose top has
+    # the root.  At e = 2 over F_2 no cubic term passes, so only the quarter
+    # of a block whose x^3 and x^2 y coefficients are 0 holds a polynomial
+    # that does
     q, n, d = 2, 2, 4
     candidates = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
@@ -497,8 +498,8 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
         want += sum(candidates[e] * (e - 1) for e in passed[lo, hi])
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
-    assert [sum(e in p for p in passed.values()) for e in (2, 4)] == [22, 7]
-    assert products["all"] - products["screen"] == want == 22 * 4 * 1 + 7 * 1 * 3
+    assert [sum(e in p for p in passed.values()) for e in (2, 4)] == [7, 7]
+    assert products["all"] - products["screen"] == want == 7 * 4 * 1 + 7 * 1 * 3
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
@@ -506,8 +507,8 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
     # [1, H, ..., H^e], the only two-variable polynomials built are candidate
     # inners, each once per slice and live split: later polynomials read it
     # back from the block's list, and the peel builds no polynomial at all.
-    # A split that no polynomial of the slice takes past the partial-degree
-    # screen builds none
+    # A split that no polynomial of the slice takes past the exponent screen
+    # builds none
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
     field = field_from_order(q)
@@ -554,7 +555,7 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
         enumerate_census(q, n, d, part=(lo, hi))
         assert collections.Counter(built) == collections.Counter(want), (lo, hi)
         busy += bool(want)
-    assert busy == 22  # of the 28 slices whose top has a square root
+    assert busy == 11  # of the 28 slices whose top has a square root
 
 
 def test_scan_slices_start_at_their_decoded_digits():
@@ -618,6 +619,63 @@ def test_forced_split_slices_match_the_reference_loop(monkeypatch):
         kept.append({len(powers) for e, powers in seen if e == 4})
         assert kept[-1] == {int(4 in _splits_past_the_screen(q, n, d, lo, hi))}
     assert kept == [{1}, {0}]
+
+
+def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
+    # over F_2 the top x^6 + x^4 y^2 of (2, 2, 6) has the square root
+    # x^3 + x^2 y and no cube or sixth root.  The split e = 2 is wild and
+    # forced, p^a = 2 < m = 3, so its list stays empty.  Each slice holds x^3
+    # with every other part of degree <= 3, under one part of degree 4 and 5:
+    # x^2 y^2, with the composite (t^2 + t)(x^3 + x^2 y + x y + y); x^3 y +
+    # x^2 y^2, whose x^3 y lies above d - m = 3 with odd exponents; and x^4 y.
+    # The reference loop runs with the exponent screen patched off, and in
+    # the last two slices the census reaches no forced root (an _extend_root
+    # down to degree d - m; the top's cube root is one to degree -1) and no
+    # peel
+    q, n, d = 2, 2, 6
+    field = field_from_order(q)
+    monos = monomials_upto(n, d)
+    block, ntop = _top_block(q, n, d)
+    t = q ** 6 + q ** 4  # the top digits of x^6 + x^4 y^2
+    composite = MPoly(field, n, dict.fromkeys(
+        [(6, 0), (4, 2), (2, 2), (3, 0), (2, 1), (1, 1), (0, 2), (0, 1)], 1))
+    seen, work = [], []
+    engine, peel = census.decompose_from_top, decompose._extract_outer
+    extend = decompose._extend_root
+
+    def spy(F, e, H, guard, powers):
+        seen.append((e, powers))
+        return engine(F, e, H, guard, powers)
+
+    def spy_extend(G, e, R, floor):
+        work.append(floor)
+        return extend(G, e, R, floor)
+
+    def spy_peel(*args):
+        work.append("peel")
+        return peel(*args)
+
+    monkeypatch.setattr(census, "decompose_from_top", spy)
+    monkeypatch.setattr(decompose, "_extend_root", spy_extend)
+    monkeypatch.setattr(decompose, "_extract_outer", spy_peel)
+    found = []
+    for offset in (q ** 12 + q ** 9, q ** 13 + q ** 12 + q ** 9, q ** 19 + q ** 9):
+        lo = t * block + offset
+        hi = lo + q ** 9
+        with monkeypatch.context() as m:
+            m.setattr(decompose, "_exponents_admit", lambda F, e: True)
+            hits = sum(_reference_hit(field, n, d, monos, _digits(i, q, len(monos)))
+                       for i in range(lo, hi))
+        del seen[:], work[:]
+        rep = enumerate_census(q, n, d, part=(lo, hi), guard=1 << 28)
+        assert (rep.decomposable, rep.indecomposable) == (hits, hi - lo - hits)
+        assert {e for e, _ in seen} == {2} and all(powers == [] for _, powers in seen)
+        found.append((hits, d - d // 2 in work, "peel" in work))
+    assert found == [(8, True, True), (0, False, False), (0, False, False)]
+    i = sum(q ** (len(monos) - 1 - k) for k, mono in enumerate(monos) if mono in composite.terms)
+    assert t * block + q ** 12 + q ** 9 <= i < t * block + q ** 12 + q ** 10
+    assert decompose_multi(composite, 2).inner == MPoly(field, n, dict.fromkeys(
+        [(3, 0), (2, 1), (1, 1), (0, 1)], 1))
 
 
 # D(q, 1, d) taken from the unreduced scan, before the scan counted each

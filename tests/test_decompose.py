@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import random
 import time
@@ -14,7 +15,7 @@ from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
 from indecpoly.parsing import parse_poly
 from indecpoly import decompose
 from indecpoly.decompose import (Decomposition, _extend_root, _extract_outer, _inner_powers,
-                                 _partial_degrees_admit, compose, decompose_from_top,
+                                 _exponents_admit, compose, decompose_from_top,
                                  decompose_multi, decompose_uni_dense, dickson,
                                  is_indecomposable_multi, is_pth_power, iter_normalized_inner,
                                  normalize, outer_degrees, poly_eth_root, top_form_root)
@@ -831,8 +832,9 @@ def test_extend_root_takes_no_power_of_the_root(monkeypatch):
     assert len(products) == 2
 
 
-# The partial-degree screen: deg_v u(H) = e deg_v H in every variable, so a
-# split whose e does not divide every deg_v F has no decomposition
+# The exponent screen: deg_v u(H) = e deg_v H in every variable, so a split
+# whose e does not divide every deg_v F has no decomposition; and above degree
+# d - m, u(H) agrees with u_e (H^(p^a))^e', whose exponents p^a all divide
 
 def _screen_corpus():
     """(F, e): composites u(H) with deg u = e, and the same perturbed below the
@@ -859,6 +861,32 @@ def _screen_corpus():
     return out
 
 
+def _wild_screen_corpus():
+    """(F, e) as in _screen_corpus, at wild splits where the second rule of
+    the screen turns inputs away: over F_2 with (n, d, e) = (2, 6, 2), where
+    p^a = 2 < m = 3, and over F_4 with (2, 4, 2) and (2, 4, 4).  Each
+    composite u(H) comes with itself plus one term of degree d - 2 or d - 1,
+    and plus a random part of degree at most d - m."""
+    rng = random.Random(36)
+    out = []
+    for dom, d, es in ((F2, 6, (2,)), (finite_field(2, 2), 4, (2, 4))):
+        def draw(dom=dom):
+            return dom.element(rng.randrange(dom.q))
+        for _ in range(50):
+            e = rng.choice(es)
+            m = d // e
+            H = _random_poly(rng, dom, 2, m, draw)
+            u = MPoly.from_dense(dom, [draw() for _ in range(e)] + [dom.one], 1)
+            if H.degree() != m:
+                continue
+            G = compose(u, H)
+            k = rng.randint(d - 2, d - 1)
+            j = rng.randint(0, k)
+            term = MPoly(dom, 2, {(k - j, j): dom.element(rng.randrange(1, dom.q))})
+            out += [(G, e), (G + term, None), (G + _random_poly(rng, dom, 2, d - m, draw), None)]
+    return out
+
+
 def _forced_split_slices():
     """The polynomials of the two (3, 2, 4) census slices of
     test_forced_split_slices_match_the_reference_loop: x^4, no cubic part or
@@ -875,6 +903,9 @@ def test_partial_degree_screen_keeps_every_answer(monkeypatch):
     # own outer degree
     corpus = [(F, e) for F, built in _screen_corpus() for e in outer_degrees(F.n, F.degree())]
     corpus += [(F, e) for F in _forced_split_slices() for e in (2, 4)]
+    wild = _wild_screen_corpus()
+    wild_splits = [(F, e) for F, built in wild for e in outer_degrees(F.n, F.degree())]
+    corpus += wild_splits
 
     def answers():
         out = []
@@ -883,13 +914,52 @@ def test_partial_degree_screen_keeps_every_answer(monkeypatch):
             out.append((decompose_multi(F, e), None if H is None else decompose_from_top(F, e, H)))
         return out
 
-    screened = [not _partial_degrees_admit(F, e) for F, e in corpus]
+    screened = [not _exponents_admit(F, e) for F, e in corpus]
     got = answers()
-    monkeypatch.setattr(decompose, "_partial_degrees_admit", lambda F, e: True)
+    monkeypatch.setattr(decompose, "_exponents_admit", lambda F, e: True)
     assert answers() == got
     assert all(a is None and b is None for (a, b), out in zip(got, screened) if out)
     assert sum(a is not None for a, _ in got) >= 130 and sum(screened) >= 2000
-    for F, built in _screen_corpus():
+    # the second rule alone turns away inputs, also where p^a = 2 < m = 3:
+    # e divides every deg_v F, but F has a term above degree d - m with an
+    # exponent p^a does not divide
+    frobenius = [(F.dom.q, F.degree(), e) for F, e in wild_splits
+                 if not _exponents_admit(F, e) and not any(F.deg_in(v) % e for v in range(F.n))]
+    assert frobenius.count((2, 6, 2)) >= 15 and frobenius.count((4, 4, 2)) >= 30
+    for F, built in _screen_corpus() + wild:
         if built is not None:
-            assert _partial_degrees_admit(F, built), (F.format(), built)
+            assert _exponents_admit(F, built), (F.format(), built)
             assert decompose_multi(F, built) is not None
+
+
+def test_frobenius_rule_answers_before_any_candidate(monkeypatch):
+    # x^4 + x^3 + y^2 over F_2 at e = 2: e divides deg_x = 4 and deg_y = 2,
+    # and the top x^4 has the square root x^2, but x^3 lies above
+    # d - m = 2 with an odd exponent, where u_2 H^2 = u_2 (H^2) has none
+    F = parse_poly("x^4 + x^3 + y^2", F2)
+    H = top_form_root(F, 2)
+    assert H == MPoly(F2, 2, {(2, 0): 1})
+    assert not any(F.deg_in(v) % 2 for v in range(F.n)) and not _exponents_admit(F, 2)
+    calls, built = [], []
+    init = MPoly.__init__
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(decompose, name, wrapped)
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for name in ("_extract_outer", "_inner_powers", "_extend_root", "top_form_root"):
+        spy(name, getattr(decompose, name))
+    monkeypatch.setattr(MPoly, "__init__", spy_init)
+    assert decompose_from_top(F, 2, H) is None and decompose_multi(F, 2) is None
+    assert is_indecomposable_multi(F)
+    assert calls == [] and built == []
+    # the same calls with the screen patched off reach the candidates
+    monkeypatch.setattr(decompose, "_exponents_admit", lambda F, e: True)
+    assert decompose_from_top(F, 2, H) is None
+    assert "_extract_outer" in calls and "_inner_powers" in calls and built

@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from indecpoly import spectrum, unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
-from indecpoly.decompose import (_extract_outer, _partial_degrees_admit,  # noqa: E402
+from indecpoly.decompose import (_extract_outer, _exponents_admit,  # noqa: E402
                                  compose, decompose_from_top, decompose_multi,
                                  decompose_uni_dense, is_indecomposable_multi,
                                  outer_degrees, top_form_root)
@@ -199,12 +199,14 @@ def sparse_compositions(draw):
 @given(sparse_compositions())
 def test_partial_degrees_of_a_composite_are_its_outer_degree_times_the_inner(case):
     # lc_v(H)^e != 0 over an integral domain, so deg_v u(H) = e deg_v H in
-    # every variable v, which is what the partial-degree screen relies on
+    # every variable v, the first rule of the exponent screen; its second,
+    # p^a divides every exponent above degree d - m, is checked through the
+    # helper
     u, H = case
     e = u.degree()
     G = compose(u, H)
     assert [G.deg_in(v) for v in range(G.n)] == [e * H.deg_in(v) for v in range(H.n)]
-    assert _partial_degrees_admit(G, e)
+    assert _exponents_admit(G, e)
 
 
 # one variable, wild and tame: shapes r s <= 16 whose every split has few
