@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from decimal import Decimal
 from math import isqrt
 
@@ -122,3 +123,27 @@ def power_over(q: int, m: int, bound: int) -> str | None:
     if m >= bound.bit_length() and m * q.bit_length() > 64:
         return f"{q}^{m}"
     return decimal(q ** m) if q ** m > bound else None
+
+
+def digit_tuples(q: int, k: int, start: int = 0, stop: int | None = None):
+    """The k base-q digits, slowest first, of each index in [start, stop),
+    0 <= start < q^k and start <= stop <= q^k (None: q^k), in order: the
+    tuples of islice(product(range(q), repeat=k), start, stop), which for
+    k = 0 is one empty tuple, with no step through the indices below start.
+    With j0 the position of the last nonzero digit of a start > 0, they are
+    the tuples that agree with start above j0 and are at least its digit
+    there, then for each j < j0 those that agree with start above j and
+    exceed it at j."""
+    if start:
+        digits, rest = [], start
+        for _ in range(k):
+            rest, r = divmod(rest, q)
+            digits.append((r,))
+        digits.reverse()
+        j0 = max(j for j in range(k) if digits[j][0])
+        walk = itertools.chain(*[
+            itertools.product(*digits[:j], range(digits[j][0] + (j < j0), q),
+                              *[range(q)] * (k - 1 - j)) for j in reversed(range(j0 + 1))])
+    else:
+        walk = itertools.product(range(q), repeat=k)
+    return walk if stop is None else itertools.islice(walk, stop - start)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd
 
-from .arith import big_omega, decimal, divisors, factorint, power_over, prime_power
+from .arith import big_omega, decimal, digit_tuples, divisors, factorint, power_over, prime_power
 from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
@@ -320,7 +320,7 @@ def _scan(field, n, d, lo, hi, guard):
     answered there before any candidate, so a list is filled only at the
     splits that some polynomial of the block passes that way.  A slice's
     first tuple of low digits, or of runs in n >= 2, is decoded from its
-    start (_digit_tuples)."""
+    start (arith.digit_tuples)."""
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -334,7 +334,7 @@ def _scan(field, n, d, lo, hi, guard):
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)
         hits = 0
         if n == 1:  # the one top x^d: the dense engine at every split
-            for digits in _digit_tuples(q, len(lows), start, stop):
+            for digits in digit_tuples(q, len(lows), start, stop):
                 f = [*reversed(digits), 1]  # constant first
                 for r in splits:
                     if decompose_uni_dense(field, f, r, guard) is not None:
@@ -350,7 +350,7 @@ def _scan(field, n, d, lo, hi, guard):
                 ind += (q - 1) * (stop - start)
                 continue
             first = start // q  # the run r holds the indices r q + [0, q), the constants
-            for r, digits in enumerate(_digit_tuples(q, len(lows) - 1, first, -(-stop // q)),
+            for r, digits in enumerate(digit_tuples(q, len(lows) - 1, first, -(-stop // q)),
                                        first):
                 P = MPoly(field, n, {**top, **dict(zip(lows, digits))})  # constant term 0
                 for e, H, powers in live:
@@ -360,24 +360,6 @@ def _scan(field, n, d, lo, hi, guard):
         dec += (q - 1) * hits
         ind += (q - 1) * (stop - start - hits)
     return dec, ind
-
-
-def _digit_tuples(q, k, start, stop):
-    """The k >= 1 base-q digits, slowest first, of each index in [start,
-    stop), 0 <= start < q^k, in order, with no step through the indices
-    below start.  With j0 the position of the last nonzero digit of start (0
-    when there is none), they are the tuples that agree with start above j0
-    and are at least its digit there, then for each j < j0 those that agree
-    with start above j and exceed it at j."""
-    digits, rest = [], start
-    for _ in range(k):
-        rest, r = divmod(rest, q)
-        digits.append((r,))
-    digits.reverse()
-    j0 = max((j for j in range(k) if digits[j][0]), default=0)
-    runs = [itertools.product(*digits[:j], range(digits[j][0] + (j < j0), q),
-                              *[range(q)] * (k - 1 - j)) for j in reversed(range(j0 + 1))]
-    return itertools.islice(itertools.chain(*runs), stop - start)
 
 
 def merge_reports(reports) -> CensusReport:

@@ -34,8 +34,12 @@ JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend
 
 
 def _parse_field(text, guard):
+    try:
+        nums = [int(s) for s in text.split("^", 1)]
+    except ValueError:
+        raise ValueError(f"--field takes p or p^k, not {text!r}") from None
+    p, k = nums if len(nums) == 2 else prime_power(nums[0])
     # F_{p^k}, k >= 2, searches up to p^k moduli: check k, then p^k, against the guard first
-    p, k = map(int, text.split("^", 1)) if "^" in text else prime_power(int(text))
     if k >= 2 and power_over(p, k, guard):
         raise GuardExceeded(f"field order {p}^{k} exceeds guard {guard}")
     return finite_field(p, k)

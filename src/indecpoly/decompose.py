@@ -33,15 +33,14 @@ a returned pair recomposes to the input by construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import unipoly
-from .arith import divisors, integer_nth_root, power_over
+from .arith import digit_tuples, divisors, integer_nth_root, power_over
 from .fields import DEFAULT_GUARD, GuardExceeded
-from .mpoly import MPoly, glex_key, iter_completions, monomials_upto
+from .mpoly import MPoly, glex_key, monomials_upto
 
 
 @dataclass
@@ -303,8 +302,10 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
     Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
     degree d - m.  So extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F)
     down to that degree: its p^a-th root is the sum of the forced components
-    H_k, p^a (m - k) < m.  The free monomials go in iter_completions order;
-    the first inner polynomial with an outer one (_extract_outer) wins.
+    H_k, p^a (m - k) < m.  The coefficients on the free monomials go in
+    itertools.product order over the field's elements (arith.digit_tuples),
+    the last monomial fastest; the first inner polynomial with an outer one
+    (_extract_outer) wins.
 
     When p^a >= m the top form is the only forced component, so the j-th
     candidate inner is the same for every F with this top form and split.
@@ -332,14 +333,13 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
         if H is None:
             return None
         powers = None  # these candidates depend on F, so no list kept across F fits them
-    for j in range(dom.q ** nfree if nfree else 1):  # iter_completions order
+    # the j-th candidate has the j-th digit tuple on the free monomials, the
+    # last fastest; each element is its own index
+    for j, digits in enumerate(digit_tuples(dom.q, nfree) if nfree else [()]):
         if powers is not None and j < len(powers):
             pows = powers[j]
         else:
-            terms, rest = dict(H.terms), j  # j's digits on the free monomials, the last fastest
-            for mono in reversed(free):
-                rest, terms[mono] = divmod(rest, dom.q)  # each element is its own index
-            pows = _inner_powers(MPoly(dom, F.n, terms), e)
+            pows = _inner_powers(MPoly(dom, F.n, {**H.terms, **dict(zip(free, digits))}), e)
             if powers is not None:
                 powers.append(pows)
         u = _extract_outer(F, pows[1], e, pows)
@@ -360,17 +360,6 @@ def is_indecomposable_multi(F: MPoly, guard=DEFAULT_GUARD) -> bool:
     if F.is_zero() or F.is_constant():
         raise ValueError("indecomposability is undefined for constants")
     return all(decompose_multi(F, e, guard) is None for e in outer_degrees(F.n, F.degree()))
-
-
-def iter_normalized_inner(field, n, m):
-    """All normalized polynomials of exact degree m: monic leading term under
-    graded-lex and zero constant term (exhaustive search helper), in
-    increasing order of their coefficient indices on the nonconstant
-    monomials taken graded-lex descending."""
-    monos = [e for e in monomials_upto(n, m) if sum(e) > 0]
-    ntop = sum(1 for e in monos if sum(e) == m)
-    for i in reversed(range(ntop)):
-        yield from iter_completions(field, n, {monos[i]: field.one}, monos[i + 1 :])
 
 
 # --------------------------------------------------------------------------
@@ -471,8 +460,7 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     top = _forced_inner_top(dom, fm, s, a, e)
     if top is None:
         return None
-    lows = itertools.product(dom.elements(), repeat=nfree) if nfree else [()]
-    for low in lows:
+    for low in digit_tuples(dom.q, nfree) if nfree else [()]:
         v = [dom.zero, *reversed(low), *top, dom.one]
         u = _extract_outer_dense(dom, fm, v, r)
         if u is not None:

@@ -20,11 +20,10 @@ of that embedding, so it answers by lookup and gives None off the image.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import unipoly
-from .arith import factorint, is_prime, prime_power
+from .arith import digit_tuples, factorint, is_prime, prime_power
 
 ZECH_LIMIT = 1 << 16
 
@@ -293,8 +292,7 @@ def _default_modulus(base, k):
         for a0 in range(1, p):
             if all(pow(p - a0, (p - 1) // r, p) != 1 for r in primes):
                 return (a0,) + (0,) * (k - 1) + (1,)
-    for tail in itertools.islice(itertools.product(range(p), repeat=k), p, None):
-        # tail is (a_{k-1}, ..., a_0); candidates ascend in that order
+    for tail in digit_tuples(p, k, p):  # (a_{k-1}, ..., a_0), past the binomials
         cand = list(reversed(tail)) + [1]
         if unipoly.is_irreducible_finite(base, cand):
             return tuple(cand)
@@ -352,20 +350,11 @@ def projection(src: FiniteField, dst: FiniteField):
 # rationals and integers as coefficient domains
 # --------------------------------------------------------------------------
 
-class RationalDomain:
-    """Exact rationals (fractions.Fraction elements)."""
+class _Exact:
+    """Arithmetic shared by the characteristic-0 domains, on Python numbers."""
 
     char = 0
     is_finite = False
-    is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def key(self):
-        return ("qq",)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def add(self, a, b):
         return a + b
@@ -378,6 +367,26 @@ class RationalDomain:
 
     def mul(self, a, b):
         return a * b
+
+    def pow(self, a, n):
+        return a ** n
+
+    def format_element(self, a):
+        return str(a)
+
+
+class RationalDomain(_Exact):
+    """Exact rationals (fractions.Fraction elements)."""
+
+    is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def key(self):
+        return ("qq",)
+
+    def from_int(self, n):
+        return Fraction(n)
 
     def inv(self, a):
         if a == 0:
@@ -392,21 +401,13 @@ class RationalDomain:
     def exact_div(self, a, b):
         return self.div(a, b)
 
-    def pow(self, a, n):
-        return a ** n
-
-    def format_element(self, a):
-        return str(a)
-
     def __repr__(self):
         return "QQ"
 
 
-class IntegerDomain:
+class IntegerDomain(_Exact):
     """The ring of integers (plain int elements); division is exact-or-None."""
 
-    char = 0
-    is_finite = False
     is_field = False
     zero = 0
     one = 1
@@ -417,29 +418,11 @@ class IntegerDomain:
     def from_int(self, n):
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def exact_div(self, a, b):
         q, r = divmod(a, b)
         if r:
             return None
         return q
-
-    def pow(self, a, n):
-        return a ** n
-
-    def format_element(self, a):
-        return str(a)
 
     def __repr__(self):
         return "ZZ"

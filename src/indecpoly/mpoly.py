@@ -15,8 +15,6 @@ the element with that index (see fields), never reduced mod p.
 
 from __future__ import annotations
 
-import itertools
-
 
 def glex_key(e):
     return (sum(e), e)
@@ -378,13 +376,3 @@ def monomials_upto(n, d):
     # rec enumerates each total-degree block with x-first descending, which
     # matches graded-lex descending within the block
     return out
-
-
-def iter_completions(dom, n, fixed, monos):
-    """Every polynomial with the terms `fixed` plus any coefficients on the
-    monomials `monos` (none of them in `fixed`), in itertools.product order
-    over dom.elements(): the last monomial varies fastest."""
-    for coeffs in itertools.product(dom.elements(), repeat=len(monos)):
-        terms = dict(fixed)
-        terms.update(zip(monos, coeffs))
-        yield MPoly(dom, n, terms)  # the constructor drops the zero coefficients

@@ -37,7 +37,7 @@ from .factoring import (absolutely_irreducible, frobenius_orbit, minimal_polynom
                         n_bar_factors, uni_factor)
 from .fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field, prime_field
 from .mpoly import MPoly
-from .resultants import coeff_table, resultant
+from .resultants import _det_bareiss, coeff_table, resultant
 
 
 class SpectrumUnbounded(ValueError):
@@ -529,27 +529,20 @@ def quadratic_spectral_value(F: MPoly):
 
 def conic_is_degenerate(F: MPoly, lam) -> bool:
     """Reducibility over the closure for a degree-2 polynomial, via the
-    vanishing of the symmetric-matrix determinant (characteristic != 2):
+    vanishing of the symmetric-matrix determinant (characteristic != 2),
+    taken by resultants._det_bareiss:
     | 2*a20  a11   a10 |
     | a11    2*a02 a01 |
     | a10    a01   2*(a00 - lam) |"""
     dom = F.dom
     a00, a10, a01, a20, a11, a02 = _quad_coeffs(F)
-    a00 = dom.sub(a00, lam)
     two = dom.from_int(2)
     m = [
         [dom.mul(two, a20), a11, a10],
         [a11, dom.mul(two, a02), a01],
-        [a10, a01, dom.mul(two, a00)],
+        [a10, a01, dom.mul(two, dom.sub(a00, lam))],
     ]
-    det = dom.sub(
-        dom.add(
-            dom.mul(m[0][0], dom.sub(dom.mul(m[1][1], m[2][2]), dom.mul(m[1][2], m[2][1]))),
-            dom.mul(m[0][2], dom.sub(dom.mul(m[1][0], m[2][1]), dom.mul(m[1][1], m[2][0]))),
-        ),
-        dom.mul(m[0][1], dom.sub(dom.mul(m[1][0], m[2][2]), dom.mul(m[1][2], m[2][0]))),
-    )
-    return det == dom.zero
+    return _det_bareiss([[MPoly.const(dom, 1, c) for c in row] for row in m]).is_zero()
 
 
 def reduction_compatibility(F: MPoly, p: int, guard=DEFAULT_GUARD) -> bool:

@@ -9,7 +9,8 @@ except the final normalization: factors monic under graded-lex, sorted.
 """
 
 from indecpoly.factoring import Factorization, _merge_factor_lists, _sorted_factors
-from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
+from completions import iter_completions
+from indecpoly.mpoly import MPoly, monomials_upto
 
 
 def find_divisor(F: MPoly):

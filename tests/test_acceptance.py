@@ -13,12 +13,14 @@ from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_smal
                               count_recursive, count_total, count_uni,
                               enumerate_census, trend_table)
 from indecpoly.decompose import (_extract_outer, compose, decompose_multi, dickson,
-                                 is_indecomposable_multi, iter_normalized_inner)
+                                 is_indecomposable_multi)
 from indecpoly.factoring import absolutely_irreducible
 from indecpoly.fields import embedding, finite_field
 from indecpoly.modp import build_chain, good_primes
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.spectrum import quadratic_spectral_value, spectral_values, stein_check
+
+from completions import iter_normalized_inner
 
 F2, F3, F5, F7 = finite_field(2), finite_field(3), finite_field(5), finite_field(7)
 

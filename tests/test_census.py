@@ -10,14 +10,16 @@ from pathlib import Path
 import pytest
 
 from indecpoly import census, decompose
-from indecpoly.arith import divisors
+from indecpoly.arith import digit_tuples, divisors
 from indecpoly.decompose import decompose_multi, decompose_uni_dense, outer_degrees
 from indecpoly.fields import GuardExceeded, field_from_order
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni, enumerate_census,
                               enumerate_census_parallel, merge_reports, partition_ranges,
                               scan_space, trend_table)
-from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
+from indecpoly.mpoly import MPoly, monomials_upto
+
+from completions import iter_completions
 
 
 def test_count_total_values():
@@ -563,12 +565,18 @@ def test_scan_slices_start_at_their_decoded_digits():
     # through every tuple before it: the last two of 3^30 come at once
     rng = random.Random(34)
     for _ in range(500):
-        q, k = rng.choice([2, 3, 4, 5]), rng.randint(1, 5)
+        q, k = rng.choice([2, 3, 4, 5]), rng.randint(0, 5)
         lo = rng.randrange(q ** k)
         hi = rng.randint(lo, q ** k)
-        assert list(census._digit_tuples(q, k, lo, hi)) == list(
+        assert list(digit_tuples(q, k, lo, hi)) == list(
             itertools.islice(itertools.product(range(q), repeat=k), lo, hi)), (q, k, lo, hi)
-    assert list(census._digit_tuples(3, 30, 3 ** 30 - 2, 3 ** 30)) == [
+        assert list(digit_tuples(q, k, lo)) == list(
+            itertools.islice(itertools.product(range(q), repeat=k), lo, None)), (q, k, lo)
+    for q, k in [(2, 0), (3, 0), (2, 1), (3, 3), (4, 2), (5, 3)]:
+        assert list(digit_tuples(q, k)) == list(itertools.product(range(q), repeat=k))
+    assert list(digit_tuples(7, 0)) == [()]
+    assert list(digit_tuples(7, 0, 0, 0)) == list(digit_tuples(7, 2, 0, 0)) == []
+    assert list(digit_tuples(3, 30, 3 ** 30 - 2, 3 ** 30)) == [
         (2,) * 29 + (1,), (2,) * 30]
 
 

@@ -389,6 +389,16 @@ def test_cli_rejects_a_field_order_that_is_not_a_prime_power(capsys, argv):
     assert err == f"error: {q} is not a prime power\n"
 
 
+@pytest.mark.parametrize("cmd, text", [
+    ("indec", "abc"), ("spectrum", "2^x"), ("decompose", "2^"), ("pthpower", "^3"),
+    ("indec", ""), ("indec", "7.0"),
+])
+def test_cli_names_the_field_option_when_its_value_is_no_number(capsys, cmd, text):
+    code, out, err = run_cli(capsys, cmd, "--field", text, "x^2 + y")
+    assert code == 1 and out == ""
+    assert err == f"error: --field takes p or p^k, not {text!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--q", "2", "--n", "2", "--d", "0"),
     ("census", "--q", "2", "--n", "2", "--d", "-3"),

@@ -11,15 +11,17 @@ import pytest
 
 from indecpoly.arith import divisors, integer_nth_root
 from indecpoly.fields import QQ, embedding, finite_field
-from indecpoly.mpoly import MPoly, iter_completions, monomials_upto
+from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.parsing import parse_poly
 from indecpoly import decompose
 from indecpoly.decompose import (Decomposition, _extend_root, _extract_outer, _inner_powers,
                                  _exponents_admit, compose, decompose_from_top,
                                  decompose_multi, decompose_uni_dense, dickson,
-                                 is_indecomposable_multi, is_pth_power, iter_normalized_inner,
-                                 normalize, outer_degrees, poly_eth_root, top_form_root)
+                                 is_indecomposable_multi, is_pth_power, normalize,
+                                 outer_degrees, poly_eth_root, top_form_root)
 from indecpoly.mpoly import glex_key
+
+from completions import iter_completions, iter_normalized_inner
 
 F2, F3, F5, F7 = finite_field(2), finite_field(3), finite_field(5), finite_field(7)
 

@@ -134,6 +134,53 @@ def test_quadratic_formula_guards():
         quadratic_spectral_value(MPoly(F2, 2, {(2, 0): 1, (0, 2): 1, (1, 0): 1}))
 
 
+def _conic_det_by_cofactors(F, lam):
+    """The symmetric-matrix determinant of a degree-2 F minus lam, expanded
+    along the first row: the reference conic_is_degenerate is pinned to."""
+    dom = F.dom
+    a00, a10, a01, a20, a11, a02 = (F.coeff(e) for e in
+                                    ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    two = dom.from_int(2)
+    m = [
+        [dom.mul(two, a20), a11, a10],
+        [a11, dom.mul(two, a02), a01],
+        [a10, a01, dom.mul(two, dom.sub(a00, lam))],
+    ]
+    return dom.sub(
+        dom.add(
+            dom.mul(m[0][0], dom.sub(dom.mul(m[1][1], m[2][2]), dom.mul(m[1][2], m[2][1]))),
+            dom.mul(m[0][2], dom.sub(dom.mul(m[1][0], m[2][1]), dom.mul(m[1][1], m[2][0]))),
+        ),
+        dom.mul(m[0][1], dom.sub(dom.mul(m[1][0], m[2][2]), dom.mul(m[1][2], m[2][0]))),
+    )
+
+
+@pytest.mark.parametrize("dom", [F3, F5, F7, finite_field(3, 2), QQ], ids=repr)
+def test_conic_is_degenerate_matches_the_cofactor_expansion(dom):
+    # seeded quadratics, each at a random value and, where the closed form
+    # has one, at its spectral value, where the conic must degenerate
+    rng = random.Random(530)
+    draw = ((lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))) if dom is QQ
+            else (lambda: rng.randrange(dom.q)))
+    verdicts = set()
+    for _ in range(150):
+        F = MPoly(dom, 2, {e: draw() for e in monomials_upto(2, 2)})
+        if F.degree() != 2:
+            continue
+        lams = [draw()]
+        try:
+            lams.append(quadratic_spectral_value(F))
+        except ValueError:  # the closed-form denominator vanishes
+            pass
+        for lam in lams:
+            want = _conic_det_by_cofactors(F, lam) == dom.zero
+            assert conic_is_degenerate(F, lam) == want, (F.format(), lam)
+            verdicts.add(want)
+        if len(lams) == 2:
+            assert conic_is_degenerate(F, lams[1])
+    assert verdicts == {False, True}
+
+
 def test_reduction_compatibility_examples():
     F = MPoly(ZZ, 2, {(2, 0): 1, (0, 2): 1, (0, 0): 3})
     assert reduction_compatibility(F, 7)

@@ -3,10 +3,11 @@
 Every non-dunder method in src/indecpoly must occur as a name, an attribute
 or an import alias somewhere in src/ or tests/, outside its own definition;
 methods are matched by name only.  A module-level function counts as used
-only when it is referenced from its own module (outside its definition), is
-imported from that module, or occurs as <module alias>.<name>, so a function
-that shares its name with a used method (or with a function of another
-module) does not pass unnoticed.
+only when the package itself references it: from its own module (outside
+its definition), by an import from that module, or as <module alias>.<name>,
+in any module of src/indecpoly, __init__.py included.  So a function that
+shares its name with a used method (or with a function of another module)
+does not pass unnoticed, and one that only tests call belongs in tests/.
 
 Every module-level import of a package module other than __init__.py is
 used as a name in that module.
@@ -87,8 +88,9 @@ def test_every_definition_is_referenced():
     for path, tree in trees.items():
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
-        for module, name, line in _qualified_references(tree):
-            qualified.setdefault((module, name), []).append((path, line))
+        if path.parent == PACKAGE:
+            for module, name, line in _qualified_references(tree):
+                qualified.setdefault((module, name), []).append((path, line))
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = trees[path]
