@@ -1,8 +1,11 @@
-"""Small integer number-theory helpers shared across the package."""
+"""Small integer number-theory helpers shared across the package, and
+CensusReport: in this leaf module, a kept report pins no other module."""
 
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import dataclass
 from decimal import Decimal
 from math import isqrt
 
@@ -147,3 +150,28 @@ def digit_tuples(q: int, k: int, start: int = 0, stop: int | None = None):
     else:
         walk = itertools.product(range(q), repeat=k)
     return walk if stop is None else itertools.islice(walk, stop - start)
+
+
+@dataclass
+class CensusReport:
+    q: int
+    n: int
+    d: int
+    total: int
+    indecomposable: int
+    decomposable: int
+    method: str  # "closed" | "recursion" | "enumeration"
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "q": self.q,
+                "n": self.n,
+                "d": self.d,
+                "N": decimal(self.total),
+                "I": decimal(self.indecomposable),
+                "D": decimal(self.decomposable),
+                "method": self.method,
+            },
+            sort_keys=True,
+        )

@@ -7,9 +7,9 @@ Three routes that must agree:
 * the induction formula I_d = N_d - sum over proper divisors d' of
   q^(d/d' - 1) * I_{d'}, seeded with I_1 = q(q^n - 1) (n >= 2 only: the
   one-variable convention does not partition the decomposables);
-* exhaustive enumeration: count every polynomial of exact degree d with
-  the decomposition engine.  F = u(H) exactly when alpha F = (alpha u)(H)
-  for alpha != 0, so only the monic representative of each orbit
+* exhaustive enumeration: count every polynomial of exact degree d, by the
+  engine or by the image (below).  F = u(H) exactly when alpha F =
+  (alpha u)(H) for alpha != 0, so only the monic representative of each orbit
   {alpha F} is classified, the one whose first nonzero top coefficient is
   1, and its verdict counts q - 1 times.  The top coefficients are the
   slowest digits of the scan index, so each top form T owns one block of
@@ -20,17 +20,14 @@ Three routes that must agree:
   n >= 2 variables T is screened once: a split e survives when T has an
   e-th root H (decompose.top_form_root, the first step of decompose_multi),
   and a block where no split survives is counted indecomposable in one
-  addition, without building its polynomials.  In a block that survives,
-  each polynomial goes to decompose.decompose_from_top with the root H of
-  each surviving split, which is thus taken once per block, and there a
-  split that the polynomial's exponents rule out (decompose._exponents_admit)
-  is rejected before any other work; where H is the only forced
-  component, the powers of each candidate inner are built once per block as
-  well.  There F = u(H) exactly when F + c = (u + c)(H), with the same
-  inner, and the constant term is the fastest digit of the scan index: so
-  each run of q consecutive indices is one set {F + c}, and only its index
-  with constant term 0 is classified (von zur Gathen, "Counting decomposable
-  multivariate polynomials", AAECC 2011, uses this normalization).
+  addition, without building its polynomials.  A block that survives is
+  counted by its composition image.  F = u(H) exactly when F + c =
+  (u + c)(H), and the constant term is the fastest digit of the scan index,
+  so each run of q consecutive indices is one set {F + c} with one verdict.
+  The decomposable runs are those of the composites u(H + h) at the
+  surviving splits (decompose.composites_from_top), collected in a set, so
+  a run reached twice counts once (von zur Gathen, "Counting decomposable
+  multivariate polynomials", AAECC 2011, counts D this way).
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -45,41 +42,16 @@ lies.  The merged counts of a cover of the index space are exact.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd
 
-from .arith import big_omega, decimal, digit_tuples, divisors, factorint, power_over, prime_power
-from .decompose import decompose_from_top, decompose_uni_dense, outer_degrees, top_form_root
+from .arith import (CensusReport, big_omega, digit_tuples, divisors, factorint, power_over,
+                    prime_power)
+from .decompose import composites_from_top, decompose_uni_dense, outer_degrees, top_form_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
-
-
-@dataclass
-class CensusReport:
-    q: int
-    n: int
-    d: int
-    total: int
-    indecomposable: int
-    decomposable: int
-    method: str  # "closed" | "recursion" | "enumeration"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.q,
-                "n": self.n,
-                "d": self.d,
-                "N": decimal(self.total),
-                "I": decimal(self.indecomposable),
-                "D": decimal(self.decomposable),
-                "method": self.method,
-            },
-            sort_keys=True,
-        )
 
 
 def count_total(q, n, d) -> int:
@@ -282,12 +254,11 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     scan (_scan) walks the monic top blocks in every arity.  In one
     variable each polynomial goes to decompose.decompose_uni_dense.  For
     n >= 2 each monic top form is screened once per slice by
-    decompose.top_form_root, and each polynomial under it with constant
-    term 0 goes to decompose.decompose_from_top with the root of each split
-    its top admits; its verdict holds for every constant, so it counts for
-    the indices of its run {F + c} inside the slice.  A top that admits no
-    split adds q - 1 times its whole overlap with the slice to the
-    indecomposables.
+    decompose.top_form_root; the runs {F + c} of the decomposable F in a
+    block that survives are collected from its composition image
+    (decompose.composites_from_top), and each counts for its indices inside
+    the slice.  A top that admits no split adds q - 1 times its whole
+    overlap with the slice to the indecomposables.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -307,20 +278,17 @@ def _scan(field, n, d, lo, hi, guard):
     each verdict counted q - 1 times, block by block of monic top forms.
 
     For n >= 2 a block's indices fall into runs of q, r q + [0, q), that
-    differ only in the constant term, the fastest digit.  Only the run's
-    first index, constant term 0, is classified, and its verdict counts for
-    each index of the run inside [start, stop), so a run cut by the slice
-    counts in part, and one whose first index lies before lo is still
-    classified.  Every split a block's top admits keeps one list for the
-    block, handed to decompose_from_top with each of its polynomials: where
-    the top form is the only forced component (p^a >= m), the candidate
-    inners are the same for the whole block, so the powers of each are built
-    on first use and reused; the list is dropped when the block ends.  A
-    polynomial whose exponents rule the split out (_exponents_admit) is
-    answered there before any candidate, so a list is filled only at the
-    splits that some polynomial of the block passes that way.  A slice's
-    first tuple of low digits, or of runs in n >= 2, is decoded from its
-    start (arith.digit_tuples)."""
+    differ only in the constant term, the fastest digit, and share one
+    verdict.  A run is decomposable when its constant-0 polynomial is a
+    composite u(H + h) at some split the block's top admits: the runs of the
+    composites form a set, and each run in it counts for its indices inside
+    [start, stop), so a run cut by the slice counts in part, and one whose
+    first index lies before lo still counts.  A run's index is read from the
+    composite's coefficients on every low monomial but the constant (each
+    element is its own digit); the weights are built at the slice's first
+    live block, so a slice of dead blocks builds none.  A slice's first tuple
+    of low digits in one variable is decoded from its start
+    (arith.digit_tuples)."""
     q = field.q
     monos = monomials_upto(n, d)
     ntop = sum(1 for e in monos if sum(e) == d)
@@ -328,12 +296,13 @@ def _scan(field, n, d, lo, hi, guard):
     block = q ** len(lows)  # the indices t * block + [0, block) share top t
     splits = outer_degrees(n, d)
     dec = ind = 0
+    weight = None
     tops_lo, tops_hi = lo // block, -(-hi // block)
     for t in itertools.chain.from_iterable(  # the tops whose first nonzero digit is 1
             range(max(tops_lo, q ** k), min(tops_hi, 2 * q ** k)) for k in range(ntop)):
         start, stop = max(lo - t * block, 0), min(hi - t * block, block)
-        hits = 0
         if n == 1:  # the one top x^d: the dense engine at every split
+            hits = 0
             for digits in digit_tuples(q, len(lows), start, stop):
                 f = [*reversed(digits), 1]  # constant first
                 for r in splits:
@@ -345,18 +314,17 @@ def _scan(field, n, d, lo, hi, guard):
             for mono in reversed(tops):  # the first top monomial is the slowest digit
                 rest, top[mono] = divmod(rest, q)
             T = MPoly(field, n, top)
-            live = [(e, H, []) for e in splits if (H := top_form_root(T, e)) is not None]
+            live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
             if not live:  # no split survives the top: the whole block is indecomposable
                 ind += (q - 1) * (stop - start)
                 continue
-            first = start // q  # the run r holds the indices r q + [0, q), the constants
-            for r, digits in enumerate(digit_tuples(q, len(lows) - 1, first, -(-stop // q)),
-                                       first):
-                P = MPoly(field, n, {**top, **dict(zip(lows, digits))})  # constant term 0
-                for e, H, powers in live:
-                    if decompose_from_top(P, e, H, guard, powers) is not None:
-                        hits += min(stop, r * q + q) - max(start, r * q)
-                        break
+            if weight is None:  # a run's index: its digits on lows[:-1], the last fastest
+                weight = {**dict.fromkeys(tops, 0),
+                          **{mono: q ** k for k, mono in enumerate(lows[-2::-1])}}
+            runs = {sum([weight[mono] * c for mono, c in terms.items()])
+                    for e, H in live for terms in composites_from_top(H, e)}
+            first, last = start // q, -(-stop // q)  # the run r holds the indices r q + [0, q)
+            hits = sum(min(stop, r * q + q) - max(start, r * q) for r in runs if first <= r < last)
         dec += (q - 1) * hits
         ind += (q - 1) * (stop - start - hits)
     return dec, ind

@@ -34,10 +34,10 @@ JOBS_HELP = ("cut the scan into this many index ranges; the counts do not depend
 
 
 def _parse_field(text, guard):
-    try:
-        nums = [int(s) for s in text.split("^", 1)]
-    except ValueError:
-        raise ValueError(f"--field takes p or p^k, not {text!r}") from None
+    parts = text.split("^", 1)
+    if not all(s.isascii() and s.isdigit() for s in parts):  # int() also takes " 7", +7, 1_1
+        raise ValueError(f"--field takes p or p^k, not {text!r}")
+    nums = [int(s) for s in parts]
     p, k = nums if len(nums) == 2 else prime_power(nums[0])
     # F_{p^k}, k >= 2, searches up to p^k moduli: check k, then p^k, against the guard first
     if k >= 2 and power_over(p, k, guard):

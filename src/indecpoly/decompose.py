@@ -290,30 +290,20 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     return dec
 
 
-def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=None):
+def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None, given
     H = top_form_root(F, e) (not None), the top form of every inner
-    polynomial.  A caller that already holds H for the top form of F, as the
-    census does for a whole block of polynomials, passes it here.
+    polynomial.
 
     A split that fails _exponents_admit(F, e) is answered None first,
-    before the guard, any root, candidate or peel: the exponents differ
-    between polynomials of one top form, so the caller's H cannot settle it.
-    Every decomposition F = u(H) has F/lc(F) equal to (H^(p^a))^e' above
-    degree d - m.  So extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F)
-    down to that degree: its p^a-th root is the sum of the forced components
-    H_k, p^a (m - k) < m.  The coefficients on the free monomials go in
-    itertools.product order over the field's elements (arith.digit_tuples),
-    the last monomial fastest; the first inner polynomial with an outer one
-    (_extract_outer) wins.
-
-    When p^a >= m the top form is the only forced component, so the j-th
-    candidate inner is the same for every F with this top form and split.
-    There a caller may pass a list `powers` that it keeps across those F:
-    entry j, _inner_powers of the j-th candidate, is read back, and only the
-    candidates past its end are built and appended, at most q^(free count)
-    entries.  When p^a < m the candidates depend on F and the list is
-    neither read nor written.
+    before the guard, any root, candidate or peel.  Every decomposition
+    F = u(H) has F/lc(F) equal to (H^(p^a))^e' above degree d - m.  So
+    extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F) down to that
+    degree: its p^a-th root is the sum of the forced components H_k,
+    p^a (m - k) < m; when p^a >= m the top form is the only one.  The
+    coefficients on the free monomials go in itertools.product order over
+    the field's elements (arith.digit_tuples), the last monomial fastest; the
+    first inner polynomial with an outer one (_extract_outer) wins.
     """
     if not _exponents_admit(F, e):
         return None
@@ -332,20 +322,42 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD, powers=N
         H = None if R is None else poly_eth_root(R, pa)
         if H is None:
             return None
-        powers = None  # these candidates depend on F, so no list kept across F fits them
-    # the j-th candidate has the j-th digit tuple on the free monomials, the
-    # last fastest; each element is its own index
-    for j, digits in enumerate(digit_tuples(dom.q, nfree) if nfree else [()]):
-        if powers is not None and j < len(powers):
-            pows = powers[j]
-        else:
-            pows = _inner_powers(MPoly(dom, F.n, {**H.terms, **dict(zip(free, digits))}), e)
-            if powers is not None:
-                powers.append(pows)
+    # the candidates have the digit tuples on the free monomials, the last
+    # fastest; each element is its own index, and over the rationals none is free
+    for digits in digit_tuples(dom.q, nfree) if nfree else [()]:
+        pows = _inner_powers(MPoly(dom, F.n, {**H.terms, **dict(zip(free, digits))}), e)
         u = _extract_outer(F, pows[1], e, pows)
         if u is not None:
             return Decomposition(MPoly.from_dense(dom, u, 1), pows[1])
     return None
+
+
+def composites_from_top(H: MPoly, e: int):
+    """The terms {monomial: nonzero coefficient} of u(H + h) for every
+    u = t^e + u_(e-1) t^(e-1) + ... + u_1 t and every h on the monomials of
+    degree 1 .. m - 1, m = deg H: q^(e - 1 + #h) composites, not all
+    distinct.  For H = top_form_root(T, e), T monic, these are the F with
+    top form T and F(0) = 0 that decompose at e: a normalized F = u(H') has
+    the top form lc(u) top(H')^e, so lc(u) = 1, top(H') = H and u(0) = 0.
+    The powers of each H + h are built once, and h and u go in digit_tuples
+    order."""
+    dom = H.dom
+    zero, add, mul = dom.zero, dom.add, dom.mul
+    low = monomials_upto(H.n, H.degree() - 1)[:-1]  # the constant comes last
+    for digits in digit_tuples(dom.q, len(low)):
+        powers = _inner_powers(MPoly(dom, H.n, {**H.terms, **dict(zip(low, digits))}), e)
+        lower = [P.terms for P in reversed(powers[1:e])]  # H'^(e-1), ..., H'
+        for outer in digit_tuples(dom.q, e - 1):  # u_(e-1), ..., u_1
+            terms = dict(powers[e].terms)
+            for ui, P in zip(outer, lower):
+                if ui != zero:
+                    for mono, c in P.items():
+                        s = add(terms.get(mono, zero), mul(ui, c))
+                        if s == zero:
+                            del terms[mono]
+                        else:
+                            terms[mono] = s
+            yield terms
 
 
 def outer_degrees(n: int, d: int) -> list:

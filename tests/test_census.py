@@ -4,6 +4,8 @@ import importlib.util
 import itertools
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +115,28 @@ def test_partition_merge_determinism():
     parts2 = [enumerate_census(2, 2, 3, part=r) for r in ranges]
     merged2 = merge_reports(parts2)
     assert merged2.decomposable == full.decomposable
+
+
+def test_a_kept_report_keeps_no_census_module_alive():
+    # a report's methods have the globals of arith, the one package module
+    # that imports no other, so a caller that keeps a report past a fresh
+    # import of the package keeps neither census nor decompose alive.  A
+    # module object can be freed while functions still hold its dict, so the
+    # check watches one function of each module
+    script = ("import gc, importlib, sys, weakref\n"
+              "rep = importlib.import_module('indecpoly.census').enumerate_census(2, 2, 2)\n"
+              "refs = [weakref.ref(vars(sys.modules[f'indecpoly.{name}'])[fn]) for name, fn in\n"
+              "        [('census', 'count_total'), ('decompose', 'compose'),\n"
+              "         ('mpoly', 'monomials_upto'), ('fields', 'field_from_order'),\n"
+              "         ('unipoly', 'roots')]]\n"
+              "for name in [m for m in sys.modules if m.startswith('indecpoly')]:\n"
+              "    del sys.modules[name]\n"
+              "gc.collect()\n"
+              "assert rep.to_json() and not any(ref() for ref in refs), [ref() for ref in refs]\n")
+    src = str(Path(census.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
 
 
 def _inline_pool(monkeypatch):
@@ -384,35 +408,72 @@ def test_one_index_slices_of_a_live_block_are_exact(q, n, d):
         _assert_slice_exact(q, n, d, i, i + 1)
 
 
+def _top_form(q, n, d, t):
+    """The top form with the top digits of t, the first top monomial slowest."""
+    field = field_from_order(q)
+    _, ntop = _top_block(q, n, d)
+    return MPoly(field, n, dict(zip(monomials_upto(n, d)[:ntop], _digits(t, q, ntop))))
+
+
+def _image_bound(q, n, d, T):
+    """Sum over the splits e whose root H the top form T has of q^(e - 1 + #h),
+    #h the monomials of degree 1 .. d/e - 1: the composites u(H + h) of a
+    live block."""
+    return sum(q ** (e - 1 + len(monomials_upto(n, d // e - 1)) - 1)
+               for e in outer_degrees(n, d) if census.top_form_root(T, e) is not None)
+
+
+def _spy_composites(monkeypatch):
+    """Record (e, H, terms) for every composite the scan draws from
+    composites_from_top, and fail on any call of decompose_from_top."""
+    built = []
+    image = census.composites_from_top
+
+    def spy(H, e):
+        for terms in image(H, e):
+            built.append((e, H, terms))
+            yield terms
+
+    def no_engine(*args):
+        raise AssertionError("the n >= 2 scan ran decompose_from_top")
+
+    monkeypatch.setattr(census, "composites_from_top", spy)
+    monkeypatch.setattr(decompose, "decompose_from_top", no_engine)
+    return built
+
+
 def test_multi_scan_classifies_only_constant_free_polynomials(monkeypatch):
-    # F = u(H) exactly when F + c = (u + c)(H): in n >= 2 the engine sees
-    # one polynomial per run {F + c}, the one with constant term 0
-    seen = []
-    engine = census.decompose_from_top
-
-    def spy(F, *args):
-        seen.append(F.constant_term())
-        return engine(F, *args)
-
-    monkeypatch.setattr(census, "decompose_from_top", spy)
+    # F = u(H) exactly when F + c = (u + c)(H): in n >= 2 the scan builds
+    # the composites of each live block with constant term 0 and top form T,
+    # no more than sum_e q^(e - 1 + #h) of them, and never runs the engine
     for q, n, d in [(3, 2, 2), (2, 2, 4), (2, 3, 2)]:
-        del seen[:]
-        rep = enumerate_census(q, n, d)
-        dec, ind = _reference_prefix(q, n, d)
+        dec, ind = _reference_prefix(q, n, d)  # before the spies
+        block, ntop = _top_block(q, n, d)
+        with monkeypatch.context() as m:
+            built = _spy_composites(m)
+            rep = enumerate_census(q, n, d)
         assert (rep.decomposable, rep.indecomposable) == (dec[-1], ind[-1])
-        assert seen and not any(seen), (q, n, d)
+        assert built, (q, n, d)
+        tops = collections.Counter()
+        for e, H, terms in built:
+            P = MPoly(field_from_order(q), n, terms)
+            assert P.terms == terms and P.constant_term() == 0, (q, n, d, e)
+            assert P.leading_form() == H ** e, (q, n, d, e)
+            tops[P.leading_form()] += 1
+        for T, count in tops.items():
+            assert count <= _image_bound(q, n, d, T), (q, n, d, T.format())
 
 
 def test_screened_top_block_builds_no_polynomial(monkeypatch):
     # the top x y over F_3 has no square root, so its whole block counts as
-    # indecomposable, q - 1 times over, without a single call of the engine
+    # indecomposable, q - 1 times over, without a single composite
     block, ntop = _top_block(3, 2, 2)
     t = 3 ** (ntop - 2)
 
-    def no_engine(*args):
-        raise AssertionError("decompose_from_top ran inside a screened block")
+    def no_image(*args):
+        raise AssertionError("composites_from_top ran inside a screened block")
 
-    monkeypatch.setattr(census, "decompose_from_top", no_engine)
+    monkeypatch.setattr(census, "composites_from_top", no_image)
     rep = enumerate_census(3, 2, 2, part=(t * block, (t + 1) * block))
     assert (rep.decomposable, rep.indecomposable) == (0, 2 * block)
 
@@ -424,7 +485,7 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
     def no_engine(*args):
         raise AssertionError("the engine ran on a non-representative index")
 
-    for name in ("top_form_root", "decompose_from_top", "decompose_uni_dense"):
+    for name in ("top_form_root", "composites_from_top", "decompose_uni_dense"):
         monkeypatch.setattr(census, name, no_engine)
     block, ntop = _top_block(3, 2, 2)
     t = 2 * 3 ** (ntop - 1)
@@ -433,47 +494,16 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
         assert (rep.total, rep.decomposable, rep.indecomposable) == (0, 0, 0)
 
 
-@functools.lru_cache(maxsize=None)
-def _splits_past_the_screen(q, n, d, lo, hi):
-    """The splits e of the top block holding the slice [lo, hi) at which some
-    polynomial of the slice reaches decompose_from_top and passes the
-    exponent screen, decompose._exponents_admit.  The scan tries a top's live
-    splits in order and stops at the first decomposition, so a later split is
-    reached only by the polynomials that no earlier one decomposes."""
-    field = field_from_order(q)
-    monos = monomials_upto(n, d)
-    block, ntop = _top_block(q, n, d)
-    T = MPoly(field, n, {mono: c for mono, c in zip(monos, _digits(lo // block, q, ntop)) if c})
-    live = [e for e in outer_degrees(n, d) if census.top_form_root(T, e) is not None]
-    passed = set()
-    for i in range(lo, hi):
-        P = MPoly(field, n, {mono: c for mono, c in zip(monos, _digits(i, q, len(monos))) if c})
-        for e in live:
-            if decompose._exponents_admit(P, e):
-                passed.add(e)
-            if decompose_multi(P, e) is not None:
-                break
-        if len(passed) == len(live):
-            break
-    return tuple(sorted(passed))
-
-
 def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
     # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
-    # each.  No split is forced: e = 2 tries the inners x^2 + a x + b y under
-    # the top x^4 (4 candidates), e = 4 the inner x (1 candidate).  Outside
-    # the top-form screen, the only products are the powers [1, H, ..., H^e],
-    # e - 1 per candidate, built once in each slice's part of a live block,
-    # at the splits some polynomial of the slice takes past the exponent
-    # screen: 7 slices at e = 2 and 7 at e = 4 of the 28 and 12 whose top has
-    # the root.  At e = 2 over F_2 no cubic term passes, so only the quarter
-    # of a block whose x^3 and x^2 y coefficients are 0 holds a polynomial
-    # that does
+    # each.  e = 2 composes over the inners x^2 + a x + b y under the top x^4
+    # (4 of them), e = 4 over the inner x (1).  Outside the top-form screen,
+    # the only products are the powers [1, H, ..., H^e], e - 1 per inner,
+    # built once in each slice's part of a live block at each split its top
+    # admits: 28 slices have a top with a square root, 12 with a fourth root
     q, n, d = 2, 2, 4
-    candidates = {2: 4, 4: 1}
+    inners = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
-    field = field_from_order(q)
-    monos = monomials_upto(n, d)
     products = {"all": 0, "screen": 0}
     mul, root = MPoly.__mul__, census.top_form_root
 
@@ -489,50 +519,45 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
 
     # the zero top is skipped; over F_2 every other top is monic
     slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
-    passed = {s: _splits_past_the_screen(q, n, d, *s) for s in slices}  # before the spies
+    live = {s: [e for e in (2, 4) if root(_top_form(q, n, d, s[0] // block), e) is not None]
+            for s in slices}  # before the spies
+    _spy_composites(monkeypatch)
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
     monkeypatch.setattr(census, "top_form_root", counted_root)
     want, dec = 0, 0
     for lo, hi in slices:
-        t = lo // block
-        T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
-        assert set(passed[lo, hi]) <= {e for e in (2, 4) if root(T, e) is not None}
-        want += sum(candidates[e] * (e - 1) for e in passed[lo, hi])
+        want += sum(inners[e] * (e - 1) for e in live[lo, hi])
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
-    assert [sum(e in p for p in passed.values()) for e in (2, 4)] == [7, 7]
-    assert products["all"] - products["screen"] == want == 7 * 4 * 1 + 7 * 1 * 3
+    assert [sum(e in p for p in live.values()) for e in (2, 4)] == [28, 12]
+    assert products["all"] - products["screen"] == want == 28 * 4 * 1 + 12 * 1 * 3
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
-    # the same 128 slices of (2, 2, 4).  Inside the engine, outside the powers
-    # [1, H, ..., H^e], the only two-variable polynomials built are candidate
-    # inners, each once per slice and live split: later polynomials read it
-    # back from the block's list, and the peel builds no polynomial at all.
-    # A split that no polynomial of the slice takes past the exponent screen
-    # builds none
+    # the same 128 slices of (2, 2, 4).  Inside composites_from_top, outside
+    # the powers [1, H, ..., H^e], the only two-variable polynomials built
+    # are the inners H + h, each once per slice and live split, and the
+    # composites are plain term dicts, no polynomial
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
     field = field_from_order(q)
-    monos = monomials_upto(n, d)
     # the zero top is skipped; over F_2 every other top is monic
     slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
-    passed = {s: _splits_past_the_screen(q, n, d, *s) for s in slices}  # before the spies
-    state = {"engine": False, "powers": False}
+    state = {"image": False, "powers": False}
     built = []
-    init, engine, inner_powers = MPoly.__init__, census.decompose_from_top, decompose._inner_powers
+    init, image, inner_powers = MPoly.__init__, census.composites_from_top, decompose._inner_powers
 
     def spy_init(self, dom, nvars, terms=None):
         init(self, dom, nvars, terms)
-        if state["engine"] and not state["powers"] and nvars == 2:
+        if state["image"] and not state["powers"] and nvars == 2:
             built.append(self)
 
-    def spy_engine(*args):
-        state["engine"] = True
+    def spy_image(H, e):
+        state["image"] = True
         try:
-            return engine(*args)
+            yield from image(H, e)
         finally:
-            state["engine"] = False
+            state["image"] = False
 
     def spy_powers(H, e):
         state["powers"] = True
@@ -542,22 +567,22 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
             state["powers"] = False
 
     monkeypatch.setattr(MPoly, "__init__", spy_init)
-    monkeypatch.setattr(census, "decompose_from_top", spy_engine)
+    monkeypatch.setattr(census, "composites_from_top", spy_image)
     monkeypatch.setattr(decompose, "_inner_powers", spy_powers)
     busy = 0
     for lo, hi in slices:
-        t = lo // block
-        T = MPoly(field, n, {mono: c for mono, c in zip(monos[:ntop], _digits(t, q, ntop)) if c})
+        T = _top_form(q, n, d, lo // block)
         want = []
-        for e in passed[lo, hi]:
+        for e in (2, 4):
             H = census.top_form_root(T, e)
-            free = [(1, 0), (0, 1)] if e == 2 else []
-            want += iter_completions(field, n, H.terms, free)
+            if H is not None:
+                free = [(1, 0), (0, 1)] if e == 2 else []
+                want += iter_completions(field, n, H.terms, free)
         del built[:]
         enumerate_census(q, n, d, part=(lo, hi))
         assert collections.Counter(built) == collections.Counter(want), (lo, hi)
         busy += bool(want)
-    assert busy == 11  # of the 28 slices whose top has a square root
+    assert busy == 28  # the slices whose top has a square root
 
 
 def test_scan_slices_start_at_their_decoded_digits():
@@ -591,55 +616,46 @@ def _digits(i, q, k):
 
 def test_forced_split_slices_match_the_reference_loop(monkeypatch):
     # over F_3 the top x^4 has the square root x^2 and the fourth root x.
-    # The split e = 2 has p^a = 1 < m = 2, so its inner's linear part depends
-    # on F: its list stays empty while e = 4 keeps one entry, in a slice where
-    # some polynomial takes e = 4 past the partial-degree screen.  The space
-    # is 3^15, too large for _reference_prefix, so the reference loop runs
-    # over each slice only: the first has no cubic part, the second the cubic
-    # part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2, so deg_y is 1 or 2 there and
-    # e = 4 is screened out of every polynomial
+    # The split e = 2 has p^a = 1 < m = 2, which forced the engine to take the
+    # inner's linear part from each F; the image composes over all of them:
+    # 3^(1 + 2) composites at e = 2 and 3^3 at e = 4 in each slice.  The
+    # space is 3^15, too large for _reference_prefix, so the reference loop
+    # runs over each slice only: the first has no cubic part, the second the
+    # cubic part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2
     q, n, d = 3, 2, 4
     field = field_from_order(q)
     monos = monomials_upto(n, d)
     block, ntop = _top_block(q, n, d)
     t = q ** (ntop - 1)
-    seen = []
-    engine = census.decompose_from_top
-
-    def spy(F, e, H, guard, powers):
-        seen.append((e, powers))
-        return engine(F, e, H, guard, powers)
-
-    monkeypatch.setattr(census, "decompose_from_top", spy)
-    kept = []
+    T = _top_form(q, n, d, t)
+    assert _image_bound(q, n, d, T) == 27 + 27
+    counts = []
     for offset in (0, 2 * q ** 9 + 2 * q ** 8):
         lo = t * block + offset
         hi = lo + q ** 6
         hits = sum(_reference_hit(field, n, d, monos, _digits(i, q, len(monos)))
                    for i in range(lo, hi))
-        del seen[:]
-        rep = enumerate_census(q, n, d, part=(lo, hi))
+        with monkeypatch.context() as m:
+            built = _spy_composites(m)
+            rep = enumerate_census(q, n, d, part=(lo, hi))
         assert hits > 0
         assert (rep.decomposable, rep.indecomposable) == ((q - 1) * hits,
                                                           (q - 1) * (hi - lo - hits))
-        assert {e for e, _ in seen} == {2, 4}
-        assert all(powers == [] for e, powers in seen if e == 2)
-        kept.append({len(powers) for e, powers in seen if e == 4})
-        assert kept[-1] == {int(4 in _splits_past_the_screen(q, n, d, lo, hi))}
-    assert kept == [{1}, {0}]
+        counts.append(collections.Counter(e for e, _, _ in built))
+    assert counts == [{2: 27, 4: 27}] * 2
 
 
 def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
     # over F_2 the top x^6 + x^4 y^2 of (2, 2, 6) has the square root
     # x^3 + x^2 y and no cube or sixth root.  The split e = 2 is wild and
-    # forced, p^a = 2 < m = 3, so its list stays empty.  Each slice holds x^3
-    # with every other part of degree <= 3, under one part of degree 4 and 5:
-    # x^2 y^2, with the composite (t^2 + t)(x^3 + x^2 y + x y + y); x^3 y +
-    # x^2 y^2, whose x^3 y lies above d - m = 3 with odd exponents; and x^4 y.
-    # The reference loop runs with the exponent screen patched off, and in
-    # the last two slices the census reaches no forced root (an _extend_root
-    # down to degree d - m; the top's cube root is one to degree -1) and no
-    # peel
+    # forced, p^a = 2 < m = 3.  Each slice holds x^3 with every other part of
+    # degree <= 3, under one part of degree 4 and 5: x^2 y^2, with the
+    # composite (t^2 + t)(x^3 + x^2 y + x y + y); x^3 y + x^2 y^2, whose x^3 y
+    # lies above d - m = 3 with odd exponents; and x^4 y.  The reference loop
+    # runs with the exponent screen patched off.  The census takes no root
+    # past the top form (an _extend_root down to degree d - m; the top's cube
+    # root is one to degree -1) and peels nothing: it composes the 2^(1 + 5) pairs
+    # (u, h), h on the 5 monomials of degree 1 and 2, in every slice
     q, n, d = 2, 2, 6
     field = field_from_order(q)
     monos = monomials_upto(n, d)
@@ -647,25 +663,7 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
     t = q ** 6 + q ** 4  # the top digits of x^6 + x^4 y^2
     composite = MPoly(field, n, dict.fromkeys(
         [(6, 0), (4, 2), (2, 2), (3, 0), (2, 1), (1, 1), (0, 2), (0, 1)], 1))
-    seen, work = [], []
-    engine, peel = census.decompose_from_top, decompose._extract_outer
-    extend = decompose._extend_root
-
-    def spy(F, e, H, guard, powers):
-        seen.append((e, powers))
-        return engine(F, e, H, guard, powers)
-
-    def spy_extend(G, e, R, floor):
-        work.append(floor)
-        return extend(G, e, R, floor)
-
-    def spy_peel(*args):
-        work.append("peel")
-        return peel(*args)
-
-    monkeypatch.setattr(census, "decompose_from_top", spy)
-    monkeypatch.setattr(decompose, "_extend_root", spy_extend)
-    monkeypatch.setattr(decompose, "_extract_outer", spy_peel)
+    extend, peel = decompose._extend_root, decompose._extract_outer
     found = []
     for offset in (q ** 12 + q ** 9, q ** 13 + q ** 12 + q ** 9, q ** 19 + q ** 9):
         lo = t * block + offset
@@ -674,16 +672,86 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
             m.setattr(decompose, "_exponents_admit", lambda F, e: True)
             hits = sum(_reference_hit(field, n, d, monos, _digits(i, q, len(monos)))
                        for i in range(lo, hi))
-        del seen[:], work[:]
-        rep = enumerate_census(q, n, d, part=(lo, hi), guard=1 << 28)
+        work = []
+
+        def spy_extend(G, e, R, floor):
+            work.append(floor)
+            return extend(G, e, R, floor)
+
+        def spy_peel(*args):
+            work.append("peel")
+            return peel(*args)
+
+        with monkeypatch.context() as m:
+            built = _spy_composites(m)
+            m.setattr(decompose, "_extend_root", spy_extend)
+            m.setattr(decompose, "_extract_outer", spy_peel)
+            rep = enumerate_census(q, n, d, part=(lo, hi), guard=1 << 28)
         assert (rep.decomposable, rep.indecomposable) == (hits, hi - lo - hits)
-        assert {e for e, _ in seen} == {2} and all(powers == [] for _, powers in seen)
+        assert {e for e, _, _ in built} == {2} and len(built) == 2 ** 6
+        assert composite.terms in [terms for _, _, terms in built]
         found.append((hits, d - d // 2 in work, "peel" in work))
-    assert found == [(8, True, True), (0, False, False), (0, False, False)]
+    assert found == [(8, False, False), (0, False, False), (0, False, False)]
     i = sum(q ** (len(monos) - 1 - k) for k, mono in enumerate(monos) if mono in composite.terms)
     assert t * block + q ** 12 + q ** 9 <= i < t * block + q ** 12 + q ** 10
     assert decompose_multi(composite, 2).inner == MPoly(field, n, dict.fromkeys(
         [(3, 0), (2, 1), (1, 1), (0, 1)], 1))
+
+
+# (q, n, d, D): full censuses pinned against the divisor recursion; their
+# scan spaces, 4^15, 2^28 and 2^35, are far beyond _reference_prefix
+FULL_CENSUSES = [(4, 2, 4, 19008), (2, 2, 6, 2240), (2, 3, 4, 2072)]
+
+
+@pytest.mark.parametrize("q,n,d,dec", FULL_CENSUSES)
+def test_full_multi_census_matches_the_recursion(q, n, d, dec):
+    rep = enumerate_census(q, n, d, guard=scan_space(q, n, d))
+    rec = count_recursive(q, n, d)
+    assert (rep.total, rep.indecomposable, rep.decomposable) == (
+        rec.total, rec.indecomposable, rec.decomposable)
+    assert rep.decomposable == dec
+
+
+# small censuses whose live blocks are small enough for a reference loop;
+# (3, 2, 4) has the forced split e = 2, p^a = 1 < m = 2
+IMAGE_CENSUSES = [(2, 2, 2), (2, 2, 4), (3, 2, 3), (4, 2, 2), (5, 2, 2), (4, 2, 3),
+                  (2, 3, 2), (3, 3, 2), (3, 2, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _live_tops(q, n, d):
+    """The monic top digits t whose top form has a root at some split."""
+    _, ntop = _top_block(q, n, d)
+    return [t for k in range(ntop) for t in range(q ** k, 2 * q ** k)
+            if any(census.top_form_root(_top_form(q, n, d, t), e) is not None
+                   for e in outer_degrees(n, d))]
+
+
+if given is not None:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(IMAGE_CENSUSES).flatmap(
+        lambda c: st.tuples(st.just(c), st.sampled_from(_live_tops(*c)))))
+    def test_image_of_a_live_block_is_its_decomposable_representatives(case):
+        # the composites of a live block, over all its splits, are exactly
+        # the polynomials with its top form and constant term 0 that
+        # decompose_multi decomposes, and the block's slice counts q runs
+        # of q - 1 multiples for each
+        (q, n, d), t = case
+        field = field_from_order(q)
+        block, ntop = _top_block(q, n, d)
+        T = _top_form(q, n, d, t)
+        image = {frozenset(terms.items()) for e in outer_degrees(n, d)
+                 if (H := census.top_form_root(T, e)) is not None
+                 for terms in decompose.composites_from_top(H, e)}
+        lows = monomials_upto(n, d)[ntop:-1]  # the constant comes last
+        want = set()
+        for digits in itertools.product(range(q), repeat=len(lows)):
+            P = MPoly(field, n, {**T.terms, **dict(zip(lows, digits))})
+            if any(decompose_multi(P, e) is not None for e in outer_degrees(n, d)):
+                want.add(frozenset(P.terms.items()))
+        assert image == want, (q, n, d, T.format())
+        rep = enumerate_census(q, n, d, part=(t * block, (t + 1) * block))
+        assert rep.decomposable == (q - 1) * q * len(want)
 
 
 # D(q, 1, d) taken from the unreduced scan, before the scan counted each

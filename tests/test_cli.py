@@ -399,6 +399,16 @@ def test_cli_names_the_field_option_when_its_value_is_no_number(capsys, cmd, tex
     assert err == f"error: --field takes p or p^k, not {text!r}\n"
 
 
+@pytest.mark.parametrize("text", ["1_1", " 7", "7 ", "+7", "2^+2", "2^1_1", "\u0667", "2^\uff13",
+                                  "3^2^1"])
+def test_cli_takes_only_ascii_digits_in_the_field_option(capsys, text):
+    # int() also reads underscores, signs, blanks and non-ASCII digits:
+    # "1_1" ran over F_11 and " 7" over F_7
+    code, out, err = run_cli(capsys, "indec", "--field", text, "x*y + x")
+    assert code == 1 and out == ""
+    assert err == f"error: --field takes p or p^k, not {text!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("census", "--q", "2", "--n", "2", "--d", "0"),
     ("census", "--q", "2", "--n", "2", "--d", "-3"),

@@ -571,63 +571,6 @@ def test_multi_guard_counts_only_free_monomials(monkeypatch):
         decompose_multi(F, 2, guard=512)
 
 
-# (field, d, e, free monomials): p^a >= m = d/e, so the top form is the only
-# forced component and the candidates are root + the free monomials' terms
-KEPT_POWERS_SPLITS = [
-    (F2, 4, 2, [(1, 0), (0, 1)]),
-    (F2, 8, 4, [(1, 0), (0, 1)]),
-    (F3, 6, 3, [(1, 0), (0, 1)]),
-    (finite_field(2, 2), 4, 2, [(1, 0), (0, 1)]),
-]
-
-
-@pytest.mark.parametrize("field, d, e, free", KEPT_POWERS_SPLITS)
-def test_decompose_from_top_answers_the_same_with_a_kept_powers_list(field, d, e, free):
-    # one list serves every F with the same top form: it answers as no list
-    # does, and it ends up holding the powers of the candidates tried, in
-    # order, each built once
-    rng = random.Random(d * 10 + field.q)
-
-    def draw():
-        return field.element(rng.randrange(field.q))
-
-    m = d // e
-    cases = {"composite": 0, "none": 0}
-    tops = 0
-    while tops < 3:
-        G = _random_poly(rng, field, 2, m, draw)
-        if G.is_zero() or G.degree() != m:
-            continue
-        tops += 1
-        root = top_form_root(G.leading_form() ** e, e)
-        powers = []
-        for trial in range(40):
-            lc = field.element(rng.randrange(1, field.q))
-            inner = root + MPoly(field, 2, {mono: draw() for mono in free})
-            u = MPoly.from_dense(field, [draw() for _ in range(e)] + [lc], 1)
-            F = compose(u, inner)
-            if trial % 2:  # perturb below the top form: mostly not composite
-                F = F + _random_poly(rng, field, 2, d - 1, draw)
-            want = decompose_from_top(F, e, root)
-            assert decompose_from_top(F, e, root, powers=powers) == want, F.format()
-            cases["none" if want is None else "composite"] += 1
-        candidates = list(iter_completions(field, 2, root.terms, free))
-        assert 1 <= len(powers) <= len(candidates) == field.q ** len(free)
-        assert powers == [_inner_powers(H, e) for H in candidates[:len(powers)]]
-    assert cases["composite"] >= 40 and cases["none"] >= 10, cases
-
-
-def test_decompose_from_top_ignores_the_list_on_a_forced_split():
-    # over F_3 the split e = 2 of a quartic has p^a = 1 < m = 2: the inner's
-    # linear part depends on F, so the list is neither read nor written
-    F = compose(MPoly.from_dense(F3, [1, 2, 1], 1), parse_poly("x^2 + x + 2*y", F3))
-    root = top_form_root(F, 2)
-    powers = []
-    dec = decompose_from_top(F, 2, root, powers=powers)
-    assert dec == decompose_from_top(F, 2, root) and dec is not None and dec.recompose() == F
-    assert powers == []
-
-
 def _reference_extract_outer(F, H, e, powers=None):
     """The peel that rebuilds the rest as a polynomial at every step and
     checks its graded-lex leading term: the reference for _extract_outer."""
