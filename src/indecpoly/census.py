@@ -17,10 +17,11 @@ Three routes that must agree:
   every arity.  Arity decides only how a block is classified.  In one
   variable the single top x^d owns the indices [q^d, 2 q^d), and each
   polynomial goes to decompose.decompose_uni_dense at every split.  In
-  n >= 2 variables T is screened once: a split e survives when T has an
-  e-th root H (decompose.top_form_root, the first step of decompose_multi),
-  and a block where no split survives is counted indecomposable in one
-  addition, without building its polynomials.  A block that survives is
+  n >= 2 variables T is screened once: a split e survives when T, monic and
+  homogeneous, has an e-th root H (decompose.poly_eth_root, the root that
+  decompose_multi takes of a top form), and a block where no split survives
+  is counted indecomposable in one addition, without building its
+  polynomials.  A block that survives is
   counted by its composition image.  F = u(H) exactly when F + c =
   (u + c)(H), and the constant term is the fastest digit of the scan index,
   so each run of q consecutive indices is one set {F + c} with one verdict.
@@ -49,7 +50,7 @@ from math import ceil, comb, floor, gcd
 
 from .arith import (CensusReport, big_omega, digit_tuples, divisors, factorint, power_over,
                     prime_power)
-from .decompose import composites_from_top, decompose_uni_dense, outer_degrees, top_form_root
+from .decompose import composites_from_top, decompose_uni_dense, outer_degrees, poly_eth_root
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -204,8 +205,11 @@ def count_uni(q, d) -> UniCount:
             exact = (q - 1) * q ** (2 * p - 1)
             return UniCount(q, d, total, exact, exact, exact, None, "closed")
         p, pp = ps  # d = p p'
+        # each split has (q - 1) q^(p + p' - 1) compositions, pairwise distinct
+        # since a tame normalized decomposition of a given outer degree is
+        # unique: the sum bounds D above, one split alone below
         upper = 2 * (q - 1) * q ** (p + pp - 1)
-        lower = max(upper - q ** 5, 0)
+        lower = upper // 2
         return UniCount(q, d, total, None, lower, upper, None, "bounds")
     ds = divisors(d)
     ell, ellp = ds[1], ds[2]
@@ -253,8 +257,8 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     polynomials it holds: a slice without a monic index reports 0.  One
     scan (_scan) walks the monic top blocks in every arity.  In one
     variable each polynomial goes to decompose.decompose_uni_dense.  For
-    n >= 2 each monic top form is screened once per slice by
-    decompose.top_form_root; the runs {F + c} of the decomposable F in a
+    n >= 2 each monic top form is screened once per slice by its e-th roots
+    (decompose.poly_eth_root); the runs {F + c} of the decomposable F in a
     block that survives are collected from its composition image
     (decompose.composites_from_top), and each counts for its indices inside
     the slice.  A top that admits no split adds q - 1 times its whole
@@ -280,7 +284,8 @@ def _scan(field, n, d, lo, hi, guard):
     For n >= 2 a block's indices fall into runs of q, r q + [0, q), that
     differ only in the constant term, the fastest digit, and share one
     verdict.  A run is decomposable when its constant-0 polynomial is a
-    composite u(H + h) at some split the block's top admits: the runs of the
+    composite u(H + h) at some split e where the block's top T, monic and
+    homogeneous, has the root H = poly_eth_root(T, e): the runs of the
     composites form a set, and each run in it counts for its indices inside
     [start, stop), so a run cut by the slice counts in part, and one whose
     first index lies before lo still counts.  A run's index is read from the
@@ -314,7 +319,7 @@ def _scan(field, n, d, lo, hi, guard):
             for mono in reversed(tops):  # the first top monomial is the slowest digit
                 rest, top[mono] = divmod(rest, q)
             T = MPoly(field, n, top)
-            live = [(e, H) for e in splits if (H := top_form_root(T, e)) is not None]
+            live = [(e, H) for e in splits if (H := poly_eth_root(T, e)) is not None]
             if not live:  # no split survives the top: the whole block is indecomposable
                 ind += (q - 1) * (stop - start)
                 continue

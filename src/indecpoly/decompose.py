@@ -10,10 +10,12 @@ applies it, so decompose_multi and is_indecomposable_multi serve every arity:
 * n >= 2 variables: any outer degree >= 2 counts, inner degree 1 allowed;
 * one variable: both the outer and the inner degree must be >= 2.
 
-In one variable decompose_multi hands the dense coefficient list to
-decompose_uni_dense.  Both engines return the same canonical inner: among
-the inner polynomials of a split, the first in itertools.product order over
-the free coefficients, the highest-degree one varying slowest.
+In several variables decompose_multi hands F to the graded engine
+_decompose_graded, in one variable its dense coefficient list to
+decompose_uni_dense.  The graded engine takes one variable too, and both
+return the same canonical inner: among the inner polynomials of a split,
+the first in itertools.product order over the free coefficients, the
+highest-degree one varying slowest.
 
 One rule for every split, in both arities: with outer degree e = p^a e'
 (p the characteristic, p not dividing e'; p^a = 1 over the rationals) and
@@ -23,7 +25,7 @@ every exponent above degree d - m, where u(H) agrees with u_e (H^(p^a))^e'
 (in one variable _forced_inner_top checks this).  Then the top of the input
 forces the inner coefficients of degree k with p^a (m - k) < m, as the p^a-th
 root of an e'-th root taken one term at a time (over homogeneous components
-in decompose_from_top, as a series at infinity in _forced_inner_top), or
+in _decompose_graded, as a series at infinity in _forced_inner_top), or
 rejects the input.  The others are free: the guard bounds q^(free count)
 before they are enumerated, and there are none when the split is tame.  The
 outer polynomial is peeled off from the top degree down, u_i H^i subtracted
@@ -196,9 +198,9 @@ def _inner_powers(H: MPoly, e: int) -> list:
     return powers
 
 
-def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
-    """Outer coefficient list with F = sum u_i H^i and deg u = e, or None;
-    powers, when given, is _inner_powers(H, e).
+def _extract_outer(F: MPoly, powers: list):
+    """Outer coefficient list with F = sum u_i H^i and deg u = e, or None,
+    for powers = _inner_powers(H, e).
 
     One copy of the terms of F is peeled in place; no polynomial is built.
     At the top degree k = i deg(H) of the rest, u_i is read at i lead(H), the
@@ -208,9 +210,8 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
     and returns None, as a graded-lex leading-term check would."""
     dom = F.dom
     zero, sub, mul = dom.zero, dom.sub, dom.mul
+    e, H = len(powers) - 1, powers[1]
     m = H.degree()
-    if powers is None:
-        powers = _inner_powers(H, e)
     u = [zero] * (e + 1)
     lead_H = H.leading()[0]
     r = dict(F.terms)
@@ -227,23 +228,6 @@ def _extract_outer(F: MPoly, H: MPoly, e: int, powers=None):
             else:
                 r[mono] = s
     return None if u[e] == zero else u
-
-
-def top_form_root(F: MPoly, e: int):
-    """The monic e-th root of the top form of F over lc(F), or None.
-
-    Every decomposition F = u(H) with deg u = e and H normalized makes the
-    top form of F equal lc(F) H_m^e, H_m the (monic) top form of H, so this
-    root is H_m; when it is None, F has no decomposition with outer degree e.
-    It reads the top form of F only, so every F with the same top form has
-    the same root.  A constant F, or an e that is not a split of deg F,
-    raises ValueError."""
-    if F.is_zero() or F.is_constant():
-        raise ValueError("cannot decompose a constant")
-    d = F.degree()
-    if e < 2 or d % e:
-        raise ValueError(f"outer degree {e} must be >= 2 and divide {d}")
-    return poly_eth_root(F.leading_form().scale(F.dom.inv(F.leading()[1])), e)
 
 
 def _p_part(p: int, e: int) -> int:
@@ -266,10 +250,8 @@ def _exponents_admit(F: MPoly, e: int) -> bool:
 def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     """The normalized decomposition of F with outer degree e, or None, in any
     number of variables; ValueError unless e is in outer_degrees(F.n, deg F).
-    In several variables a split that passes _exponents_admit has its
-    top form's root taken (top_form_root) and goes on to decompose_from_top;
-    in one variable decompose_uni_dense answers, and its pair is checked to
-    recompose to F."""
+    In several variables _decompose_graded answers; in one variable
+    decompose_uni_dense does, and its pair is checked to recompose to F."""
     if F.is_zero() or F.is_constant():
         raise ValueError("cannot decompose a constant")
     d = F.degree()
@@ -277,10 +259,7 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
         raise ValueError(f"outer degree {e} must be >= 2 and divide {d}" if F.n >= 2
                          else f"invalid degree split: need e >= 2 and {d}/e >= 2")
     if F.n >= 2:
-        if not _exponents_admit(F, e):
-            return None
-        H = top_form_root(F, e)
-        return None if H is None else decompose_from_top(F, e, H, guard)
+        return _decompose_graded(F, e, guard)
     res = decompose_uni_dense(F.dom, F.to_dense(), e, guard)
     if res is None:
         return None
@@ -290,22 +269,27 @@ def decompose_multi(F: MPoly, e: int, guard=DEFAULT_GUARD):
     return dec
 
 
-def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
-    """The normalized decomposition of F with outer degree e, or None, given
-    H = top_form_root(F, e) (not None), the top form of every inner
-    polynomial.
+def _decompose_graded(F: MPoly, e: int, guard):
+    """The normalized decomposition of F with outer degree e, or None, for a
+    nonconstant F in any number of variables and e >= 2 dividing deg F.
 
-    A split that fails _exponents_admit(F, e) is answered None first,
-    before the guard, any root, candidate or peel.  Every decomposition
-    F = u(H) has F/lc(F) equal to (H^(p^a))^e' above degree d - m.  So
-    extend H_m^(p^a), H_m = H, to the e'-th root of F/lc(F) down to that
-    degree: its p^a-th root is the sum of the forced components H_k,
-    p^a (m - k) < m; when p^a >= m the top form is the only one.  The
-    coefficients on the free monomials go in itertools.product order over
-    the field's elements (arith.digit_tuples), the last monomial fastest; the
-    first inner polynomial with an outer one (_extract_outer) wins.
+    A split that fails _exponents_admit(F, e) is answered None first.  Every
+    decomposition F = u(H) makes the top form of F equal lc(F) H_m^e, H_m
+    the monic top form of H, so a monic top form without an e-th root is
+    answered None next.  Both come before the guard and any candidate or
+    peel: no root means None, never GuardExceeded.  Above degree d - m,
+    F/lc(F) equals (H^(p^a))^e'.  So extend H_m^(p^a) to the e'-th root of
+    F/lc(F) down to that degree: its p^a-th root is the sum of the forced
+    components H_k, p^a (m - k) < m; when p^a >= m the top form is the only
+    one.  The coefficients on the free monomials go in itertools.product
+    order over the field's elements (arith.digit_tuples), the last monomial
+    fastest; the first inner polynomial with an outer one (_extract_outer)
+    wins.
     """
     if not _exponents_admit(F, e):
+        return None
+    H = poly_eth_root(F.leading_form().monic(), e)
+    if H is None:
         return None
     d = F.degree()
     dom = F.dom
@@ -318,7 +302,7 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
                             f"exceeds guard {guard}")
     free = monomials_upto(F.n, K)[:-1]  # the constant comes last
     if pa < m:  # otherwise the top form is the only forced component
-        R = _extend_root(F.scale(dom.inv(F.leading()[1])), e // pa, H ** pa, d - m)
+        R = _extend_root(F.monic(), e // pa, H ** pa, d - m)
         H = None if R is None else poly_eth_root(R, pa)
         if H is None:
             return None
@@ -326,7 +310,7 @@ def decompose_from_top(F: MPoly, e: int, H: MPoly, guard=DEFAULT_GUARD):
     # fastest; each element is its own index, and over the rationals none is free
     for digits in digit_tuples(dom.q, nfree) if nfree else [()]:
         pows = _inner_powers(MPoly(dom, F.n, {**H.terms, **dict(zip(free, digits))}), e)
-        u = _extract_outer(F, pows[1], e, pows)
+        u = _extract_outer(F, pows)
         if u is not None:
             return Decomposition(MPoly.from_dense(dom, u, 1), pows[1])
     return None
@@ -336,11 +320,11 @@ def composites_from_top(H: MPoly, e: int):
     """The terms {monomial: nonzero coefficient} of u(H + h) for every
     u = t^e + u_(e-1) t^(e-1) + ... + u_1 t and every h on the monomials of
     degree 1 .. m - 1, m = deg H: q^(e - 1 + #h) composites, not all
-    distinct.  For H = top_form_root(T, e), T monic, these are the F with
-    top form T and F(0) = 0 that decompose at e: a normalized F = u(H') has
-    the top form lc(u) top(H')^e, so lc(u) = 1, top(H') = H and u(0) = 0.
-    The powers of each H + h are built once, and h and u go in digit_tuples
-    order."""
+    distinct.  For H = poly_eth_root(T, e), T monic and homogeneous, these
+    are the F with top form T and F(0) = 0 that decompose at e: a normalized
+    F = u(H') has the top form lc(u) top(H')^e, so lc(u) = 1, top(H') = H
+    and u(0) = 0.  The powers of each H + h are built once, and h and u go
+    in digit_tuples order."""
     dom = H.dom
     zero, add, mul = dom.zero, dom.add, dom.mul
     low = monomials_upto(H.n, H.degree() - 1)[:-1]  # the constant comes last
@@ -455,7 +439,7 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
     (_forced_inner_top); the other s - 1 - (s-1)//p^a are free, none when
     the split is tame.  The guard bounds q^(free count), before any work.
     Free completions go in itertools.product order with the highest free
-    coefficient slowest, the order of decompose_from_top, and the first that
+    coefficient slowest, the order of _decompose_graded, and the first that
     passes the exact check by repeated division (_extract_outer_dense) wins."""
     d = unipoly.degree(f)
     s = d // r

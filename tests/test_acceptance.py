@@ -174,7 +174,7 @@ def test_criterion_09_normalization_uniqueness():
             for e in splits:
                 hits = 0
                 for H, powers in inner_pool[(d // e, e)]:
-                    if _extract_outer(P, H, e, powers) is not None:
+                    if _extract_outer(P, powers) is not None:
                         hits += 1
                 assert hits <= 1, (P.format(), e)
     # one variable over F_3 at degree 4: outer and inner degree 2

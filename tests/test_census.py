@@ -66,9 +66,9 @@ def test_count_uni_closed_values():
     assert count_uni(2, 9).exact == 32
     assert count_uni(5, 3).exact == 0
     u = count_uni(2, 15)
-    assert (u.lower, u.upper) == (224, 256)
+    assert (u.lower, u.upper) == (128, 256)
     u = count_uni(3, 10)
-    assert (u.lower, u.upper) == (2673, 2916)
+    assert (u.lower, u.upper) == (1458, 2916)
     with pytest.raises(ValueError):
         count_uni(2, 4)  # gcd(q, d) != 1
 
@@ -420,12 +420,12 @@ def _image_bound(q, n, d, T):
     #h the monomials of degree 1 .. d/e - 1: the composites u(H + h) of a
     live block."""
     return sum(q ** (e - 1 + len(monomials_upto(n, d // e - 1)) - 1)
-               for e in outer_degrees(n, d) if census.top_form_root(T, e) is not None)
+               for e in outer_degrees(n, d) if census.poly_eth_root(T, e) is not None)
 
 
 def _spy_composites(monkeypatch):
     """Record (e, H, terms) for every composite the scan draws from
-    composites_from_top, and fail on any call of decompose_from_top."""
+    composites_from_top, and fail on any call of the graded engine."""
     built = []
     image = census.composites_from_top
 
@@ -435,10 +435,10 @@ def _spy_composites(monkeypatch):
             yield terms
 
     def no_engine(*args):
-        raise AssertionError("the n >= 2 scan ran decompose_from_top")
+        raise AssertionError("the n >= 2 scan ran the graded engine")
 
     monkeypatch.setattr(census, "composites_from_top", spy)
-    monkeypatch.setattr(decompose, "decompose_from_top", no_engine)
+    monkeypatch.setattr(decompose, "_decompose_graded", no_engine)
     return built
 
 
@@ -485,7 +485,7 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
     def no_engine(*args):
         raise AssertionError("the engine ran on a non-representative index")
 
-    for name in ("top_form_root", "composites_from_top", "decompose_uni_dense"):
+    for name in ("poly_eth_root", "composites_from_top", "decompose_uni_dense"):
         monkeypatch.setattr(census, name, no_engine)
     block, ntop = _top_block(3, 2, 2)
     t = 2 * 3 ** (ntop - 1)
@@ -505,7 +505,7 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
     inners = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
     products = {"all": 0, "screen": 0}
-    mul, root = MPoly.__mul__, census.top_form_root
+    mul, root = MPoly.__mul__, census.poly_eth_root
 
     def counted_mul(self, other):
         products["all"] += 1
@@ -523,7 +523,7 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
             for s in slices}  # before the spies
     _spy_composites(monkeypatch)
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
-    monkeypatch.setattr(census, "top_form_root", counted_root)
+    monkeypatch.setattr(census, "poly_eth_root", counted_root)
     want, dec = 0, 0
     for lo, hi in slices:
         want += sum(inners[e] * (e - 1) for e in live[lo, hi])
@@ -574,7 +574,7 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
         T = _top_form(q, n, d, lo // block)
         want = []
         for e in (2, 4):
-            H = census.top_form_root(T, e)
+            H = census.poly_eth_root(T, e)
             if H is not None:
                 free = [(1, 0), (0, 1)] if e == 2 else []
                 want += iter_completions(field, n, H.terms, free)
@@ -723,7 +723,7 @@ def _live_tops(q, n, d):
     """The monic top digits t whose top form has a root at some split."""
     _, ntop = _top_block(q, n, d)
     return [t for k in range(ntop) for t in range(q ** k, 2 * q ** k)
-            if any(census.top_form_root(_top_form(q, n, d, t), e) is not None
+            if any(census.poly_eth_root(_top_form(q, n, d, t), e) is not None
                    for e in outer_degrees(n, d))]
 
 
@@ -741,7 +741,7 @@ if given is not None:
         block, ntop = _top_block(q, n, d)
         T = _top_form(q, n, d, t)
         image = {frozenset(terms.items()) for e in outer_degrees(n, d)
-                 if (H := census.top_form_root(T, e)) is not None
+                 if (H := census.poly_eth_root(T, e)) is not None
                  for terms in decompose.composites_from_top(H, e)}
         lows = monomials_upto(n, d)[ntop:-1]  # the constant comes last
         want = set()
@@ -781,3 +781,14 @@ def test_uni_enumeration_matches_the_composition_image(q, d):
     # the oracle collects the decomposables of degree d as the set of u(v)
     # over normalized v, sharing no code with the package
     assert enumerate_census(q, 1, d).decomposable == len(_composition_image()(q, d))
+
+
+@pytest.mark.parametrize("q,d", [(3, 14), (2, 33)])
+def test_two_prime_bounds_hold_against_the_composition_image(q, d):
+    # tame d = l m with primes l < m: one split's compositions are pairwise
+    # distinct, so they bound D below; at these sizes the two splits share
+    # more than q^5 polynomials
+    u = count_uni(q, d)
+    dec = len(_composition_image()(q, d))
+    assert u.method == "bounds" and u.lower <= dec <= u.upper, (u.lower, dec, u.upper)
+    assert u.upper - q ** 5 > dec

@@ -528,8 +528,8 @@ def test_cli_indec_answers_by_partial_degrees_without_the_guard(capsys, monkeypa
     # deg_y = 1 is divisible by no outer degree, so every split of x^4000 + y
     # is ruled out before its 2^501500 inner candidates are named
     monkeypatch.delenv("SPEC_GUARD", raising=False)
-    monkeypatch.setattr("indecpoly.decompose.top_form_root",
-                        lambda *a: pytest.fail("top_form_root ran"))
+    monkeypatch.setattr("indecpoly.decompose.poly_eth_root",
+                        lambda *a: pytest.fail("poly_eth_root ran"))
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "indec", "--field", "2", "x^4000 + y")
     assert time.perf_counter() - start < 1

@@ -10,15 +10,15 @@ from pathlib import Path
 import pytest
 
 from indecpoly.arith import divisors, integer_nth_root
-from indecpoly.fields import QQ, embedding, finite_field
+from indecpoly.fields import DEFAULT_GUARD, QQ, GuardExceeded, embedding, finite_field
 from indecpoly.mpoly import MPoly, monomials_upto
 from indecpoly.parsing import parse_poly
 from indecpoly import decompose
-from indecpoly.decompose import (Decomposition, _extend_root, _extract_outer, _inner_powers,
-                                 _exponents_admit, compose, decompose_from_top,
+from indecpoly.decompose import (Decomposition, _decompose_graded, _extend_root,
+                                 _extract_outer, _inner_powers, _exponents_admit, compose,
                                  decompose_multi, decompose_uni_dense, dickson,
                                  is_indecomposable_multi, is_pth_power, normalize,
-                                 outer_degrees, poly_eth_root, top_form_root)
+                                 outer_degrees, poly_eth_root)
 from indecpoly.mpoly import glex_key
 
 from completions import iter_completions, iter_normalized_inner
@@ -246,7 +246,7 @@ def test_tame_decompose_multi_matches_form_division_reference():
                     c = F.leading()[1]
                     Hm = poly_eth_root(F.leading_form().scale(dom.inv(c)), e)
                     inner = None if Hm is None else _tame_inner_reference(F, Hm, e, m, c)
-                    want = None if inner is None else _extract_outer(F, inner, e)
+                    want = None if inner is None else _extract_outer(F, _inner_powers(inner, e))
                     got = decompose_multi(F, e)
                     if want is None:
                         assert got is None, F.format()
@@ -468,7 +468,7 @@ def _lower_monomial_enumeration_reference(F, e):
         return None
     lower = [mono for mono in monomials_upto(F.n, m - 1) if sum(mono) > 0]
     for H in iter_completions(dom, F.n, Hm.terms, lower):
-        u = _extract_outer(F, H, e)
+        u = _extract_outer(F, _inner_powers(H, e))
         if u is not None:
             return MPoly.from_dense(dom, u, 1), H
     return None
@@ -571,13 +571,12 @@ def test_multi_guard_counts_only_free_monomials(monkeypatch):
         decompose_multi(F, 2, guard=512)
 
 
-def _reference_extract_outer(F, H, e, powers=None):
+def _reference_extract_outer(F, H, e):
     """The peel that rebuilds the rest as a polynomial at every step and
     checks its graded-lex leading term: the reference for _extract_outer."""
     dom = F.dom
     m = H.degree()
-    if powers is None:
-        powers = _inner_powers(H, e)
+    powers = _inner_powers(H, e)
     u = [None] * (e + 1)
     lead_H = H.leading()[0]
     r = F
@@ -632,8 +631,7 @@ def _peel_corpus():
 def test_extract_outer_matches_the_rebuilding_reference():
     cases = {"composite": 0, "zero u_i": 0, "none": 0, "lc": 0}
     for F, H, e, want in _peel_corpus():
-        assert _extract_outer(F, H, e) == want, (F.format(), H.format(), e)
-        assert _extract_outer(F, H, e, _inner_powers(H, e)) == want, (F.format(), H.format(), e)
+        assert _extract_outer(F, _inner_powers(H, e)) == want, (F.format(), H.format(), e)
         cases["none" if want is None else "composite"] += 1
         cases["zero u_i"] += want is not None and F.dom.zero in want
         cases["lc"] += H.leading()[1] != H.dom.one
@@ -646,9 +644,8 @@ def test_extract_outer_matches_the_rebuilding_reference():
         x2 = MPoly(dom, n, {(2,) + (0,) * (n - 1): dom.one})  # above x y, degree 2
         F = H * H + H + x2
         assert _reference_extract_outer(F, H, 2) is None
-        assert _extract_outer(F, H, 2) is None
-        assert _extract_outer(F, H, 2, _inner_powers(H, 2)) is None
-        assert _extract_outer(F - x2, H, 2) == [dom.zero, dom.one, dom.one]
+        assert _extract_outer(F, _inner_powers(H, 2)) is None
+        assert _extract_outer(F - x2, _inner_powers(H, 2)) == [dom.zero, dom.one, dom.one]
 
 
 def test_extract_outer_with_its_powers_builds_no_polynomial(monkeypatch):
@@ -665,7 +662,7 @@ def test_extract_outer_with_its_powers_builds_no_polynomial(monkeypatch):
     monkeypatch.setattr(MPoly, "__init__", spy_init)
     assert {want is None for *_, want in cases} == {True, False}
     for F, H, e, powers, want in cases:
-        assert _extract_outer(F, H, e, powers) == want
+        assert _extract_outer(F, powers) == want
     assert built == []
 
 
@@ -843,7 +840,7 @@ def _forced_split_slices():
 
 
 def test_partial_degree_screen_keeps_every_answer(monkeypatch):
-    # with the screen patched off, decompose_multi and decompose_from_top
+    # with the screen patched off, decompose_multi and _decompose_graded
     # answer the same at every split, and no composite is screened out at its
     # own outer degree
     corpus = [(F, e) for F, built in _screen_corpus() for e in outer_degrees(F.n, F.degree())]
@@ -855,8 +852,7 @@ def test_partial_degree_screen_keeps_every_answer(monkeypatch):
     def answers():
         out = []
         for F, e in corpus:
-            H = top_form_root(F, e)
-            out.append((decompose_multi(F, e), None if H is None else decompose_from_top(F, e, H)))
+            out.append((decompose_multi(F, e), _decompose_graded(F, e, DEFAULT_GUARD)))
         return out
 
     screened = [not _exponents_admit(F, e) for F, e in corpus]
@@ -882,8 +878,7 @@ def test_frobenius_rule_answers_before_any_candidate(monkeypatch):
     # and the top x^4 has the square root x^2, but x^3 lies above
     # d - m = 2 with an odd exponent, where u_2 H^2 = u_2 (H^2) has none
     F = parse_poly("x^4 + x^3 + y^2", F2)
-    H = top_form_root(F, 2)
-    assert H == MPoly(F2, 2, {(2, 0): 1})
+    assert poly_eth_root(F.leading_form(), 2) == MPoly(F2, 2, {(2, 0): 1})
     assert not any(F.deg_in(v) % 2 for v in range(F.n)) and not _exponents_admit(F, 2)
     calls, built = [], []
     init = MPoly.__init__
@@ -898,13 +893,59 @@ def test_frobenius_rule_answers_before_any_candidate(monkeypatch):
         built.append(args)
         init(self, *args)
 
-    for name in ("_extract_outer", "_inner_powers", "_extend_root", "top_form_root"):
+    for name in ("_extract_outer", "_inner_powers", "_extend_root", "poly_eth_root"):
         spy(name, getattr(decompose, name))
     monkeypatch.setattr(MPoly, "__init__", spy_init)
-    assert decompose_from_top(F, 2, H) is None and decompose_multi(F, 2) is None
+    assert _decompose_graded(F, 2, DEFAULT_GUARD) is None and decompose_multi(F, 2) is None
     assert is_indecomposable_multi(F)
     assert calls == [] and built == []
     # the same calls with the screen patched off reach the candidates
     monkeypatch.setattr(decompose, "_exponents_admit", lambda F, e: True)
-    assert decompose_from_top(F, 2, H) is None
+    assert _decompose_graded(F, 2, DEFAULT_GUARD) is None
     assert "_extract_outer" in calls and "_inner_powers" in calls and built
+
+
+def test_graded_split_runs_the_exponent_screen_once(monkeypatch):
+    # decompose_multi hands a split of n >= 2 variables to the graded engine,
+    # which screens its exponents once, whether the split is then turned away
+    # by the screen, by the top form's root, or answered by the candidates
+    corpus = [(F, e) for F, built in _screen_corpus() + _wild_screen_corpus()
+              for e in outer_degrees(F.n, F.degree())]
+    admit, calls = decompose._exponents_admit, []
+
+    def counted(F, e):
+        calls.append(e)
+        return admit(F, e)
+
+    monkeypatch.setattr(decompose, "_exponents_admit", counted)
+    cases = collections.Counter()
+    for F, e in corpus:
+        del calls[:]
+        dec = decompose_multi(F, e)
+        assert calls == [e], (F.format(), e, calls)
+        root = poly_eth_root(F.leading_form().monic(), e)
+        cases["screened" if not admit(F, e) else "no root" if root is None
+              else "none" if dec is None else "composite"] += 1
+    assert min(cases.values()) >= 20 and len(cases) == 4, cases
+
+
+def test_top_form_without_a_root_answers_none_under_any_guard(monkeypatch):
+    # over F_2 at e = 6 = 2 * 3 the inner quadratic has its two linear
+    # monomials free: a guard of 2 is below their space of 4.  The top
+    # x^12 + x^6 y^6 + y^12 passes the exponent screen, but its square root
+    # x^6 + x^3 y^3 + y^6 has no cube root, so F has no decomposition at 6,
+    # and the answer is None before the guard is read and before any candidate
+    F = parse_poly("x^12 + x^6*y^6 + y^12 + x^5*y + x*y^3 + y", F2)
+    assert _exponents_admit(F, 6) and poly_eth_root(F.leading_form(), 6) is None
+    G = compose(MPoly.from_dense(F2, [0] * 6 + [1], 1), parse_poly("x^2 + x*y + y", F2))
+    with pytest.raises(GuardExceeded, match="2 free monomials, size 4, exceeds guard 2"):
+        decompose_multi(G, 6, guard=2)
+
+    def no_work(*args):
+        raise AssertionError("a top form without a root reached the guard or a candidate")
+
+    monkeypatch.setattr(decompose, "power_over", no_work)
+    monkeypatch.setattr(decompose, "_extract_outer", no_work)
+    for guard in (1, 2, DEFAULT_GUARD):
+        assert decompose_multi(F, 6, guard=guard) is None
+        assert _decompose_graded(F, 6, guard) is None

@@ -18,10 +18,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from indecpoly import spectrum, unipoly  # noqa: E402
 from indecpoly.arith import divisors  # noqa: E402
-from indecpoly.decompose import (_extract_outer, _exponents_admit,  # noqa: E402
-                                 compose, decompose_from_top, decompose_multi,
+from indecpoly.decompose import (_decompose_graded, _extract_outer,  # noqa: E402
+                                 _exponents_admit, _inner_powers, compose, decompose_multi,
                                  decompose_uni_dense, is_indecomposable_multi,
-                                 outer_degrees, top_form_root)
+                                 outer_degrees, poly_eth_root)
+from indecpoly.fields import DEFAULT_GUARD  # noqa: E402
 from indecpoly.factoring import bivar_factor  # noqa: E402
 from indecpoly.fields import QQ, embedding, finite_field, projection  # noqa: E402
 from indecpoly.mpoly import MPoly, glex_key, monomials_upto  # noqa: E402
@@ -158,20 +159,20 @@ def screened_inputs(draw):
 
 @SETTINGS
 @given(screened_inputs())
-def test_top_form_root_screens_every_split(G):
-    # the census skips a split whose top has no root, so that must be a
-    # split without a decomposition; it hands the root of a split that has
-    # one to decompose_from_top, which must then answer as decompose_multi
-    # does; and a decomposition's inner top form is the root the screen took
+def test_top_form_eth_root_screens_every_split(G):
+    # the census skips a split whose monic top form has no e-th root, so that
+    # must be a split without a decomposition; where it has one, the graded
+    # engine must answer as decompose_multi does; and a decomposition's inner
+    # top form is the root the screen took
     for e in divisors(G.degree()):
         if e < 2:
             continue
-        root = top_form_root(G, e)
+        root = poly_eth_root(G.leading_form().monic(), e)
         dec = decompose_multi(G, e)
         if root is None:
             assert dec is None
         else:
-            assert decompose_from_top(G, e, root) == dec
+            assert _decompose_graded(G, e, DEFAULT_GUARD) == dec
         if dec is not None:
             assert dec.inner.leading_form() == root
 
@@ -228,8 +229,7 @@ def test_one_variable_entry_returns_the_graded_engines_pair(f):
     # several normalized inners, the dense engine behind decompose_multi
     # must pick the same one
     for r in outer_degrees(1, f.degree()):
-        H = top_form_root(f, r)
-        graded = None if H is None else decompose_from_top(f, r, H)
+        graded = _decompose_graded(f, r, DEFAULT_GUARD)
         assert decompose_multi(f, r) == graded
         dense = decompose_uni_dense(f.dom, f.to_dense(), r)
         assert dense == (None if graded is None
@@ -342,9 +342,9 @@ def test_extract_outer_recovers_every_outer_coefficient(case):
     F, u, H = case
     e = len(u) - 1
     G = compose(MPoly.from_dense(F, u, 1), H)
-    assert _extract_outer(G, H, e) == u
+    assert _extract_outer(G, _inner_powers(H, e)) == u
     powers = [MPoly.const(F, 2, F.one)] + [H ** i for i in range(1, e + 1)]
-    assert _extract_outer(G, H, e, powers) == u
+    assert _extract_outer(G, powers) == u
 
 
 MEMO_DOMAINS = [finite_field(2), finite_field(3), finite_field(2, 2), finite_field(5), QQ]
