@@ -13,21 +13,19 @@ Three routes that must agree:
   {alpha F} is classified, the one whose first nonzero top coefficient is
   1, and its verdict counts q - 1 times.  The top coefficients are the
   slowest digits of the scan index, so each top form T owns one block of
-  consecutive indices, and only monic tops are visited; one scan serves
-  every arity.  Arity decides only how a block is classified.  In one
-  variable the single top x^d owns the indices [q^d, 2 q^d), and each
-  polynomial goes to decompose.decompose_uni_dense at every split.  In
-  n >= 2 variables T is screened once: a split e survives when T, monic and
-  homogeneous, has an e-th root H (decompose.poly_eth_root, the root that
-  decompose_multi takes of a top form), and a block where no split survives
-  is counted indecomposable in one addition, without building its
-  polynomials.  A block that survives is
-  counted by its composition image.  F = u(H) exactly when F + c =
-  (u + c)(H), and the constant term is the fastest digit of the scan index,
-  so each run of q consecutive indices is one set {F + c} with one verdict.
-  The decomposable runs are those of the composites u(H + h) at the
-  surviving splits (decompose.composites_from_top), collected in a set, so
-  a run reached twice counts once (von zur Gathen, "Counting decomposable
+  consecutive indices, and the monic blocks are counted in closed form; one
+  scan serves every arity.  Arity decides only how the decomposables are
+  found.  In one variable the single top x^d owns the indices [q^d, 2 q^d),
+  and each polynomial goes to decompose.decompose_uni_dense at every split.
+  In n >= 2 variables they are counted by their composition image.  F =
+  u(H) has the top form lc(u) top(H)^e, so the monic tops that carry a
+  decomposable at e are the powers H^e of the monic forms H of degree d/e,
+  listed once per census.  F = u(H) exactly when F + c = (u + c)(H), and the
+  constant term is the fastest digit of the scan index, so each run of q
+  consecutive indices is one set {F + c} with one verdict.  The
+  decomposable runs are those of the composites u(H + h) under the listed
+  tops (decompose.composites_from_top), collected in a set, so a run
+  reached twice counts once (von zur Gathen, "Counting decomposable
   multivariate polynomials", AAECC 2011, counts D this way).
 
 Counts are exact big integers; every ratio or bound check is done in
@@ -42,7 +40,7 @@ lies.  The merged counts of a cover of the index space are exact.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +48,7 @@ from math import ceil, comb, floor, gcd
 
 from .arith import (CensusReport, big_omega, digit_tuples, divisors, factorint, power_over,
                     prime_power)
-from .decompose import composites_from_top, decompose_uni_dense, outer_degrees, poly_eth_root
+from .decompose import composites_from_top, decompose_uni_dense, outer_degrees
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -255,14 +253,12 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
     and each verdict counts for the q - 1 multiples alpha F.  So a slice
     reports q - 1 times the verdicts at the monic indices it holds, not the
     polynomials it holds: a slice without a monic index reports 0.  One
-    scan (_scan) walks the monic top blocks in every arity.  In one
-    variable each polynomial goes to decompose.decompose_uni_dense.  For
-    n >= 2 each monic top form is screened once per slice by its e-th roots
-    (decompose.poly_eth_root); the runs {F + c} of the decomposable F in a
-    block that survives are collected from its composition image
-    (decompose.composites_from_top), and each counts for its indices inside
-    the slice.  A top that admits no split adds q - 1 times its whole
-    overlap with the slice to the indecomposables.
+    scan (_scan) counts the monic indices in every arity.  In one variable
+    each polynomial goes to decompose.decompose_uni_dense.  For n >= 2 the
+    runs {F + c} of the decomposable F are collected from the composition
+    image (decompose.composites_from_top) under each power H^e of a monic
+    form whose block meets the slice, and each counts for its indices
+    inside the slice; every other monic index is indecomposable.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -279,60 +275,62 @@ def enumerate_census(q, n, d, guard=DEFAULT_GUARD, part=None) -> CensusReport:
 
 def _scan(field, n, d, lo, hi, guard):
     """(decomposable, indecomposable) counts of the monic indices in [lo, hi),
-    each verdict counted q - 1 times, block by block of monic top forms.
+    each verdict counted q - 1 times.
 
-    For n >= 2 a block's indices fall into runs of q, r q + [0, q), that
-    differ only in the constant term, the fastest digit, and share one
-    verdict.  A run is decomposable when its constant-0 polynomial is a
-    composite u(H + h) at some split e where the block's top T, monic and
-    homogeneous, has the root H = poly_eth_root(T, e): the runs of the
-    composites form a set, and each run in it counts for its indices inside
-    [start, stop), so a run cut by the slice counts in part, and one whose
-    first index lies before lo still counts.  A run's index is read from the
-    composite's coefficients on every low monomial but the constant (each
-    element is its own digit); the weights are built at the slice's first
-    live block, so a slice of dead blocks builds none.  A slice's first tuple
-    of low digits in one variable is decoded from its start
-    (arith.digit_tuples)."""
+    The monic tops of k + 1 digits are [q^k, 2 q^k), so the monic indices,
+    the blocks [q^k block, 2 q^k block), are counted in closed form.  In one
+    variable each polynomial of the one block goes to decompose_uni_dense.
+    For n >= 2 the runs r q + [0, q) share one verdict; the decomposable
+    runs are those of the composites under the live tops (_live_tops) whose
+    block meets the slice, a set, and each counts for its indices inside
+    [lo, hi).  A run's index is read from the composite's coefficients on
+    every monomial but the constant, each element its own digit."""
     q = field.q
-    monos = monomials_upto(n, d)
-    ntop = sum(1 for e in monos if sum(e) == d)
-    tops, lows = monos[:ntop], monos[ntop:]
-    block = q ** len(lows)  # the indices t * block + [0, block) share top t
-    splits = outer_degrees(n, d)
-    dec = ind = 0
-    weight = None
-    tops_lo, tops_hi = lo // block, -(-hi // block)
-    for t in itertools.chain.from_iterable(  # the tops whose first nonzero digit is 1
-            range(max(tops_lo, q ** k), min(tops_hi, 2 * q ** k)) for k in range(ntop)):
-        start, stop = max(lo - t * block, 0), min(hi - t * block, block)
-        if n == 1:  # the one top x^d: the dense engine at every split
-            hits = 0
-            for digits in digit_tuples(q, len(lows), start, stop):
-                f = [*reversed(digits), 1]  # constant first
-                for r in splits:
-                    if decompose_uni_dense(field, f, r, guard) is not None:
-                        hits += 1
-                        break
-        else:
-            top, rest = {}, t
-            for mono in reversed(tops):  # the first top monomial is the slowest digit
-                rest, top[mono] = divmod(rest, q)
-            T = MPoly(field, n, top)
-            live = [(e, H) for e in splits if (H := poly_eth_root(T, e)) is not None]
-            if not live:  # no split survives the top: the whole block is indecomposable
-                ind += (q - 1) * (stop - start)
-                continue
-            if weight is None:  # a run's index: its digits on lows[:-1], the last fastest
-                weight = {**dict.fromkeys(tops, 0),
-                          **{mono: q ** k for k, mono in enumerate(lows[-2::-1])}}
-            runs = {sum([weight[mono] * c for mono, c in terms.items()])
-                    for e, H in live for terms in composites_from_top(H, e)}
-            first, last = start // q, -(-stop // q)  # the run r holds the indices r q + [0, q)
-            hits = sum(min(stop, r * q + q) - max(start, r * q) for r in runs if first <= r < last)
-        dec += (q - 1) * hits
-        ind += (q - 1) * (stop - start - hits)
-    return dec, ind
+    ntop = comb(n + d - 1, n - 1)  # the monomials of degree d
+    block = q ** comb(n + d - 1, n)  # the indices t * block + [0, block) share top t
+    monic = sum(max(min(hi, 2 * q ** k * block) - max(lo, q ** k * block), 0)
+                for k in range(ntop))
+    if n == 1:  # the one top x^d: the dense engine at every split
+        splits = outer_degrees(n, d)
+        start, stop = max(lo, block) - block, min(hi, 2 * block) - block
+        hits = 0
+        for digits in digit_tuples(q, d, start, stop) if start < stop else ():
+            f = [*reversed(digits), 1]  # constant first
+            for r in splits:
+                if decompose_uni_dense(field, f, r, guard) is not None:
+                    hits += 1
+                    break
+    else:
+        weight = {mono: q ** k for k, mono in enumerate(monomials_upto(n, d)[-2::-1])}
+        blocks = range(lo // block, -(-hi // block))  # the top blocks the slice meets
+        runs = {sum([weight[mono] * c for mono, c in terms.items()])
+                for t, live in _live_tops(q, n, d).items() if t in blocks
+                for e, H in live for terms in composites_from_top(H, e)}
+        first, last = lo // q, -(-hi // q)  # the run r holds the indices r q + [0, q)
+        hits = sum(min(hi, r * q + q) - max(lo, r * q) for r in runs if first <= r < last)
+    return (q - 1) * hits, (q - 1) * (monic - hits)
+
+
+# one table per census, shared by its slices and so read-only: rebuilt in
+# every slice, it made the census-multi slices about seven times slower
+@functools.lru_cache(maxsize=None)
+def _live_tops(q, n, d):
+    """{t: [(e, H), ...]}: the monic top digits t, the first top monomial
+    slowest, whose top form is H^e for a monic form H of degree d/e, split
+    by split.  The root of a monic top is monic, so these are all the tops
+    under which a composite u(H + h) lies."""
+    field = field_from_order(q)
+    tops = monomials_upto(n, d)[:comb(n + d - 1, n - 1)]
+    weight = {mono: q ** k for k, mono in enumerate(reversed(tops))}
+    table = {}
+    for e in outer_degrees(n, d):
+        forms = monomials_upto(n, d // e)[:comb(n + d // e - 1, n - 1)]
+        for k in range(len(forms)):
+            for digits in digit_tuples(q, len(forms), q ** k, 2 * q ** k):
+                H = MPoly(field, n, dict(zip(forms, digits)))
+                t = sum([weight[mono] * c for mono, c in (H ** e).terms.items()])
+                table.setdefault(t, []).append((e, H))
+    return table
 
 
 def merge_reports(reports) -> CensusReport:

@@ -320,11 +320,11 @@ def composites_from_top(H: MPoly, e: int):
     """The terms {monomial: nonzero coefficient} of u(H + h) for every
     u = t^e + u_(e-1) t^(e-1) + ... + u_1 t and every h on the monomials of
     degree 1 .. m - 1, m = deg H: q^(e - 1 + #h) composites, not all
-    distinct.  For H = poly_eth_root(T, e), T monic and homogeneous, these
-    are the F with top form T and F(0) = 0 that decompose at e: a normalized
-    F = u(H') has the top form lc(u) top(H')^e, so lc(u) = 1, top(H') = H
-    and u(0) = 0.  The powers of each H + h are built once, and h and u go
-    in digit_tuples order."""
+    distinct.  For H a monic form, these are the F with top form H^e and
+    F(0) = 0 that decompose at e: a normalized F = u(H') has the top form
+    lc(u) top(H')^e, and the monic e-th root of a monic form is unique, so
+    lc(u) = 1, top(H') = H and u(0) = 0.  The powers of each H + h are
+    built once, and h and u go in digit_tuples order."""
     dom = H.dom
     zero, add, mul = dom.zero, dom.add, dom.mul
     low = monomials_upto(H.n, H.degree() - 1)[:-1]  # the constant comes last

@@ -362,17 +362,10 @@ def format_poly(f: MPoly, var_names=None) -> str:
 
 def monomials_upto(n, d):
     """Exponent tuples of total degree <= d, graded-lex descending."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    for total in range(d, -1, -1):
-        rec((), total, n)
-    # rec enumerates each total-degree block with x-first descending, which
-    # matches graded-lex descending within the block
-    return out
+    # (prefix, degree left) for each total degree, highest first; each pass
+    # gives every prefix in order its next exponent, largest first, so each
+    # degree's tuples come out lex descending
+    level = [((), total) for total in range(d, -1, -1)]
+    for _ in range(n - 1):
+        level = [(p + (k,), r - k) for p, r in level for k in range(r, -1, -1)]
+    return [p + (r,) for p, r in level]

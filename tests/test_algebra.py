@@ -1,6 +1,7 @@
 """Ring-level properties of the polynomial layer: dense univariate helpers,
 the sparse multivariate type, gcds, resultants and discriminants."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -472,6 +473,44 @@ def test_leading_form():
     assert const.leading_form() == const
     with pytest.raises(ValueError):
         MPoly(ZZ, 2).leading_form()
+
+
+def _recursive_monomials(n, d):
+    """The recursion monomials_upto used to run: each total degree from d
+    down, x-first descending."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for k in range(remaining, -1, -1):
+            rec(prefix + (k,), remaining - k, slots - 1)
+
+    for total in range(d, -1, -1):
+        rec((), total, n)
+    return out
+
+
+def test_monomials_upto_keeps_the_graded_lex_order_of_the_recursion():
+    for n in range(1, 5):
+        for d in range(7):
+            assert monomials_upto(n, d) == _recursive_monomials(n, d), (n, d)
+
+
+def test_monomials_upto_leaves_no_cyclic_garbage():
+    # a closure that calls itself is a reference cycle freed only by the
+    # collector; the list is built without one
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(1000):
+            monomials_upto(2, 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_operands_must_share_their_ring():

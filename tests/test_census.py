@@ -13,7 +13,7 @@ import pytest
 
 from indecpoly import census, decompose
 from indecpoly.arith import digit_tuples, divisors
-from indecpoly.decompose import decompose_multi, decompose_uni_dense, outer_degrees
+from indecpoly.decompose import decompose_multi, decompose_uni_dense, outer_degrees, poly_eth_root
 from indecpoly.fields import GuardExceeded, field_from_order
 from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_small,
                               count_recursive, count_total, count_uni, enumerate_census,
@@ -420,7 +420,7 @@ def _image_bound(q, n, d, T):
     #h the monomials of degree 1 .. d/e - 1: the composites u(H + h) of a
     live block."""
     return sum(q ** (e - 1 + len(monomials_upto(n, d // e - 1)) - 1)
-               for e in outer_degrees(n, d) if census.poly_eth_root(T, e) is not None)
+               for e in outer_degrees(n, d) if poly_eth_root(T, e) is not None)
 
 
 def _spy_composites(monkeypatch):
@@ -485,7 +485,7 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
     def no_engine(*args):
         raise AssertionError("the engine ran on a non-representative index")
 
-    for name in ("poly_eth_root", "composites_from_top", "decompose_uni_dense"):
+    for name in ("composites_from_top", "decompose_uni_dense"):
         monkeypatch.setattr(census, name, no_engine)
     block, ntop = _top_block(3, 2, 2)
     t = 2 * 3 ** (ntop - 1)
@@ -497,40 +497,40 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
 def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
     # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
     # each.  e = 2 composes over the inners x^2 + a x + b y under the top x^4
-    # (4 of them), e = 4 over the inner x (1).  Outside the top-form screen,
-    # the only products are the powers [1, H, ..., H^e], e - 1 per inner,
-    # built once in each slice's part of a live block at each split its top
-    # admits: 28 slices have a top with a square root, 12 with a fourth root
+    # (4 of them), e = 4 over the inner x (1).  Outside the table of live
+    # tops, built once per census, the only products are the powers
+    # [1, H, ..., H^e], e - 1 per inner, built once in each slice's part of a
+    # live block at each split its top admits: 28 slices have a top with a
+    # square root, 12 with a fourth root.  The table takes H^2 of the 7 monic
+    # quadratic forms and H^4 of the 3 monic linear ones, 2 and 3 products
     q, n, d = 2, 2, 4
     inners = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
-    products = {"all": 0, "screen": 0}
-    mul, root = MPoly.__mul__, census.poly_eth_root
+    products = {"all": 0}
+    mul = MPoly.__mul__
 
     def counted_mul(self, other):
         products["all"] += 1
         return mul(self, other)
 
-    def counted_root(T, e):
-        before = products["all"]
-        H = root(T, e)
-        products["screen"] += products["all"] - before
-        return H
-
     # the zero top is skipped; over F_2 every other top is monic
     slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
-    live = {s: [e for e in (2, 4) if root(_top_form(q, n, d, s[0] // block), e) is not None]
+    live = {s: [e for e in (2, 4)
+                if poly_eth_root(_top_form(q, n, d, s[0] // block), e) is not None]
             for s in slices}  # before the spies
     _spy_composites(monkeypatch)
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
-    monkeypatch.setattr(census, "poly_eth_root", counted_root)
+    census._live_tops.cache_clear()  # the table lasts across censuses
+    census._live_tops(q, n, d)
+    assert products["all"] == 7 * 2 + 3 * 3
+    products["all"] = 0
     want, dec = 0, 0
     for lo, hi in slices:
         want += sum(inners[e] * (e - 1) for e in live[lo, hi])
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
     assert [sum(e in p for p in live.values()) for e in (2, 4)] == [28, 12]
-    assert products["all"] - products["screen"] == want == 28 * 4 * 1 + 12 * 1 * 3
+    assert products["all"] == want == 28 * 4 * 1 + 12 * 1 * 3
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
@@ -574,7 +574,7 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
         T = _top_form(q, n, d, lo // block)
         want = []
         for e in (2, 4):
-            H = census.poly_eth_root(T, e)
+            H = poly_eth_root(T, e)
             if H is not None:
                 free = [(1, 0), (0, 1)] if e == 2 else []
                 want += iter_completions(field, n, H.terms, free)
@@ -699,8 +699,8 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
 
 
 # (q, n, d, D): full censuses pinned against the divisor recursion; their
-# scan spaces, 4^15, 2^28 and 2^35, are far beyond _reference_prefix
-FULL_CENSUSES = [(4, 2, 4, 19008), (2, 2, 6, 2240), (2, 3, 4, 2072)]
+# scan spaces, 4^15, 5^15, 2^28 and 2^35, are far beyond _reference_prefix
+FULL_CENSUSES = [(4, 2, 4, 19008), (5, 2, 4, 89500), (2, 2, 6, 2240), (2, 3, 4, 2072)]
 
 
 @pytest.mark.parametrize("q,n,d,dec", FULL_CENSUSES)
@@ -718,19 +718,36 @@ IMAGE_CENSUSES = [(2, 2, 2), (2, 2, 4), (3, 2, 3), (4, 2, 2), (5, 2, 2), (4, 2, 
                   (2, 3, 2), (3, 3, 2), (3, 2, 4)]
 
 
-@functools.lru_cache(maxsize=None)
-def _live_tops(q, n, d):
-    """The monic top digits t whose top form has a root at some split."""
+def _monic_tops(q, n, d):
+    """The monic top digits t: those whose first nonzero digit is 1."""
     _, ntop = _top_block(q, n, d)
-    return [t for k in range(ntop) for t in range(q ** k, 2 * q ** k)
-            if any(census.poly_eth_root(_top_form(q, n, d, t), e) is not None
+    return [t for k in range(ntop) for t in range(q ** k, 2 * q ** k)]
+
+
+@functools.lru_cache(maxsize=None)
+def _rooted_tops(q, n, d):
+    """The monic top digits t whose top form has a root at some split."""
+    return [t for t in _monic_tops(q, n, d)
+            if any(poly_eth_root(_top_form(q, n, d, t), e) is not None
                    for e in outer_degrees(n, d))]
+
+
+@pytest.mark.parametrize("q,n,d", sorted(set(SCREENED_CENSUSES + IMAGE_CENSUSES)))
+def test_live_top_table_lists_the_roots_of_every_monic_top(q, n, d):
+    # the table of the powers H^e, built without a root, names at each monic
+    # top the e-th roots that poly_eth_root takes of it, split by split
+    table = census._live_tops(q, n, d)
+    for t in _monic_tops(q, n, d):
+        T = _top_form(q, n, d, t)
+        assert table.get(t, []) == [(e, H) for e in outer_degrees(n, d)
+                                    if (H := poly_eth_root(T, e)) is not None], (q, n, d, t)
+    assert set(table) <= set(_monic_tops(q, n, d))
 
 
 if given is not None:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.sampled_from(IMAGE_CENSUSES).flatmap(
-        lambda c: st.tuples(st.just(c), st.sampled_from(_live_tops(*c)))))
+        lambda c: st.tuples(st.just(c), st.sampled_from(_rooted_tops(*c)))))
     def test_image_of_a_live_block_is_its_decomposable_representatives(case):
         # the composites of a live block, over all its splits, are exactly
         # the polynomials with its top form and constant term 0 that
@@ -741,7 +758,7 @@ if given is not None:
         block, ntop = _top_block(q, n, d)
         T = _top_form(q, n, d, t)
         image = {frozenset(terms.items()) for e in outer_degrees(n, d)
-                 if (H := census.poly_eth_root(T, e)) is not None
+                 if (H := poly_eth_root(T, e)) is not None
                  for terms in decompose.composites_from_top(H, e)}
         lows = monomials_upto(n, d)[ntop:-1]  # the constant comes last
         want = set()
