@@ -24,9 +24,12 @@ Three routes that must agree:
   constant term is the fastest digit of the scan index, so each run of q
   consecutive indices is one set {F + c} with one verdict.  The
   decomposable runs are those of the composites u(H + h) under the listed
-  tops (decompose.composites_from_top), collected in a set, so a run
-  reached twice counts once (von zur Gathen, "Counting decomposable
-  multivariate polynomials", AAECC 2011, counts D this way).
+  tops (decompose.composites_from_top), collected block by block into a
+  sorted tuple of distinct runs, so a run reached twice counts once.  The
+  slices of a census, in order, share each block's tuple through a
+  one-entry memo, so each block's image is drawn once per census (von zur
+  Gathen, "Counting decomposable multivariate polynomials", AAECC 2011,
+  counts D this way).
 
 Counts are exact big integers; every ratio or bound check is done in
 Fraction arithmetic.  Enumeration supports disjoint index-range partitions
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd
@@ -281,10 +285,9 @@ def _scan(field, n, d, lo, hi, guard):
     the blocks [q^k block, 2 q^k block), are counted in closed form.  In one
     variable each polynomial of the one block goes to decompose_uni_dense.
     For n >= 2 the runs r q + [0, q) share one verdict; the decomposable
-    runs are those of the composites under the live tops (_live_tops) whose
-    block meets the slice, a set, and each counts for its indices inside
-    [lo, hi).  A run's index is read from the composite's coefficients on
-    every monomial but the constant, each element its own digit."""
+    runs of each live block (_live_tops) that the slice meets are one sorted
+    tuple (_block_runs), and bisection counts those inside [lo, hi), a run
+    at an edge of the slice for its indices inside only."""
     q = field.q
     ntop = comb(n + d - 1, n - 1)  # the monomials of degree d
     block = q ** comb(n + d - 1, n)  # the indices t * block + [0, block) share top t
@@ -301,18 +304,25 @@ def _scan(field, n, d, lo, hi, guard):
                     hits += 1
                     break
     else:
-        weight = {mono: q ** k for k, mono in enumerate(monomials_upto(n, d)[-2::-1])}
         blocks = range(lo // block, -(-hi // block))  # the top blocks the slice meets
-        runs = {sum([weight[mono] * c for mono, c in terms.items()])
-                for t, live in _live_tops(q, n, d).items() if t in blocks
-                for e, H in live for terms in composites_from_top(H, e)}
         first, last = lo // q, -(-hi // q)  # the run r holds the indices r q + [0, q)
-        hits = sum(min(hi, r * q + q) - max(lo, r * q) for r in runs if first <= r < last)
+        hits = 0
+        for t in _live_tops(q, n, d):
+            if t in blocks:
+                runs = _block_runs(q, n, d, t)
+                i, j = bisect_left(runs, first), bisect_left(runs, last)
+                hits += q * (j - i)
+                if runs[i:i + 1] == (first,):  # the runs at the slice's edges
+                    hits -= lo - first * q  # count only their indices inside it
+                if runs[j - 1:j] == (last - 1,):
+                    hits -= last * q - hi
     return (q - 1) * hits, (q - 1) * (monic - hits)
 
 
 # one table per census, shared by its slices and so read-only: rebuilt in
-# every slice, it made the census-multi slices about seven times slower
+# every slice, it made the census-multi slices about seven times slower.
+# Its tops ascend, so the slices of a census, in order, meet each live block
+# in one run of consecutive calls, and one memo of _block_runs serves them all
 @functools.lru_cache(maxsize=None)
 def _live_tops(q, n, d):
     """{t: [(e, H), ...]}: the monic top digits t, the first top monomial
@@ -330,7 +340,19 @@ def _live_tops(q, n, d):
                 H = MPoly(field, n, dict(zip(forms, digits)))
                 t = sum([weight[mono] * c for mono, c in (H ** e).terms.items()])
                 table.setdefault(t, []).append((e, H))
-    return table
+    return dict(sorted(table.items()))
+
+
+@functools.lru_cache(maxsize=1)
+def _block_runs(q, n, d, t):
+    """The distinct decomposable runs of the live top block t, ascending: the
+    run index of each composite under its splits (_live_tops), read from its
+    coefficients on every monomial but the constant, each element its own
+    digit.  The only set of the n >= 2 scan, the size of one block's image."""
+    weight = {mono: q ** k for k, mono in enumerate(monomials_upto(n, d)[-2::-1])}
+    return tuple(sorted({sum([weight[mono] * c for mono, c in terms.items()])
+                         for e, H in _live_tops(q, n, d)[t]
+                         for terms in composites_from_top(H, e)}))
 
 
 def merge_reports(reports) -> CensusReport:

@@ -144,46 +144,50 @@ def _extend_root(G: MPoly, e: int, R: MPoly, floor: int):
 
     Each new term is the leading term of G - R^e divided by e lead(R)^(e-1),
     the leading term of what it adds to R^e, and must be a monomial strictly
-    below every term of R.  Glex is a well-order, so the loop stops.  The rest
-    G - R^e and the powers R^k, k < e, are kept as dicts and updated per added
-    term t by (R + t)^k = sum_i C(k, i) R^(k-i) t^i, which divides by no index,
-    so no power of R is taken again."""
+    below every term of R.  Glex is a well-order, so the loop stops.  The
+    powers R^0, ..., R^(e-1) and R^e - G are kept as dicts and moved to R + t
+    per added term t by _add_to_powers, so no power of R is taken again."""
     dom = G.dom
-    zero, add, mul = dom.zero, dom.add, dom.mul
     root_lead, z = R.leading()
-    ez_inv = dom.inv(mul(dom.from_int(e), dom.pow(z, e - 1)))
+    # the new coefficient is -(R^e - G)[lead] / (e z^(e-1))
+    ez_inv = dom.neg(dom.inv(dom.mul(dom.from_int(e), dom.pow(z, e - 1))))
     last_key = min(map(glex_key, R.terms))
     powers = _inner_powers(R, e)
-    rest = dict((G - powers[e]).terms)
-    pw = [dict(P.terms) for P in powers[:max(e, 2)]]  # R^0 .. R^(e-1), and R itself
+    pw = [dict(P.terms) for P in powers[:e]] + [dict((powers[e] - G).terms)]
     binom = [[dom.from_int(comb(k, i)) for i in range(k + 1)] for k in range(e + 1)]
-
-    def add_times_t(target, src, i, b):  # target += b t^i src in place, t = c x^te
-        bt = mul(b, dom.pow(c, i))
-        if bt == zero:
-            return
-        shift = tuple(i * a for a in te)
-        for mono, v in src.items():
-            mono = tuple(map(int.__add__, mono, shift))
-            s = add(target.get(mono, zero), mul(v, bt))
-            if s == zero:
-                del target[mono]
-            else:
-                target[mono] = s
-
-    while rest and sum(re := max(rest, key=glex_key)) > floor:
+    root = dict(R.terms)
+    while pw[e] and sum(re := max(pw[e], key=glex_key)) > floor:
         te = tuple(a - (e - 1) * b for a, b in zip(re, root_lead))
         key = glex_key(te)
         if any(k < 0 for k in te) or key >= last_key:
             return None
         last_key = key
-        c = mul(rest[re], ez_inv)
-        for i in range(1, e + 1):  # rest -= (R + t)^e - R^e, from the old powers
-            add_times_t(rest, pw[e - i], i, dom.neg(binom[e][i]))
-        for k in range(len(pw) - 1, 0, -1):  # highest first: each reads only lower, older powers
-            for i in range(1, k + 1):
-                add_times_t(pw[k], pw[k - i], i, binom[k][i])
-    return MPoly(dom, G.n, pw[1])
+        root[te] = dom.mul(pw[e][re], ez_inv)
+        _add_to_powers(dom, pw, binom, te, root[te])
+    return MPoly(dom, G.n, root)
+
+
+def _add_to_powers(dom, pw: list, binom: list, mono: tuple, c) -> None:
+    """Turn the dicts pw = [P^0, ..., P^K] into those of P + t, t = c x^mono,
+    in place, by (P + t)^k = sum_i C(k, i) P^(k-i) t^i, binom[k][i] = C(k, i)
+    in the field.  The highest k goes first, so each power reads only lower,
+    older ones, and the top dict may carry an extra summand: it rides along."""
+    zero, add, mul = dom.zero, dom.add, dom.mul
+    for k in range(len(pw) - 1, 0, -1):
+        target, ci = pw[k], dom.one
+        for i in range(1, k + 1):
+            ci = mul(ci, c)
+            bt = mul(binom[k][i], ci)
+            if bt == zero:
+                continue
+            shift = tuple(i * a for a in mono)
+            for m, v in pw[k - i].items():
+                m = tuple(map(int.__add__, m, shift))
+                s = add(target.get(m, zero), mul(v, bt))
+                if s == zero:
+                    del target[m]
+                else:
+                    target[m] = s
 
 
 # --------------------------------------------------------------------------
@@ -323,16 +327,24 @@ def composites_from_top(H: MPoly, e: int):
     distinct.  For H a monic form, these are the F with top form H^e and
     F(0) = 0 that decompose at e: a normalized F = u(H') has the top form
     lc(u) top(H')^e, and the monic e-th root of a monic form is unique, so
-    lc(u) = 1, top(H') = H and u(0) = 0.  The powers of each H + h are
-    built once, and h and u go in digit_tuples order."""
+    lc(u) = 1, top(H') = H and u(0) = 0.  h and u go in digit_tuples
+    order.  Only the powers of H are multiplied: each digit of h that moves
+    moves the powers [1, H + h, ..., (H + h)^e] with it, in place
+    (_add_to_powers)."""
     dom = H.dom
     zero, add, mul = dom.zero, dom.add, dom.mul
     low = monomials_upto(H.n, H.degree() - 1)[:-1]  # the constant comes last
+    pw = [dict(P.terms) for P in _inner_powers(H, e)]
+    binom = [[dom.from_int(comb(k, i)) for i in range(k + 1)] for k in range(e + 1)]
+    prev = (zero,) * len(low)
     for digits in digit_tuples(dom.q, len(low)):
-        powers = _inner_powers(MPoly(dom, H.n, {**H.terms, **dict(zip(low, digits))}), e)
-        lower = [P.terms for P in reversed(powers[1:e])]  # H'^(e-1), ..., H'
+        for mono, new, old in zip(low, digits, prev):  # H + h moves to its next h
+            if new != old:
+                _add_to_powers(dom, pw, binom, mono, dom.sub(new, old))
+        prev = digits
+        lower = pw[e - 1:0:-1]  # (H + h)^(e-1), ..., H + h
         for outer in digit_tuples(dom.q, e - 1):  # u_(e-1), ..., u_1
-            terms = dict(powers[e].terms)
+            terms = dict(pw[e])
             for ui, P in zip(outer, lower):
                 if ui != zero:
                     for mono, c in P.items():

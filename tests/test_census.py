@@ -21,7 +21,7 @@ from indecpoly.census import (bd_lemma_check, bounds_check_n2, count_closed_smal
                               scan_space, trend_table)
 from indecpoly.mpoly import MPoly, monomials_upto
 
-from completions import iter_completions
+from completions import rebuilt_composites
 
 
 def test_count_total_values():
@@ -449,6 +449,7 @@ def test_multi_scan_classifies_only_constant_free_polynomials(monkeypatch):
     for q, n, d in [(3, 2, 2), (2, 2, 4), (2, 3, 2)]:
         dec, ind = _reference_prefix(q, n, d)  # before the spies
         block, ntop = _top_block(q, n, d)
+        census._block_runs.cache_clear()  # the runs of the last block drawn
         with monkeypatch.context() as m:
             built = _spy_composites(m)
             rep = enumerate_census(q, n, d)
@@ -496,15 +497,16 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
 
 def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
     # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
-    # each.  e = 2 composes over the inners x^2 + a x + b y under the top x^4
-    # (4 of them), e = 4 over the inner x (1).  Outside the table of live
-    # tops, built once per census, the only products are the powers
-    # [1, H, ..., H^e], e - 1 per inner, built once in each slice's part of a
-    # live block at each split its top admits: 28 slices have a top with a
-    # square root, 12 with a fourth root.  The table takes H^2 of the 7 monic
-    # quadratic forms and H^4 of the 3 monic linear ones, 2 and 3 products
+    # each.  e = 2 composes over the inners x^2 + a x + b y under the top x^4,
+    # e = 4 over the inner x.  Outside the table of live tops, built once per
+    # census, the only products are the powers [1, H, ..., H^e] of the root
+    # H, e - 1 of them, once per live block and split in the whole census:
+    # the inners H + h take their powers from those of H in place, and the
+    # image of a block is drawn by the first of its slices only.  7 blocks
+    # have a top with a square root (28 slices), 3 of them a fourth root
+    # (12 slices), so 7 * 1 + 3 * 3 products.  The table takes H^2 of the 7
+    # monic quadratic forms and H^4 of the 3 monic linear ones, 2 and 3 products
     q, n, d = 2, 2, 4
-    inners = {2: 4, 4: 1}
     block, ntop = _top_block(q, n, d)
     products = {"all": 0}
     mul = MPoly.__mul__
@@ -521,30 +523,33 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
     _spy_composites(monkeypatch)
     monkeypatch.setattr(MPoly, "__mul__", counted_mul)
     census._live_tops.cache_clear()  # the table lasts across censuses
+    census._block_runs.cache_clear()  # and the runs of the last block drawn
     census._live_tops(q, n, d)
     assert products["all"] == 7 * 2 + 3 * 3
     products["all"] = 0
-    want, dec = 0, 0
+    dec = 0
     for lo, hi in slices:
-        want += sum(inners[e] * (e - 1) for e in live[lo, hi])
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
     assert dec == count_recursive(q, n, d).decomposable == 136
     assert [sum(e in p for p in live.values()) for e in (2, 4)] == [28, 12]
-    assert products["all"] == want == 28 * 4 * 1 + 12 * 1 * 3
+    blocks = {lo // block: splits for (lo, _), splits in live.items()}
+    assert [sum(e in p for p in blocks.values()) for e in (2, 4)] == [7, 3]
+    assert products["all"] == sum(e - 1 for p in blocks.values() for e in p) == 7 * 1 + 3 * 3
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
-    # the same 128 slices of (2, 2, 4).  Inside composites_from_top, outside
-    # the powers [1, H, ..., H^e], the only two-variable polynomials built
-    # are the inners H + h, each once per slice and live split, and the
-    # composites are plain term dicts, no polynomial
+    # the same 128 slices of (2, 2, 4), in order.  Each live block's image is
+    # drawn once in the census, by the first slice that meets the block, one
+    # composites_from_top call per split that its top admits, and the later
+    # slices of the block draw nothing.  Inside composites_from_top the only
+    # two-variable polynomials built are the powers [1, H, ..., H^e] of the
+    # root H: the inners H + h and the composites are plain term dicts
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
-    field = field_from_order(q)
     # the zero top is skipped; over F_2 every other top is monic
     slices = [(lo, hi) for lo, hi in partition_ranges(q, n, d, 128) if lo // block]
     state = {"image": False, "powers": False}
-    built = []
+    built, drawn, powered = [], [], []
     init, image, inner_powers = MPoly.__init__, census.composites_from_top, decompose._inner_powers
 
     def spy_init(self, dom, nvars, terms=None):
@@ -553,6 +558,7 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
             built.append(self)
 
     def spy_image(H, e):
+        drawn.append((e, H))
         state["image"] = True
         try:
             yield from image(H, e)
@@ -560,29 +566,29 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
             state["image"] = False
 
     def spy_powers(H, e):
+        powered.append((e, H))
         state["powers"] = True
         try:
             return inner_powers(H, e)
         finally:
             state["powers"] = False
 
+    roots = {lo // block: [(e, H) for e in (2, 4)
+                           if (H := poly_eth_root(_top_form(q, n, d, lo // block), e)) is not None]
+             for lo, _ in slices}  # before the spies
+    census._block_runs.cache_clear()  # the runs of the last block drawn
     monkeypatch.setattr(MPoly, "__init__", spy_init)
     monkeypatch.setattr(census, "composites_from_top", spy_image)
     monkeypatch.setattr(decompose, "_inner_powers", spy_powers)
     busy = 0
     for lo, hi in slices:
-        T = _top_form(q, n, d, lo // block)
-        want = []
-        for e in (2, 4):
-            H = poly_eth_root(T, e)
-            if H is not None:
-                free = [(1, 0), (0, 1)] if e == 2 else []
-                want += iter_completions(field, n, H.terms, free)
-        del built[:]
+        want = roots[lo // block] if lo % block == 0 else []  # the block's first slice
+        del drawn[:], powered[:]
         enumerate_census(q, n, d, part=(lo, hi))
-        assert collections.Counter(built) == collections.Counter(want), (lo, hi)
-        busy += bool(want)
-    assert busy == 28  # the slices whose top has a square root
+        assert drawn == powered == want, (lo, hi)
+        assert built == [], (lo, hi)
+        busy += bool(drawn)
+    assert busy == 7  # the blocks whose top has a square root
 
 
 def test_scan_slices_start_at_their_decoded_digits():
@@ -618,10 +624,11 @@ def test_forced_split_slices_match_the_reference_loop(monkeypatch):
     # over F_3 the top x^4 has the square root x^2 and the fourth root x.
     # The split e = 2 has p^a = 1 < m = 2, which forced the engine to take the
     # inner's linear part from each F; the image composes over all of them:
-    # 3^(1 + 2) composites at e = 2 and 3^3 at e = 4 in each slice.  The
-    # space is 3^15, too large for _reference_prefix, so the reference loop
-    # runs over each slice only: the first has no cubic part, the second the
-    # cubic part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2
+    # 3^(1 + 2) composites at e = 2 and 3^3 at e = 4, drawn once for the
+    # block, by the first of the two slices, while the second reads the same
+    # runs.  The space is 3^15, too large for _reference_prefix, so the
+    # reference loop runs over each slice only: the first has no cubic part,
+    # the second the cubic part 2 x^3 + 2 x^2 y of (x^2 + x + y)^2
     q, n, d = 3, 2, 4
     field = field_from_order(q)
     monos = monomials_upto(n, d)
@@ -629,6 +636,7 @@ def test_forced_split_slices_match_the_reference_loop(monkeypatch):
     t = q ** (ntop - 1)
     T = _top_form(q, n, d, t)
     assert _image_bound(q, n, d, T) == 27 + 27
+    census._block_runs.cache_clear()  # the runs of the last block drawn
     counts = []
     for offset in (0, 2 * q ** 9 + 2 * q ** 8):
         lo = t * block + offset
@@ -642,7 +650,7 @@ def test_forced_split_slices_match_the_reference_loop(monkeypatch):
         assert (rep.decomposable, rep.indecomposable) == ((q - 1) * hits,
                                                           (q - 1) * (hi - lo - hits))
         counts.append(collections.Counter(e for e, _, _ in built))
-    assert counts == [{2: 27, 4: 27}] * 2
+    assert counts == [{2: 27, 4: 27}, {}]
 
 
 def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
@@ -654,8 +662,9 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
     # lies above d - m = 3 with odd exponents; and x^4 y.  The reference loop
     # runs with the exponent screen patched off.  The census takes no root
     # past the top form (an _extend_root down to degree d - m; the top's cube
-    # root is one to degree -1) and peels nothing: it composes the 2^(1 + 5) pairs
-    # (u, h), h on the 5 monomials of degree 1 and 2, in every slice
+    # root is one to degree -1) and peels nothing: it composes the 2^(1 + 5)
+    # pairs (u, h), h on the 5 monomials of degree 1 and 2, once for the
+    # block, in the first slice, and the two later slices draw nothing
     q, n, d = 2, 2, 6
     field = field_from_order(q)
     monos = monomials_upto(n, d)
@@ -664,7 +673,8 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
     composite = MPoly(field, n, dict.fromkeys(
         [(6, 0), (4, 2), (2, 2), (3, 0), (2, 1), (1, 1), (0, 2), (0, 1)], 1))
     extend, peel = decompose._extend_root, decompose._extract_outer
-    found = []
+    census._block_runs.cache_clear()  # the runs of the last block drawn
+    found, drawn = [], []
     for offset in (q ** 12 + q ** 9, q ** 13 + q ** 12 + q ** 9, q ** 19 + q ** 9):
         lo = t * block + offset
         hi = lo + q ** 9
@@ -688,10 +698,12 @@ def test_forced_wild_split_slices_match_the_reference_loop(monkeypatch):
             m.setattr(decompose, "_extract_outer", spy_peel)
             rep = enumerate_census(q, n, d, part=(lo, hi), guard=1 << 28)
         assert (rep.decomposable, rep.indecomposable) == (hits, hi - lo - hits)
-        assert {e for e, _, _ in built} == {2} and len(built) == 2 ** 6
-        assert composite.terms in [terms for _, _, terms in built]
+        drawn.append(collections.Counter(e for e, _, _ in built))
         found.append((hits, d - d // 2 in work, "peel" in work))
+        if built:
+            assert composite.terms in [terms for _, _, terms in built]
     assert found == [(8, False, False), (0, False, False), (0, False, False)]
+    assert drawn == [{2: 2 ** 6}, {}, {}]
     i = sum(q ** (len(monos) - 1 - k) for k, mono in enumerate(monos) if mono in composite.terms)
     assert t * block + q ** 12 + q ** 9 <= i < t * block + q ** 12 + q ** 10
     assert decompose_multi(composite, 2).inner == MPoly(field, n, dict.fromkeys(
@@ -710,6 +722,43 @@ def test_full_multi_census_matches_the_recursion(q, n, d, dec):
     assert (rep.total, rep.indecomposable, rep.decomposable) == (
         rec.total, rec.indecomposable, rec.decomposable)
     assert rep.decomposable == dec
+
+
+# the wild splits e = 2, 4 over F_2 and F_4 and e = 3 over F_3, and tame ones
+REBUILT_CENSUSES = [(2, 2, 4), (3, 2, 4), (4, 2, 4), (5, 2, 4), (2, 3, 4), (2, 2, 6),
+                    (3, 2, 6), (4, 2, 6), (2, 2, 8)]
+
+
+@pytest.mark.parametrize("q,n,d", REBUILT_CENSUSES)
+def test_image_matches_the_powers_rebuilt_by_products(q, n, d):
+    # composites_from_top moves the powers of H + h from one h to the next in
+    # place; the reference multiplies out every power of every H + h
+    for live in census._live_tops(q, n, d).values():
+        for e, H in live:
+            assert list(decompose.composites_from_top(H, e)) == list(
+                rebuilt_composites(H, e)), (q, n, d, e, H.format())
+
+
+if given is not None:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([(2, 2, 4), (3, 2, 4), (4, 2, 3)]), st.integers(1, 64),
+           st.randoms(use_true_random=False))
+    def test_shuffled_slices_merge_to_the_recursion(case, parts, rng):
+        # a cover of 1 to 64 ranges, run in a shuffled order with the memo of
+        # the last block's runs left warm.  Most ranges start inside a block,
+        # and about half inside a decomposable run, which is then cut in two
+        q, n, d = case
+        space = scan_space(q, n, d)
+        runs = [r for t in census._live_tops(q, n, d) for r in census._block_runs(q, n, d, t)]
+        cuts = {rng.choice(runs) * q + rng.randrange(1, q) if rng.random() < 0.5
+                else rng.randrange(1, space) for _ in range(parts - 1)}
+        cuts = [0, *sorted(cuts), space]
+        ranges = list(zip(cuts, cuts[1:]))
+        rng.shuffle(ranges)
+        merged = merge_reports([enumerate_census(q, n, d, part=r) for r in ranges])
+        rec = count_recursive(q, n, d)
+        assert (merged.total, merged.indecomposable, merged.decomposable) == (
+            rec.total, rec.indecomposable, rec.decomposable), (q, n, d, ranges)
 
 
 # small censuses whose live blocks are small enough for a reference loop;
