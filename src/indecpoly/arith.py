@@ -3,6 +3,7 @@ CensusReport: in this leaf module, a kept report pins no other module."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -102,9 +103,12 @@ def integer_nth_root(a: int, n: int):
     return r if r ** n == a else None
 
 
+@functools.lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k and p prime, else ValueError; one exact k-th root
-    per k <= log2(q) and no trial division, so a large prime q is fast."""
+    per k <= log2(q) and no trial division, so a large prime q is fast.
+    Memoized per q, since every census slice and field lookup asks again; a
+    q that is no prime power is not stored and raises on every call."""
     for k in range(max(q, 1).bit_length(), 0, -1):
         p = integer_nth_root(q, k)
         if p is not None and is_prime(p):

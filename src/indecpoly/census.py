@@ -20,7 +20,8 @@ Three routes that must agree:
   In n >= 2 variables they are counted by their composition image.  F =
   u(H) has the top form lc(u) top(H)^e, so the monic tops that carry a
   decomposable at e are the powers H^e of the monic forms H of degree d/e,
-  listed once per census.  F = u(H) exactly when F + c = (u + c)(H), and the
+  listed once per census with the powers [1, H, ..., H^e] of each H, the
+  census's only products.  F = u(H) exactly when F + c = (u + c)(H), and the
   constant term is the fastest digit of the scan index, so each run of q
   consecutive indices is one set {F + c} with one verdict.  The
   decomposable runs are those of the composites u(H + h) under the listed
@@ -52,7 +53,7 @@ from math import ceil, comb, floor, gcd
 
 from .arith import (CensusReport, big_omega, digit_tuples, divisors, factorint, power_over,
                     prime_power)
-from .decompose import composites_from_top, decompose_uni_dense, outer_degrees
+from .decompose import _inner_powers, composites_from_top, decompose_uni_dense, outer_degrees
 from .fields import DEFAULT_GUARD, GuardExceeded, field_from_order
 from .mpoly import MPoly, monomials_upto
 
@@ -281,18 +282,20 @@ def _scan(field, n, d, lo, hi, guard):
     """(decomposable, indecomposable) counts of the monic indices in [lo, hi),
     each verdict counted q - 1 times.
 
-    The monic tops of k + 1 digits are [q^k, 2 q^k), so the monic indices,
-    the blocks [q^k block, 2 q^k block), are counted in closed form.  In one
+    The monic tops of k + 1 digits are [q^k, 2 q^k), so the monic indices
+    are the blocks [q^k block, 2 q^k block), counted start by start, each
+    start q times the last, up to the first start at or past hi.  In one
     variable each polynomial of the one block goes to decompose_uni_dense.
     For n >= 2 the runs r q + [0, q) share one verdict; the decomposable
     runs of each live block (_live_tops) that the slice meets are one sorted
     tuple (_block_runs), and bisection counts those inside [lo, hi), a run
     at an edge of the slice for its indices inside only."""
     q = field.q
-    ntop = comb(n + d - 1, n - 1)  # the monomials of degree d
     block = q ** comb(n + d - 1, n)  # the indices t * block + [0, block) share top t
-    monic = sum(max(min(hi, 2 * q ** k * block) - max(lo, q ** k * block), 0)
-                for k in range(ntop))
+    monic, base = 0, block
+    while base < hi:  # hi <= q^T block, T the top monomials: at most T starts
+        monic += max(min(hi, 2 * base) - max(lo, base), 0)
+        base *= q
     if n == 1:  # the one top x^d: the dense engine at every split
         splits = outer_degrees(n, d)
         start, stop = max(lo, block) - block, min(hi, 2 * block) - block
@@ -321,14 +324,17 @@ def _scan(field, n, d, lo, hi, guard):
 
 # one table per census, shared by its slices and so read-only: rebuilt in
 # every slice, it made the census-multi slices about seven times slower.
-# Its tops ascend, so the slices of a census, in order, meet each live block
-# in one run of consecutive calls, and one memo of _block_runs serves them all
+# Its power lists are the only products of a census: the image of each block
+# moves them in copies.  Its tops ascend, so the slices of a census, in
+# order, meet each live block in one run of consecutive calls, and one memo
+# of _block_runs serves them all
 @functools.lru_cache(maxsize=None)
 def _live_tops(q, n, d):
-    """{t: [(e, H), ...]}: the monic top digits t, the first top monomial
-    slowest, whose top form is H^e for a monic form H of degree d/e, split
-    by split.  The root of a monic top is monic, so these are all the tops
-    under which a composite u(H + h) lies."""
+    """{t: [powers, ...]}: the monic top digits t, the first top monomial
+    slowest, whose top form is H^e for a monic form H of degree d/e, with
+    the powers [1, H, ..., H^e] of each such H, split by split; t is read
+    from the last power.  The root of a monic top is monic, so these are
+    all the tops under which a composite u(H + h) lies."""
     field = field_from_order(q)
     tops = monomials_upto(n, d)[:comb(n + d - 1, n - 1)]
     weight = {mono: q ** k for k, mono in enumerate(reversed(tops))}
@@ -337,22 +343,24 @@ def _live_tops(q, n, d):
         forms = monomials_upto(n, d // e)[:comb(n + d // e - 1, n - 1)]
         for k in range(len(forms)):
             for digits in digit_tuples(q, len(forms), q ** k, 2 * q ** k):
-                H = MPoly(field, n, dict(zip(forms, digits)))
-                t = sum([weight[mono] * c for mono, c in (H ** e).terms.items()])
-                table.setdefault(t, []).append((e, H))
+                powers = _inner_powers(MPoly(field, n, dict(zip(forms, digits))), e)
+                t = sum([weight[mono] * c for mono, c in powers[e].terms.items()])
+                table.setdefault(t, []).append(powers)
     return dict(sorted(table.items()))
 
 
 @functools.lru_cache(maxsize=1)
 def _block_runs(q, n, d, t):
     """The distinct decomposable runs of the live top block t, ascending: the
-    run index of each composite under its splits (_live_tops), read from its
-    coefficients on every monomial but the constant, each element its own
-    digit.  The only set of the n >= 2 scan, the size of one block's image."""
+    run index of each composite drawn from the table's power lists of its
+    splits (_live_tops), read from its coefficients on every monomial but the
+    constant, each element its own digit.  The only set of the n >= 2 scan,
+    the size of one block's image: a wild split yields some composites
+    twice, and two splits may share one."""
     weight = {mono: q ** k for k, mono in enumerate(monomials_upto(n, d)[-2::-1])}
     return tuple(sorted({sum([weight[mono] * c for mono, c in terms.items()])
-                         for e, H in _live_tops(q, n, d)[t]
-                         for terms in composites_from_top(H, e)}))
+                         for powers in _live_tops(q, n, d)[t]
+                         for terms in composites_from_top(powers)}))
 
 
 def merge_reports(reports) -> CensusReport:

@@ -35,6 +35,7 @@ a returned pair recomposes to the input by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -320,21 +321,23 @@ def _decompose_graded(F: MPoly, e: int, guard):
     return None
 
 
-def composites_from_top(H: MPoly, e: int):
+def composites_from_top(powers: list):
     """The terms {monomial: nonzero coefficient} of u(H + h) for every
     u = t^e + u_(e-1) t^(e-1) + ... + u_1 t and every h on the monomials of
-    degree 1 .. m - 1, m = deg H: q^(e - 1 + #h) composites, not all
-    distinct.  For H a monic form, these are the F with top form H^e and
-    F(0) = 0 that decompose at e: a normalized F = u(H') has the top form
-    lc(u) top(H')^e, and the monic e-th root of a monic form is unique, so
-    lc(u) = 1, top(H') = H and u(0) = 0.  h and u go in digit_tuples
-    order.  Only the powers of H are multiplied: each digit of h that moves
-    moves the powers [1, H + h, ..., (H + h)^e] with it, in place
-    (_add_to_powers)."""
+    degree 1 .. m - 1, m = deg H, for powers = _inner_powers(H, e):
+    q^(e - 1 + #h) composites.  For H a monic form, these are the F with top
+    form H^e and F(0) = 0 that decompose at e: a normalized F = u(H') has the
+    top form lc(u) top(H')^e, and the monic e-th root of a monic form is
+    unique, so lc(u) = 1, top(H') = H and u(0) = 0.  A tame split yields
+    each once; a wild one may yield one twice (over F_2, (t^2 + t)(x^2) =
+    t^2(x^2 + x)).  h and u go in digit_tuples order.  Nothing is
+    multiplied: each digit of h that moves moves copies of the powers
+    [1, H + h, ..., (H + h)^e] with it, in place (_add_to_powers)."""
+    e, H = len(powers) - 1, powers[1]
     dom = H.dom
     zero, add, mul = dom.zero, dom.add, dom.mul
     low = monomials_upto(H.n, H.degree() - 1)[:-1]  # the constant comes last
-    pw = [dict(P.terms) for P in _inner_powers(H, e)]
+    pw = [dict(P.terms) for P in powers]
     binom = [[dom.from_int(comb(k, i)) for i in range(k + 1)] for k in range(e + 1)]
     prev = (zero,) * len(low)
     for digits in digit_tuples(dom.q, len(low)):
@@ -389,13 +392,12 @@ def _forced_inner_top(dom, f, s, a, e):
     stops at t^s: U_j must vanish for s < j < 2s.  The root is taken one
     coefficient at a time from a table of [t^j] U^k:
     U_j = (F_j - sum_(k>=2) C(e, k) [t^j] U^k) / e, which divides by e only.
+    The constants of the split, p^a, the series length, C(e, k) and 1/e,
+    come from _root_constants; only U and its powers are built per f.
     """
     d = len(f) - 1
-    pa = dom.char ** a
-    n = 2 * s if pa == 1 else s
+    pa, n, binom, e_inv = _root_constants(dom, s, a, e)
     zero, add, sub, mul = dom.zero, dom.add, dom.sub, dom.mul
-    binom = [dom.from_int(comb(e, k)) for k in range(min(e, n - 1) + 1)]
-    e_inv = dom.inv(dom.from_int(e))
     U = [zero] * n
     powers = [None, U] + [[zero] * n for _ in binom[2:]]  # powers[k][j] = [t^j] U^k
     for j in range(1, n):
@@ -422,6 +424,17 @@ def _forced_inner_top(dom, f, s, a, e):
             c = dom.pth_root(c)
         top.append(c)
     return top
+
+
+@functools.lru_cache(maxsize=None)
+def _root_constants(dom, s, a, e):
+    """(p^a, n, (C(e, 0), ..., C(e, min(e, n - 1))), 1/e) in dom for
+    _forced_inner_top at inner degree s: a series of n = 2s terms when the
+    split is tame, s when it is wild; fixed per field and split."""
+    pa = dom.char ** a
+    n = 2 * s if pa == 1 else s
+    binom = tuple(dom.from_int(comb(e, k)) for k in range(min(e, n - 1) + 1))
+    return pa, n, binom, dom.inv(dom.from_int(e))
 
 
 def _extract_outer_dense(dom, f, v, r):
@@ -464,7 +477,7 @@ def decompose_uni_dense(dom, f, r, guard=DEFAULT_GUARD):
         raise GuardExceeded(
             f"inner enumeration of {nfree} free coefficients, size {size}, exceeds guard {guard}"
         )
-    fm = unipoly.monic(dom, f)
+    fm = f if f[-1] == dom.one else unipoly.monic(dom, f)
     top = _forced_inner_top(dom, fm, s, a, e)
     if top is None:
         return None

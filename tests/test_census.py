@@ -425,13 +425,14 @@ def _image_bound(q, n, d, T):
 
 def _spy_composites(monkeypatch):
     """Record (e, H, terms) for every composite the scan draws from
-    composites_from_top, and fail on any call of the graded engine."""
+    composites_from_top, whose powers are [1, H, ..., H^e], and fail on any
+    call of the graded engine."""
     built = []
     image = census.composites_from_top
 
-    def spy(H, e):
-        for terms in image(H, e):
-            built.append((e, H, terms))
+    def spy(powers):
+        for terms in image(powers):
+            built.append((len(powers) - 1, powers[1], terms))
             yield terms
 
     def no_engine(*args):
@@ -479,6 +480,39 @@ def test_screened_top_block_builds_no_polynomial(monkeypatch):
     assert (rep.decomposable, rep.indecomposable) == (0, 2 * block)
 
 
+# small censuses in one, two and three variables, scanned slice by slice
+MONIC_COUNT_CENSUSES = [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2), (4, 2, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("q,n,d", MONIC_COUNT_CENSUSES)
+def test_monic_count_matches_the_decoded_indices(q, n, d):
+    # a slice's total is q - 1 times its monic indices: those whose first
+    # nonzero top digit is 1, decoded index by index.  The slices are empty,
+    # before the first monic block, start inside a block, cross several
+    # blocks, or are drawn at random
+    block, ntop = _top_block(q, n, d)
+    space = scan_space(q, n, d)
+    monos = len(monomials_upto(n, d))
+
+    def monic(i):
+        top = [c for c in _digits(i, q, monos)[:ntop] if c]
+        return top[:1] == [1]
+
+    rng = random.Random(39)
+    slices = [(0, 0), (space, space), (block + 3, block + 3), (0, block), (1, block - 1),
+              (block + 1, 2 * block - 1), (block // 2, space - 1), (0, space),
+              (2 * block - 1, space)]
+    for k in range(ntop):  # one index on each side of each monic block's ends
+        slices += [(q ** k * block - 1, q ** k * block + 1),
+                   (2 * q ** k * block - 1, min(2 * q ** k * block + 1, space))]
+    for _ in range(40):
+        lo = rng.randrange(space)
+        slices.append((lo, rng.randint(lo, min(space, lo + rng.choice([1, block, 4 * block])))))
+    for lo, hi in slices:
+        rep = enumerate_census(q, n, d, part=(lo, hi))
+        assert rep.total == (q - 1) * sum(map(monic, range(lo, hi))), (q, n, d, lo, hi)
+
+
 def test_non_representative_slices_call_no_engine(monkeypatch):
     # the top 2 x^2 over F_3 and the one-variable polynomials of leading
     # coefficient 2 are counted at their monic multiples: these slices hold
@@ -498,14 +532,13 @@ def test_non_representative_slices_call_no_engine(monkeypatch):
 def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch):
     # (2, 2, 4) cut into 128 slices of 256 indices, a quarter of a top block
     # each.  e = 2 composes over the inners x^2 + a x + b y under the top x^4,
-    # e = 4 over the inner x.  Outside the table of live tops, built once per
-    # census, the only products are the powers [1, H, ..., H^e] of the root
-    # H, e - 1 of them, once per live block and split in the whole census:
-    # the inners H + h take their powers from those of H in place, and the
-    # image of a block is drawn by the first of its slices only.  7 blocks
-    # have a top with a square root (28 slices), 3 of them a fourth root
-    # (12 slices), so 7 * 1 + 3 * 3 products.  The table takes H^2 of the 7
-    # monic quadratic forms and H^4 of the 3 monic linear ones, 2 and 3 products
+    # e = 4 over the inner x.  The only products of the whole census are the
+    # powers [1, H, ..., H^e] of the live roots H, e - 1 of them, built once
+    # per live block and split by the table of live tops: the inners H + h
+    # take their powers from copies of those of H, in place, and the slices
+    # multiply nothing.  7 blocks have a top with a square root (28 slices),
+    # the 7 monic quadratic forms H, and 3 of them a fourth root (12 slices),
+    # the 3 monic linear forms, so 7 * 1 + 3 * 3 products
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
     products = {"all": 0}
@@ -525,8 +558,7 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
     census._live_tops.cache_clear()  # the table lasts across censuses
     census._block_runs.cache_clear()  # and the runs of the last block drawn
     census._live_tops(q, n, d)
-    assert products["all"] == 7 * 2 + 3 * 3
-    products["all"] = 0
+    table = products["all"]
     dec = 0
     for lo, hi in slices:
         dec += enumerate_census(q, n, d, part=(lo, hi)).decomposable
@@ -534,16 +566,24 @@ def test_scan_builds_each_candidates_powers_once_per_block_and_split(monkeypatch
     assert [sum(e in p for p in live.values()) for e in (2, 4)] == [28, 12]
     blocks = {lo // block: splits for (lo, _), splits in live.items()}
     assert [sum(e in p for p in blocks.values()) for e in (2, 4)] == [7, 3]
-    assert products["all"] == sum(e - 1 for p in blocks.values() for e in p) == 7 * 1 + 3 * 3
+    assert table == sum(e - 1 for p in blocks.values() for e in p) == 7 * 1 + 3 * 3
+    assert products["all"] == table  # none in the slices
+
+
+def _root_key(root):
+    e, H = root
+    return e, sorted(H.terms.items())
 
 
 def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
-    # the same 128 slices of (2, 2, 4), in order.  Each live block's image is
+    # the same 128 slices of (2, 2, 4), in order.  The census takes the
+    # powers [1, H, ..., H^e] of each live root H once, all in its first
+    # slice, which builds the table of live tops.  Each live block's image is
     # drawn once in the census, by the first slice that meets the block, one
-    # composites_from_top call per split that its top admits, and the later
-    # slices of the block draw nothing.  Inside composites_from_top the only
-    # two-variable polynomials built are the powers [1, H, ..., H^e] of the
-    # root H: the inners H + h and the composites are plain term dicts
+    # composites_from_top call per split that its top admits, on the table's
+    # power list, and the later slices of the block draw nothing.  Inside
+    # composites_from_top no two-variable polynomial is built: the inners
+    # H + h, their powers and the composites are plain term dicts
     q, n, d = 2, 2, 4
     block, ntop = _top_block(q, n, d)
     # the zero top is skipped; over F_2 every other top is monic
@@ -557,11 +597,13 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
         if state["image"] and not state["powers"] and nvars == 2:
             built.append(self)
 
-    def spy_image(H, e):
-        drawn.append((e, H))
+    def spy_image(powers):
+        assert any(powers is pw for live in census._live_tops(q, n, d).values()
+                   for pw in live)
+        drawn.append((len(powers) - 1, powers[1]))
         state["image"] = True
         try:
-            yield from image(H, e)
+            yield from image(powers)
         finally:
             state["image"] = False
 
@@ -576,16 +618,20 @@ def test_scan_builds_each_candidate_inner_once_per_block_and_split(monkeypatch):
     roots = {lo // block: [(e, H) for e in (2, 4)
                            if (H := poly_eth_root(_top_form(q, n, d, lo // block), e)) is not None]
              for lo, _ in slices}  # before the spies
-    census._block_runs.cache_clear()  # the runs of the last block drawn
+    census._live_tops.cache_clear()  # the table lasts across censuses
+    census._block_runs.cache_clear()  # and the runs of the last block drawn
     monkeypatch.setattr(MPoly, "__init__", spy_init)
     monkeypatch.setattr(census, "composites_from_top", spy_image)
+    monkeypatch.setattr(census, "_inner_powers", spy_powers)
     monkeypatch.setattr(decompose, "_inner_powers", spy_powers)
     busy = 0
-    for lo, hi in slices:
+    for k, (lo, hi) in enumerate(slices):
         want = roots[lo // block] if lo % block == 0 else []  # the block's first slice
         del drawn[:], powered[:]
         enumerate_census(q, n, d, part=(lo, hi))
-        assert drawn == powered == want, (lo, hi)
+        assert drawn == want, (lo, hi)
+        assert sorted(powered, key=_root_key) == (
+            [] if k else sorted([r for t in roots for r in roots[t]], key=_root_key)), (lo, hi)
         assert built == [], (lo, hi)
         busy += bool(drawn)
     assert busy == 7  # the blocks whose top has a square root
@@ -732,11 +778,45 @@ REBUILT_CENSUSES = [(2, 2, 4), (3, 2, 4), (4, 2, 4), (5, 2, 4), (2, 3, 4), (2, 2
 @pytest.mark.parametrize("q,n,d", REBUILT_CENSUSES)
 def test_image_matches_the_powers_rebuilt_by_products(q, n, d):
     # composites_from_top moves the powers of H + h from one h to the next in
-    # place; the reference multiplies out every power of every H + h
+    # place, from the table's powers of H; the reference multiplies out every
+    # power of every H + h
     for live in census._live_tops(q, n, d).values():
-        for e, H in live:
-            assert list(decompose.composites_from_top(H, e)) == list(
+        for powers in live:
+            e, H = len(powers) - 1, powers[1]
+            assert list(decompose.composites_from_top(powers)) == list(
                 rebuilt_composites(H, e)), (q, n, d, e, H.format())
+
+
+# (q, n, d, repeats): the composites yielded more than once by the wild
+# splits of each census's live tops, summed over its (e, H)
+COLLIDING_CENSUSES = [(2, 2, 4, 3), (3, 2, 6, 8), (2, 3, 4, 7), (4, 2, 4, 25), (5, 2, 4, 0),
+                      (3, 2, 4, 0), (2, 2, 6, 0)]
+
+
+@pytest.mark.parametrize("q,n,d,repeats", COLLIDING_CENSUSES)
+def test_tame_splits_yield_distinct_composites(q, n, d, repeats):
+    # for p not dividing e, (u, h) -> u(H + h) is injective: the normalized
+    # decomposition at a tame split is unique.  A wild split is not: over F_2,
+    # (t^2 + t)(x^2) = t^2(x^2 + x), so _block_runs collects a set
+    p = field_from_order(q).char
+    wild = 0
+    for live in census._live_tops(q, n, d).values():
+        for powers in live:
+            image = [frozenset(terms.items()) for terms in decompose.composites_from_top(powers)]
+            if (len(powers) - 1) % p:
+                assert len(set(image)) == len(image), (q, n, d, powers[1].format())
+            else:
+                wild += len(image) - len(set(image))
+    assert wild == repeats
+
+
+def test_a_wild_split_yields_one_composite_twice():
+    field = field_from_order(2)
+    x2 = MPoly(field, 2, {(2, 0): 1})
+    image = [frozenset(terms.items())
+             for terms in decompose.composites_from_top(decompose._inner_powers(x2, 2))]
+    assert len(image) == 2 ** (1 + 2)  # u_1 and h on x and y
+    assert image.count(frozenset({(4, 0): 1, (2, 0): 1}.items())) == 2  # x^4 + x^2
 
 
 if given is not None:
@@ -784,12 +864,16 @@ def _rooted_tops(q, n, d):
 @pytest.mark.parametrize("q,n,d", sorted(set(SCREENED_CENSUSES + IMAGE_CENSUSES)))
 def test_live_top_table_lists_the_roots_of_every_monic_top(q, n, d):
     # the table of the powers H^e, built without a root, names at each monic
-    # top the e-th roots that poly_eth_root takes of it, split by split
+    # top the e-th roots that poly_eth_root takes of it, split by split, each
+    # with its powers [1, H, ..., H^e]
     table = census._live_tops(q, n, d)
     for t in _monic_tops(q, n, d):
         T = _top_form(q, n, d, t)
-        assert table.get(t, []) == [(e, H) for e in outer_degrees(n, d)
-                                    if (H := poly_eth_root(T, e)) is not None], (q, n, d, t)
+        live = table.get(t, [])
+        assert [(len(pw) - 1, pw[1]) for pw in live] == [
+            (e, H) for e in outer_degrees(n, d)
+            if (H := poly_eth_root(T, e)) is not None], (q, n, d, t)
+        assert all(pw == decompose._inner_powers(pw[1], len(pw) - 1) for pw in live)
     assert set(table) <= set(_monic_tops(q, n, d))
 
 
@@ -808,7 +892,7 @@ if given is not None:
         T = _top_form(q, n, d, t)
         image = {frozenset(terms.items()) for e in outer_degrees(n, d)
                  if (H := poly_eth_root(T, e)) is not None
-                 for terms in decompose.composites_from_top(H, e)}
+                 for terms in decompose.composites_from_top(decompose._inner_powers(H, e))}
         lows = monomials_upto(n, d)[ntop:-1]  # the constant comes last
         want = set()
         for digits in itertools.product(range(q), repeat=len(lows)):

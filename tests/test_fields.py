@@ -48,6 +48,28 @@ def test_prime_power_by_exact_roots():
             prime_power(q)
 
 
+def _outcome(fn, q):
+    try:
+        return fn(q)
+    except ValueError as err:
+        return str(err)
+
+
+def test_prime_power_memo_answers_as_the_plain_function():
+    from indecpoly.arith import prime_power
+
+    for q in [*range(2001), 2 ** 64, 100000000000000000039 ** 2]:
+        assert _outcome(prime_power, q) == _outcome(prime_power.__wrapped__, q), q
+    size = prime_power.cache_info().currsize
+    for q in (0, 1, 6, 12, 100):
+        for _ in range(2):  # a failure is not stored: the second call raises too
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                prime_power(q)
+    assert prime_power.cache_info().currsize == size
+    for q in (2, 4, 9, 27, 49, 125, 2 ** 64):
+        assert field_from_order(q) is finite_field(*prime_power(q))
+
+
 def test_field_from_order_of_a_large_prime_needs_no_trial_division():
     # trial division to sqrt(q) = 10^10 would not finish; exact roots do
     q = 100000000000000000039
